@@ -106,11 +106,10 @@ bool ParseTreecutFlag(int* argc, char** argv) {
 
 int main(int argc, char** argv) {
   const int threads = sensjoin::testbed::ParseThreadsFlag(&argc, argv);
-  sensjoin::testbed::ParseEngineFlag(&argc, argv);
   const sensjoin::bench::TraceFlag trace =
       sensjoin::bench::ParseTraceFlag(&argc, argv);
   const bool use_treecut = sensjoin::bench::ParseTreecutFlag(&argc, argv);
-  const uint64_t seed = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 42;
+  const uint64_t seed = sensjoin::testbed::ParseSeedArg(argc, argv, 42);
   if (!trace.only) sensjoin::bench::Main(seed, threads, use_treecut);
   if (trace.enabled()) sensjoin::bench::RunTracedExecution(trace, seed);
   return 0;

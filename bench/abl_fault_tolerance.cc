@@ -684,14 +684,13 @@ std::string ParseJsonFlag(const std::string& flag, int* argc, char** argv) {
 
 int main(int argc, char** argv) {
   const int threads = sensjoin::testbed::ParseThreadsFlag(&argc, argv);
-  sensjoin::testbed::ParseEngineFlag(&argc, argv);
   const sensjoin::bench::TraceFlag trace =
       sensjoin::bench::ParseTraceFlag(&argc, argv);
   const std::string repair_json =
       sensjoin::bench::ParseJsonFlag("repair-json", &argc, argv);
   const std::string delivery_json =
       sensjoin::bench::ParseJsonFlag("delivery-json", &argc, argv);
-  const uint64_t seed = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 42;
+  const uint64_t seed = sensjoin::testbed::ParseSeedArg(argc, argv, 42);
   const int num_nodes = argc > 2 ? std::atoi(argv[2]) : 250;
   if (!trace.only) {
     sensjoin::bench::Main(seed, num_nodes, threads, repair_json,

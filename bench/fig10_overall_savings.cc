@@ -94,10 +94,9 @@ void Main(uint64_t seed, int threads) {
 
 int main(int argc, char** argv) {
   const int threads = sensjoin::testbed::ParseThreadsFlag(&argc, argv);
-  sensjoin::testbed::ParseEngineFlag(&argc, argv);
   const sensjoin::bench::TraceFlag trace =
       sensjoin::bench::ParseTraceFlag(&argc, argv);
-  const uint64_t seed = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 42;
+  const uint64_t seed = sensjoin::testbed::ParseSeedArg(argc, argv, 42);
   if (!trace.only) sensjoin::bench::Main(seed, threads);
   if (trace.enabled()) sensjoin::bench::RunTracedExecution(trace, seed);
   return 0;

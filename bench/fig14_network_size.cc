@@ -19,8 +19,6 @@
 #include <vector>
 
 #include "sensjoin/sensjoin.h"
-#include "sensjoin/sim/parallel_engine.h"
-#include "sensjoin/testbed/chaos.h"
 #include "util/calibration.h"
 #include "util/table.h"
 #include "util/tracing.h"
@@ -65,25 +63,19 @@ void Main(uint64_t seed, int threads) {
 
 // --- The --scale sweep ----------------------------------------------------
 //
-// Not a paper figure: a single-topology scaling proof for the windowed
-// engine and the compact memory layout. One trial per (size, engine) with
-// a FIXED query (no calibration — its binary search would dominate the
-// wall-clock), sizes ascending so the monotone ru_maxrss reading after
-// each run is that run's peak. The sequential and windowed executions of
-// a size must agree on the full ExecutionFingerprint (costs, counters and
-// certificate compared as bit patterns); the sweep aborts on divergence.
+// Not a paper figure: a single-topology scaling run for the simulator and
+// the compact memory layout. One trial per size with a FIXED query (no
+// calibration — its binary search would dominate the wall-clock), sizes
+// ascending so the monotone ru_maxrss reading after each run is that run's
+// peak.
 
 struct ScaleRow {
   int nodes = 0;
-  const char* engine = nullptr;
-  int workers = 0;
   double build_s = 0.0;
   double exec_s = 0.0;
   uint64_t events = 0;
   double events_per_sec = 0.0;
   long maxrss_kb = 0;
-  uint64_t parallel_windows = 0;
-  std::string fingerprint;
 };
 
 long MaxRssKb() {
@@ -92,11 +84,8 @@ long MaxRssKb() {
   return usage.ru_maxrss;  // KiB on Linux
 }
 
-ScaleRow RunScaleTrial(uint64_t seed, int n, sim::EngineKind kind) {
-  testbed::TestbedParams params = PaperDefaultParams(seed, n);
-  params.sim.engine.kind = kind;
-  params.sim.engine.workers = 0;  // auto: one per hardware thread
-
+ScaleRow RunScaleTrial(uint64_t seed, int n) {
+  const testbed::TestbedParams params = PaperDefaultParams(seed, n);
   const auto t0 = std::chrono::steady_clock::now();
   auto tb = MustCreateTestbed(params);
   const auto t1 = std::chrono::steady_clock::now();
@@ -130,41 +119,27 @@ ScaleRow RunScaleTrial(uint64_t seed, int n, sim::EngineKind kind) {
 
   ScaleRow row;
   row.nodes = n;
-  row.engine = sim::EngineKindName(kind);
-  row.workers = tb->simulator().engine().resolved_workers();
   row.build_s = std::chrono::duration<double>(t1 - t0).count();
   row.exec_s = std::chrono::duration<double>(t3 - t2).count();
   row.events = tb->simulator().events().total_fired() - events_before;
   row.events_per_sec =
       row.exec_s > 0 ? static_cast<double>(row.events) / row.exec_s : 0.0;
   row.maxrss_kb = MaxRssKb();
-  row.parallel_windows = tb->simulator().engine().parallel_windows();
-  row.fingerprint = testbed::ExecutionFingerprint(*report);
   return row;
 }
 
 void ScaleMain(uint64_t seed, const std::vector<int>& sizes,
                const std::string& json_path) {
-  std::cout << "Scale sweep -- one topology per size, sequential vs "
-               "windowed engine, seed "
-            << seed << "\n\n";
-  TablePrinter table({"nodes", "engine", "workers", "build (s)", "exec (s)",
-                      "events", "events/s", "par windows", "maxrss (MB)"});
-  std::vector<std::pair<ScaleRow, ScaleRow>> rows;
+  std::cout << "Scale sweep -- one topology per size, seed " << seed << "\n\n";
+  TablePrinter table({"nodes", "build (s)", "exec (s)", "events", "events/s",
+                      "maxrss (MB)"});
+  std::vector<ScaleRow> rows;
   for (int n : sizes) {
-    ScaleRow seq = RunScaleTrial(seed, n, sim::EngineKind::kSequential);
-    ScaleRow win = RunScaleTrial(seed, n, sim::EngineKind::kWindowed);
-    SENSJOIN_CHECK(seq.fingerprint == win.fingerprint)
-        << "engine divergence at " << n << " nodes";
-    for (const ScaleRow* row : {&seq, &win}) {
-      table.AddRow({Fmt(static_cast<uint64_t>(row->nodes)), row->engine,
-                    Fmt(static_cast<uint64_t>(row->workers)),
-                    Fmt(row->build_s), Fmt(row->exec_s), Fmt(row->events),
-                    Fmt(row->events_per_sec, 0),
-                    Fmt(row->parallel_windows),
-                    Fmt(static_cast<double>(row->maxrss_kb) / 1024.0, 1)});
-    }
-    rows.emplace_back(std::move(seq), std::move(win));
+    const ScaleRow row = RunScaleTrial(seed, n);
+    table.AddRow({Fmt(static_cast<uint64_t>(row.nodes)), Fmt(row.build_s),
+                  Fmt(row.exec_s), Fmt(row.events), Fmt(row.events_per_sec, 0),
+                  Fmt(static_cast<double>(row.maxrss_kb) / 1024.0, 1)});
+    rows.push_back(row);
   }
   table.Print(std::cout);
 
@@ -173,20 +148,11 @@ void ScaleMain(uint64_t seed, const std::vector<int>& sizes,
   SENSJOIN_CHECK(out.good()) << "cannot write " << json_path;
   out << "{\n  \"seed\": " << seed << ",\n  \"sizes\": [\n";
   for (size_t i = 0; i < rows.size(); ++i) {
-    const auto& [seq, win] = rows[i];
-    const auto emit = [&](const char* key, const ScaleRow& row) {
-      out << "      \"" << key << "\": {\"build_s\": " << row.build_s
-          << ", \"exec_s\": " << row.exec_s << ", \"events\": " << row.events
-          << ", \"events_per_sec\": " << row.events_per_sec
-          << ", \"maxrss_kb\": " << row.maxrss_kb
-          << ", \"workers\": " << row.workers
-          << ", \"parallel_windows\": " << row.parallel_windows << "}";
-    };
-    out << "    {\n      \"nodes\": " << seq.nodes << ",\n";
-    emit("sequential", seq);
-    out << ",\n";
-    emit("windowed", win);
-    out << ",\n      \"fingerprint_match\": true\n    }"
+    const ScaleRow& row = rows[i];
+    out << "    {\"nodes\": " << row.nodes << ", \"build_s\": " << row.build_s
+        << ", \"exec_s\": " << row.exec_s << ", \"events\": " << row.events
+        << ", \"events_per_sec\": " << row.events_per_sec
+        << ", \"maxrss_kb\": " << row.maxrss_kb << "}"
         << (i + 1 < rows.size() ? "," : "") << "\n";
   }
   out << "  ]\n}\n";
@@ -233,14 +199,13 @@ bool ParseScaleFlags(int* argc, char** argv, std::vector<int>* sizes,
 
 int main(int argc, char** argv) {
   const int threads = sensjoin::testbed::ParseThreadsFlag(&argc, argv);
-  sensjoin::testbed::ParseEngineFlag(&argc, argv);
   std::vector<int> scale_sizes = {5000, 15000, 50000, 150000};
   std::string scale_json;
   const bool scale =
       sensjoin::bench::ParseScaleFlags(&argc, argv, &scale_sizes, &scale_json);
   const sensjoin::bench::TraceFlag trace =
       sensjoin::bench::ParseTraceFlag(&argc, argv);
-  const uint64_t seed = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 42;
+  const uint64_t seed = sensjoin::testbed::ParseSeedArg(argc, argv, 42);
   if (scale) {
     sensjoin::bench::ScaleMain(seed, scale_sizes, scale_json);
     return 0;

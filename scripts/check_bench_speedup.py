@@ -30,17 +30,12 @@ Runtime mode:
   when the trace fields are absent (baseline predating the tracer).
 
 Scale mode:
-    check_bench_speedup.py --scale <BENCH_runtime.json> [min_ratio]
+    check_bench_speedup.py --scale <BENCH_runtime.json>
   Validates the single-topology scale sweep (the "scale" section written
-  by `fig14_network_size --scale --scale-json=...`):
-  - every size must report fingerprint_match (the windowed engine's
-    execution was bit-identical to sequential) — enforced always;
-  - peak RSS of the largest size must stay under RSS_PER_NODE_BUDGET_KB
-    per node — the compact-layout budget, enforced always;
-  - on hosts with >= 4 CPUs, the windowed engine's intra-trial events/sec
-    on the largest size must be >= min_ratio (default 1.5) times the
-    sequential engine's. On smaller hosts the windowed engine has no
-    cores to win with, so the numbers are printed and the check passes.
+  by `fig14_network_size --scale --scale-json=...`): peak RSS of the
+  largest size must stay under RSS_PER_NODE_BUDGET_KB per node — the
+  compact-layout budget. The events/sec of every size are printed for
+  the record but not gated.
 
 Service mode:
     check_bench_speedup.py --service <BENCH_runtime.json>
@@ -202,56 +197,31 @@ def check_service(path: str) -> int:
     return 0
 
 
-def check_scale(path: str, min_ratio: float) -> int:
+def check_scale(path: str) -> int:
     with open(path) as f:
         doc = json.load(f)
-    host_cpus = int(doc.get("host_cpus", 1))
-    enforce = host_cpus >= 4
-    if not enforce:
-        print(f"host_cpus={host_cpus} < 4: windowed-engine speedup not "
-              "measurable on this host; reporting numbers only")
-
     sizes = doc.get("scale", {}).get("sizes", [])
     if not sizes:
         print(f"scale section missing or empty in {path}")
         return 1
 
-    failures = []
     for entry in sizes:
-        n = entry["nodes"]
-        if not entry.get("fingerprint_match", False):
-            failures.append(f"engine fingerprints diverged at {n} nodes")
-
-    largest = max(sizes, key=lambda entry: entry["nodes"])
-    n = largest["nodes"]
-    seq = largest.get("sequential", {})
-    win = largest.get("windowed", {})
+        print(f"{entry['nodes']} nodes: exec {entry['exec_s']:.3f}s  "
+              f"{entry['events_per_sec']:.0f} events/s  "
+              f"maxrss {entry['maxrss_kb'] / 1024.0:.1f} MB")
 
     # Peak RSS is read after each run of an ascending sweep, so the largest
-    # size's windowed reading is the process-wide peak.
-    rss_kb = max(seq.get("maxrss_kb", 0), win.get("maxrss_kb", 0))
-    per_node = rss_kb / n
-    print(f"peak RSS at {n} nodes: {rss_kb / 1024.0:.1f} MB "
+    # size's reading is the process-wide peak.
+    largest = max(sizes, key=lambda entry: entry["nodes"])
+    n = largest["nodes"]
+    per_node = largest["maxrss_kb"] / n
+    print(f"peak RSS at {n} nodes: {largest['maxrss_kb'] / 1024.0:.1f} MB "
           f"({per_node:.2f} KB/node, budget {RSS_PER_NODE_BUDGET_KB} "
           "KB/node)")
     if per_node > RSS_PER_NODE_BUDGET_KB:
-        failures.append("peak RSS per node above budget")
-
-    seq_rate, win_rate = seq.get("events_per_sec"), win.get("events_per_sec")
-    if seq_rate and win_rate:
-        ratio = win_rate / seq_rate
-        print(f"events/sec at {n} nodes: sequential={seq_rate:.0f}  "
-              f"windowed={win_rate:.0f} ({win.get('workers', '?')} workers)  "
-              f"speedup: {ratio:.2f}x (required >= {min_ratio}x)")
-        if enforce and ratio < min_ratio:
-            failures.append("windowed events/sec speedup below threshold")
-    else:
-        print(f"events_per_sec missing from scale section of {path}")
-        failures.append("events_per_sec missing")
-
-    for failure in failures:
-        print(f"FAIL: {failure}")
-    return 1 if failures else 0
+        print("FAIL: peak RSS per node above budget")
+        return 1
+    return 0
 
 
 def main() -> int:
@@ -261,9 +231,7 @@ def main() -> int:
         min_ratio = float(args[2]) if len(args) > 2 else 2.0
         return check_runtime(path, min_ratio)
     if args and args[0] == "--scale":
-        path = args[1]
-        min_ratio = float(args[2]) if len(args) > 2 else 1.5
-        return check_scale(path, min_ratio)
+        return check_scale(args[1])
     if args and args[0] == "--service":
         return check_service(args[1])
     path = args[0]

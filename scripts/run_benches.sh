@@ -28,7 +28,7 @@ run micro_pointset "${OUT_DIR}/BENCH_pointset.json"
 # file), the fault-tolerance ablation's repair-vs-re-execution sweep into
 # its "repair" section, the delivery-semantics sweep (duplication x
 # jitter x cross-attempt replay) into its "delivery" section, the
-# single-topology sequential-vs-windowed sweep into its "scale" section,
+# single-topology scale sweep into its "scale" section,
 # and the continuous multi-query service sweep into its "service" section.
 RAW_JSON="$(mktemp)"
 RAW_TRACE_JSON="$(mktemp)"
@@ -51,9 +51,9 @@ echo "===== svc_service (continuous service sweep) ====="
 "${BUILD_DIR}/bench/svc_service" \
   --service-json="${RAW_SERVICE_JSON}" 42 > /dev/null
 
-# Single-topology scale sweep (sequential vs windowed engine). Override
-# SCALE_SIZES to trade coverage for wall-clock (CI smoke uses 20000,50000;
-# the tracked baseline uses the full 5k/15k/50k/150k ladder).
+# Single-topology scale sweep, one trial per size. Override SCALE_SIZES to
+# trade coverage for wall-clock (CI smoke uses 20000,50000; the tracked
+# baseline uses the full 5k/15k/50k/150k ladder).
 SCALE_SIZES="${SCALE_SIZES:-5000,15000,50000,150000}"
 echo "===== fig14_network_size --scale (${SCALE_SIZES}) ====="
 "${BUILD_DIR}/bench/fig14_network_size" --scale \
@@ -127,6 +127,9 @@ with open(delivery_path) as f:
 
 with open(scale_path) as f:
     doc["scale"] = json.load(f)
+# The scale rows are wall-clock and RSS readings of this host; record its
+# CPU count next to them.
+doc["scale"]["host_cpus"] = os.cpu_count() or 1
 
 with open(service_path) as f:
     doc["service"] = json.load(f)

@@ -24,38 +24,19 @@ const char* DeliveryVerdictName(DeliveryVerdict verdict) {
   return "unknown";
 }
 
-DeliveryGuard::DeliveryGuard(int dedup_window, int tag_wire_bytes,
-                             int num_nodes)
+DeliveryGuard::DeliveryGuard(int dedup_window, int tag_wire_bytes)
     : dedup_window_(std::max(1, dedup_window)),
-      tag_wire_bytes_(std::max(0, tag_wire_bytes)),
-      by_src_(static_cast<size_t>(std::max(0, num_nodes))) {}
+      tag_wire_bytes_(std::max(0, tag_wire_bytes)) {}
 
 void DeliveryGuard::BeginAttempt(uint32_t attempt_id) {
   attempt_id_ = attempt_id;
-  // Shards are retained (only cleared) so a pre-sized table never
-  // reallocates mid-attempt under concurrent stamping.
-  for (auto& shard : by_src_) shard.clear();
-}
-
-DeliveryGuard::LinkState& DeliveryGuard::LinkFor(sim::NodeId src,
-                                                 sim::NodeId dst) {
-  const auto s = static_cast<size_t>(src);
-  if (s >= by_src_.size()) by_src_.resize(s + 1);
-  return by_src_[s][dst];
-}
-
-DeliveryGuard::LinkState* DeliveryGuard::FindLink(sim::NodeId src,
-                                                  sim::NodeId dst) {
-  const auto s = static_cast<size_t>(src);
-  if (s >= by_src_.size()) return nullptr;
-  auto it = by_src_[s].find(dst);
-  return it == by_src_[s].end() ? nullptr : &it->second;
+  links_.clear();
 }
 
 void DeliveryGuard::Stamp(sim::Message& msg) {
   SENSJOIN_CHECK(msg.dst != sim::kInvalidNode)
       << "only unicasts carry delivery tags";
-  LinkState& link = LinkFor(msg.src, msg.dst);
+  LinkState& link = links_[LinkKey(msg.src, msg.dst)];
   msg.tag.attempt_id = attempt_id_;
   msg.tag.seq = link.next_seq++;
   link.window.push_back(Entry{msg.tag.seq, false});
@@ -67,9 +48,9 @@ void DeliveryGuard::Stamp(sim::Message& msg) {
 
 void DeliveryGuard::Retract(const sim::Message& msg) {
   if (!msg.tag.tagged() || msg.tag.attempt_id != attempt_id_) return;
-  LinkState* state = FindLink(msg.src, msg.dst);
-  if (state == nullptr) return;
-  std::deque<Entry>& window = state->window;
+  auto it = links_.find(LinkKey(msg.src, msg.dst));
+  if (it == links_.end()) return;
+  std::deque<Entry>& window = it->second.window;
   for (auto e = window.begin(); e != window.end(); ++e) {
     if (e->seq == msg.tag.seq) {
       window.erase(e);
@@ -94,7 +75,8 @@ DeliveryVerdict DeliveryGuard::Classify(sim::NodeId receiver,
     ++stale_drops_;
     return DeliveryVerdict::kStale;
   }
-  LinkState* link = FindLink(msg.src, msg.dst);
+  auto it = links_.find(LinkKey(msg.src, msg.dst));
+  LinkState* link = it == links_.end() ? nullptr : &it->second;
   Entry* entry = nullptr;
   bool earlier_outstanding = false;
   if (link != nullptr) {

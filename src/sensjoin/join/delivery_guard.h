@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <deque>
 #include <unordered_map>
-#include <vector>
 
 #include "sensjoin/sim/packet.h"
 #include "sensjoin/sim/time.h"
@@ -43,22 +42,12 @@ const char* DeliveryVerdictName(DeliveryVerdict verdict);
 /// The guard draws no randomness and, unless `tag_wire_bytes > 0`, adds no
 /// wire bytes — stamping alone leaves fault-free runs bit-identical to the
 /// seed.
-///
-/// Link state is sharded by sender: Stamp and Retract for src A touch only
-/// A's shard, so turns of distinct nodes may stamp concurrently under the
-/// windowed engine (a turn only ever stamps its own node's sends). Classify
-/// and BeginAttempt are receiver/coordinator-side and must stay on the
-/// delivery thread. Pass `num_nodes` to pre-size the shard table; without
-/// it the table lazily grows, which is only safe single-threaded.
 class DeliveryGuard {
  public:
   /// `dedup_window` bounds the per-link memory (entries per link);
   /// `tag_wire_bytes` is added to every stamped message's payload when the
   /// protocol charges the tag on the wire (0 keeps frames untouched).
-  /// `num_nodes` pre-sizes the per-sender shard table (required for
-  /// concurrent stamping; 0 grows on demand).
-  explicit DeliveryGuard(int dedup_window, int tag_wire_bytes = 0,
-                         int num_nodes = 0);
+  explicit DeliveryGuard(int dedup_window, int tag_wire_bytes = 0);
 
   /// Starts (or restarts) an attempt: bumps the current attempt id and
   /// forgets all link windows — a new attempt re-sends everything under
@@ -100,18 +89,15 @@ class DeliveryGuard {
     std::deque<Entry> window;
   };
 
-  /// Mutable access to the src->dst link, growing the shard table when the
-  /// guard was built without `num_nodes` (single-threaded use only).
-  LinkState& LinkFor(sim::NodeId src, sim::NodeId dst);
-  /// Lookup without insertion; nullptr when the link was never stamped.
-  LinkState* FindLink(sim::NodeId src, sim::NodeId dst);
+  static uint64_t LinkKey(sim::NodeId src, sim::NodeId dst) {
+    return (static_cast<uint64_t>(static_cast<uint32_t>(src)) << 32) |
+           static_cast<uint32_t>(dst);
+  }
 
   int dedup_window_;
   int tag_wire_bytes_;
   uint32_t attempt_id_ = 0;
-  /// Per-sender link windows: by_src_[src][dst]. Sharding by sender keeps
-  /// concurrent Stamp calls (one per in-flight turn) on disjoint maps.
-  std::vector<std::unordered_map<sim::NodeId, LinkState>> by_src_;
+  std::unordered_map<uint64_t, LinkState> links_;
   uint64_t duplicates_ = 0;
   uint64_t stale_drops_ = 0;
   uint64_t reordered_ = 0;

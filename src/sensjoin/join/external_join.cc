@@ -10,7 +10,6 @@
 #include "sensjoin/join/executor_context.h"
 #include "sensjoin/net/tree_maintenance.h"
 #include "sensjoin/obs/trace.h"
-#include "sensjoin/sim/parallel_engine.h"
 
 namespace sensjoin::join {
 
@@ -33,8 +32,7 @@ StatusOr<ExecutionReport> ExternalJoinExecutor::Execute(
   // fault-free runs bit-identical to the seed.
   DeliveryGuard guard(
       config_.dedup_window,
-      config_.charge_tag_wire_bytes ? config_.tag_wire_bytes : 0,
-      sim_.num_nodes());
+      config_.charge_tag_wire_bytes ? config_.tag_wire_bytes : 0);
   auto previous_handler = sim_.SetReceiveHandler(
       [this, &guard](sim::NodeId receiver, const sim::Message& msg) {
         const DeliveryVerdict verdict = guard.Classify(receiver, msg);
@@ -214,27 +212,16 @@ bool ExternalJoinExecutor::ExecuteAttempt(const query::AnalyzedQuery& q,
     return true;
   };
 
-  // Windowed execution: same structure as the SENS-Join executor — direct
-  // writes stay inside the turn's subtree partition, merges into the base
-  // station's pending list go through engine.Defer, and fault-handling
-  // branches (rescues, corrupted deliveries) only run under the sequential
-  // fallback (sim::Simulator::WindowSafe).
-  sim::ParallelEngine& engine = sim_.engine();
-  const sim::PartitionMap parts =
-      sim::PartitionMap::FromParents(tree_.parents(), root);
-  bool failed = false;
   const std::vector<sim::NodeId> order = tree_.collection_order();
-  engine.RunTurns(parts, order, [&](sim::NodeId u,
-                                    sim::ParallelEngine::Scratch&) {
-    if (failed) return;  // a prior turn aborted the attempt
+  for (sim::NodeId u : order) {
     done[u] = 1;
     std::vector<data::Tuple> contribution = std::move(pending[u]);
     if (ctx.info(u).has_tuple) contribution.push_back(ctx.info(u).tuple);
     if (u == root) {
       base_candidates = std::move(contribution);
-      return;
+      continue;
     }
-    if (contribution.empty()) return;
+    if (contribution.empty()) continue;
 
     size_t payload = 0;
     for (const data::Tuple& t : contribution) {
@@ -247,29 +234,19 @@ bool ExternalJoinExecutor::ExecuteAttempt(const query::AnalyzedQuery& q,
     msg.payload_bytes = payload;
     bool corrupted = false;
     if (!send_tagged(std::move(msg), &corrupted)) {
-      if (!rescue(u, std::move(contribution), payload)) failed = true;
-      return;
+      if (!rescue(u, std::move(contribution), payload)) return false;
+      continue;
     }
     if (corrupted) {
       // With the CRC trailer off, garbled tuples slip through the link
       // layer but are unusable: the subtree's rows are lost.
       ++report->corrupted_deliveries;
-      return;
+      continue;
     }
-    const sim::NodeId parent = tree_.parent(u);
-    if (parts.SamePartition(u, parent)) {
-      std::vector<data::Tuple>& up = pending[parent];
-      up.insert(up.end(), std::make_move_iterator(contribution.begin()),
-                std::make_move_iterator(contribution.end()));
-    } else {
-      engine.Defer([&up = pending[parent],
-                    contribution = std::move(contribution)]() mutable {
-        up.insert(up.end(), std::make_move_iterator(contribution.begin()),
-                  std::make_move_iterator(contribution.end()));
-      });
-    }
-  });
-  if (failed) return false;
+    std::vector<data::Tuple>& up = pending[tree_.parent(u)];
+    up.insert(up.end(), std::make_move_iterator(contribution.begin()),
+              std::make_move_iterator(contribution.end()));
+  }
 
   report->candidate_tuples = base_candidates.size();
   report->result = ComputeExactJoin(q, ctx.PerTableCandidates(base_candidates));

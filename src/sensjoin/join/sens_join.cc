@@ -14,7 +14,6 @@
 #include "sensjoin/join/join_attr_codec.h"
 #include "sensjoin/join/join_filter.h"
 #include "sensjoin/join/representation.h"
-#include "sensjoin/sim/parallel_engine.h"
 
 namespace sensjoin::join {
 namespace {
@@ -68,8 +67,7 @@ StatusOr<ExecutionReport> SensJoinExecutor::Execute(
   // keeps fault-free runs bit-identical to the seed.
   DeliveryGuard guard(
       config_.dedup_window,
-      config_.charge_tag_wire_bytes ? config_.tag_wire_bytes : 0,
-      sim_.num_nodes());
+      config_.charge_tag_wire_bytes ? config_.tag_wire_bytes : 0);
   auto previous_handler = sim_.SetReceiveHandler(
       [this, &guard](sim::NodeId receiver, const sim::Message& msg) {
         const DeliveryVerdict verdict = guard.Classify(receiver, msg);
@@ -229,23 +227,6 @@ Status SensJoinExecutor::ExecuteAttempt(const query::AnalyzedQuery& q,
   const sim::NodeId root = tree_.root();
   std::vector<data::Tuple> base_candidates;
 
-  // Windowed execution: the attempt's partitions are the depth-1 subtrees
-  // of the tree it walks. Turn bodies write directly into same-partition
-  // state (the parent of a non-depth-1 node is in its own subtree, and its
-  // turn runs later on the same worker); anything that crosses a partition
-  // boundary — a depth-1 node merging into the base station's pending
-  // state, shared report counters — goes through engine.Defer, which the
-  // windowed engine commits in turn order at the window barrier and the
-  // sequential engine runs inline, so both paths execute the same
-  // statements in the same order. Fault-handling branches (rescues,
-  // corrupted deliveries, recovery requests) mutate coordinator state
-  // directly: they are unreachable inside a parallel window because the
-  // engine falls back to sequential whenever any fault machinery is armed
-  // (sim::Simulator::WindowSafe).
-  sim::ParallelEngine& engine = sim_.engine();
-  const sim::PartitionMap parts =
-      sim::PartitionMap::FromParents(tree_.parents(), root);
-
   // --- Self-healing machinery ---------------------------------------------
   // Persistent hop failures escalate in order: phase watchdog (give up on a
   // phase that overran its sim-time budget) -> in-network tree repair
@@ -331,15 +312,14 @@ Status SensJoinExecutor::ExecuteAttempt(const query::AnalyzedQuery& q,
   };
 
   // Fidelity check (tests): everything handed to the radio must survive an
-  // actual serialize/parse roundtrip through the Fig. 9 wire format. The
-  // encoding buffer is the per-worker scratch (one buffer per worker, not
-  // one per node), so concurrent turns never share it.
-  auto verify_wire = [this, &codec](const PointSet& set, BitWriter& scratch) {
+  // actual serialize/parse roundtrip through the Fig. 9 wire format.
+  auto verify_wire = [this, &codec,
+                      scratch = BitWriter{}](const PointSet& set) mutable {
     if (!config_.verify_wire_roundtrip ||
         config_.representation != JoinAttrRepresentation::kQuadtree) {
       return;
     }
-    set.EncodeTo(&scratch);
+    set.EncodeTo(&scratch);  // one encoding buffer across all nodes
     auto decoded = PointSet::Decode(codec.layout(), scratch);
     SENSJOIN_CHECK(decoded.ok()) << decoded.status();
     SENSJOIN_CHECK(*decoded == set) << "wire roundtrip mismatch";
@@ -465,9 +445,7 @@ Status SensJoinExecutor::ExecuteAttempt(const query::AnalyzedQuery& q,
   };
 
   const std::vector<sim::NodeId> order_1a = tree_.collection_order();
-  engine.RunTurns(parts, order_1a, [&](sim::NodeId u,
-                                       sim::ParallelEngine::Scratch& scratch) {
-    if (*failed) return;  // a prior turn aborted the attempt
+  for (sim::NodeId u : order_1a) {
     done1a[u] = 1;
     NodeState& s = states[u];
     const ExecutorContext::NodeInfo& info = ctx.info(u);
@@ -485,7 +463,7 @@ Status SensJoinExecutor::ExecuteAttempt(const query::AnalyzedQuery& q,
       s.pending_attrs.InsertAll(std::move(base_keys));
       s.subtree_attrs = s.pending_attrs;  // powered node: no memory limit
       s.has_subtree_attrs = true;
-      return;
+      continue;
     }
 
     size_t full_bytes = info.has_tuple ? info.full_tuple_bytes : 0;
@@ -501,8 +479,8 @@ Status SensJoinExecutor::ExecuteAttempt(const query::AnalyzedQuery& q,
       std::vector<data::Tuple> contribution = std::move(s.pending_full);
       if (info.has_tuple) contribution.push_back(info.tuple);
       s.exited = true;
-      engine.Defer([report] { ++report->treecut_exited_nodes; });
-      if (contribution.empty()) return;
+      ++report->treecut_exited_nodes;
+      if (contribution.empty()) continue;
       sim::Message msg;
       msg.src = u;
       msg.dst = tree_.parent(u);
@@ -521,29 +499,20 @@ Status SensJoinExecutor::ExecuteAttempt(const query::AnalyzedQuery& q,
         keys.InsertAll(std::move(key_list));
         if (!rescue_collection(u, keys, std::move(contribution), full_bytes)) {
           *failed = true;
+          return Status::Ok();
         }
-        return;
+        continue;
       }
       if (corrupted) {
         // Garbled full tuples are unusable; the subtree's rows are lost.
         ++report->corrupted_deliveries;
-        return;
+        continue;
       }
-      const sim::NodeId parent = tree_.parent(u);
-      if (parts.SamePartition(u, parent)) {
-        NodeState& p = states[parent];
-        p.pending_full.insert(p.pending_full.end(),
-                              std::make_move_iterator(contribution.begin()),
-                              std::make_move_iterator(contribution.end()));
-      } else {
-        engine.Defer([&p = states[parent],
-                      contribution = std::move(contribution)]() mutable {
-          p.pending_full.insert(p.pending_full.end(),
-                                std::make_move_iterator(contribution.begin()),
-                                std::make_move_iterator(contribution.end()));
-        });
-      }
-      return;
+      NodeState& p = states[tree_.parent(u)];
+      p.pending_full.insert(p.pending_full.end(),
+                            std::make_move_iterator(contribution.begin()),
+                            std::make_move_iterator(contribution.end()));
+      continue;
     }
 
     // Act as a proxy for received complete tuples; remember the subtree's
@@ -568,8 +537,8 @@ Status SensJoinExecutor::ExecuteAttempt(const query::AnalyzedQuery& q,
     }
     if (info.has_tuple) local_keys.push_back(node_key[u]);
     out.InsertAll(std::move(local_keys));
-    if (out.empty()) return;  // nothing in this subtree
-    verify_wire(out, scratch.bits);
+    if (out.empty()) continue;  // nothing in this subtree
+    verify_wire(out);
 
     sim::Message msg;
     msg.src = u;
@@ -580,34 +549,23 @@ Status SensJoinExecutor::ExecuteAttempt(const query::AnalyzedQuery& q,
     if (!send_with_recovery(msg, &corrupted)) {
       if (!rescue_collection(u, out, {}, 0)) {
         *failed = true;
-        return;
+        return Status::Ok();
       }
       // A degraded rescue leaves u out of the upward structure flow, so its
       // parent must not expect it as a dissemination target in step 1b.
       if (excluded.count(u) == 0) s.sent_attrs = true;
-      return;
+      continue;
     }
     s.sent_attrs = true;
-    const sim::NodeId parent = tree_.parent(u);
     if (corrupted) {
-      // Fault-only path (sequential by construction).
       auto damaged = receive_damaged(out);
-      if (!damaged.ok()) return;  // parent discards the garbled structure
+      if (!damaged.ok()) continue;  // parent discards the garbled structure
       out = std::move(*damaged);
     }
-    if (parts.SamePartition(u, parent)) {
-      NodeState& p = states[parent];
-      p.pending_attrs.UnionInPlace(out, &scratch.u64);
-      p.any_attrs_child = true;
-    } else {
-      engine.Defer([&p = states[parent], out = std::move(out),
-                    &union_scratch]() mutable {
-        p.pending_attrs.UnionInPlace(out, &union_scratch);
-        p.any_attrs_child = true;
-      });
-    }
-  });
-  if (*failed) return Status::Ok();
+    NodeState& p = states[tree_.parent(u)];
+    p.pending_attrs.UnionInPlace(out, &union_scratch);
+    p.any_attrs_child = true;
+  }
   sim_.events().Run();
   sim_.events().ShrinkToFit();
   span.reset();
@@ -630,29 +588,21 @@ Status SensJoinExecutor::ExecuteAttempt(const query::AnalyzedQuery& q,
   // ancestor-pruned filter widened to the new path's subtree, which cannot
   // be reconstructed locally without risking silent row loss. A child that
   // cannot be reached degrades into a certified exclusion instead.
-  engine.RunTurns(parts, tree_.dissemination_order(), [&](sim::NodeId u,
-                                                          sim::ParallelEngine::
-                                                              Scratch&
-                                                                  scratch) {
-    if (*failed) return;  // a prior turn aborted the attempt
+  for (sim::NodeId u : tree_.dissemination_order()) {
     NodeState& s = states[u];
-    if (s.exited || !s.got_filter) return;
+    if (s.exited || !s.got_filter) continue;
 
-    // Every write below lands in u's own subtree (its targets are its
-    // children), so partitioned turns never touch foreign state: the root's
-    // writes into its depth-1 children happen on its inline turn before the
-    // window starts.
     std::vector<sim::NodeId> targets;
     for (sim::NodeId c : tree_.children(u)) {
       if (states[c].sent_attrs) targets.push_back(c);
     }
-    if (targets.empty()) return;
+    if (targets.empty()) continue;
 
     PointSet forward = s.has_subtree_attrs
                            ? PointSet::Intersect(s.filter, s.subtree_attrs)
                            : s.filter;  // over budget: cannot prune
-    if (forward.empty()) return;  // subtree holds no result tuples
-    verify_wire(forward, scratch.bits);
+    if (forward.empty()) continue;  // subtree holds no result tuples
+    verify_wire(forward);
 
     sim::Message msg;
     msg.src = u;
@@ -703,7 +653,7 @@ Status SensJoinExecutor::ExecuteAttempt(const query::AnalyzedQuery& q,
             continue;
           }
           *failed = true;
-          return;
+          return Status::Ok();
         }
         child_filter = forward;
         if (corrupted) {
@@ -717,8 +667,7 @@ Status SensJoinExecutor::ExecuteAttempt(const query::AnalyzedQuery& q,
       states[c].filter = std::move(child_filter);
       states[c].got_filter = true;
     }
-  });
-  if (*failed) return Status::Ok();
+  }
   sim_.events().Run();
   sim_.events().ShrinkToFit();
   span.reset();
@@ -779,38 +728,32 @@ Status SensJoinExecutor::ExecuteAttempt(const query::AnalyzedQuery& q,
   };
 
   const std::vector<sim::NodeId> order_2 = tree_.collection_order();
-  engine.RunTurns(parts, order_2, [&](sim::NodeId u,
-                                      sim::ParallelEngine::Scratch&) {
-    if (*failed) return;  // a prior turn aborted the attempt
+  for (sim::NodeId u : order_2) {
     done2[u] = 1;
     NodeState& s = states[u];
-    if (u != root && s.exited) return;
+    if (u != root && s.exited) continue;
 
     std::vector<data::Tuple> contribution = std::move(pending_final[u]);
     if (u != root && s.got_filter) {
       const ExecutorContext::NodeInfo& info = ctx.info(u);
-      size_t own = 0;
       if (info.has_tuple && s.filter.Contains(node_key[u])) {
         contribution.push_back(info.tuple);
-        ++own;
+        ++report->final_tuples_shipped;
       }
       for (const data::Tuple& t : s.proxy_tuples) {
         if (s.filter.Contains(node_key[t.node])) {
           contribution.push_back(t);
-          ++own;
+          ++report->final_tuples_shipped;
         }
-      }
-      if (own != 0) {
-        engine.Defer([report, own] { report->final_tuples_shipped += own; });
       }
     }
     if (u == root) {
       base_candidates.insert(base_candidates.end(),
                              std::make_move_iterator(contribution.begin()),
                              std::make_move_iterator(contribution.end()));
-      return;
+      continue;
     }
-    if (contribution.empty()) return;
+    if (contribution.empty()) continue;
 
     size_t payload = 0;
     for (const data::Tuple& t : contribution) {
@@ -825,28 +768,19 @@ Status SensJoinExecutor::ExecuteAttempt(const query::AnalyzedQuery& q,
     if (!send_with_recovery(msg, &corrupted)) {
       if (!rescue_final(u, std::move(contribution), payload)) {
         *failed = true;
+        return Status::Ok();
       }
-      return;
+      continue;
     }
     if (corrupted) {
       // Garbled result rows are discarded upstream.
       ++report->corrupted_deliveries;
-      return;
+      continue;
     }
-    const sim::NodeId parent = tree_.parent(u);
-    if (parts.SamePartition(u, parent)) {
-      std::vector<data::Tuple>& up = pending_final[parent];
-      up.insert(up.end(), std::make_move_iterator(contribution.begin()),
-                std::make_move_iterator(contribution.end()));
-    } else {
-      engine.Defer([&up = pending_final[parent],
-                    contribution = std::move(contribution)]() mutable {
-        up.insert(up.end(), std::make_move_iterator(contribution.begin()),
-                  std::make_move_iterator(contribution.end()));
-      });
-    }
-  });
-  if (*failed) return Status::Ok();
+    std::vector<data::Tuple>& up = pending_final[tree_.parent(u)];
+    up.insert(up.end(), std::make_move_iterator(contribution.begin()),
+              std::make_move_iterator(contribution.end()));
+  }
   sim_.events().Run();
   sim_.events().ShrinkToFit();
   span.reset();

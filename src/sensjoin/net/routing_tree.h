@@ -33,10 +33,6 @@ class RoutingTree {
   /// Parent of `id`, or kInvalidNode for the root and unreachable nodes.
   sim::NodeId parent(sim::NodeId id) const { return parent_[id]; }
 
-  /// The whole parent array, indexed by node id (kInvalidNode for the root
-  /// and unreachable nodes) — the input to sim::PartitionMap::FromParents.
-  const std::vector<sim::NodeId>& parents() const { return parent_; }
-
   const std::vector<sim::NodeId>& children(sim::NodeId id) const {
     return children_[id];
   }

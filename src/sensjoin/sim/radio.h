@@ -66,16 +66,6 @@ class Radio {
   /// mode falls back to the distance computation.
   bool InRange(NodeId a, NodeId b) const;
 
-  /// True when any probabilistic fault axis is configured (nonzero default
-  /// loss / corruption / duplication rate, or any per-link override
-  /// present). The windowed engine uses this as a conservative gate: rates
-  /// all zero means transmissions draw no fault randomness at all.
-  bool AnyFaultRatesConfigured() const {
-    return default_loss_rate_ > 0.0 || default_corruption_rate_ > 0.0 ||
-           default_duplication_rate_ > 0.0 || !link_loss_.empty() ||
-           !link_corruption_.empty() || !link_duplication_.empty();
-  }
-
   /// Marks the (bidirectional) link between a and b as down / up again.
   /// Out-of-range node ids and self-links (a == b) are ignored.
   void FailLink(NodeId a, NodeId b);
@@ -108,7 +98,6 @@ class Radio {
   /// True while the link a-b is inside a scheduled outage window.
   bool OutageActive(NodeId a, NodeId b) const;
 
-  size_t num_outage_links() const { return outage_links_.size(); }
   void ClearOutages() { outage_links_.clear(); }
 
   // --- Probabilistic per-link packet loss --------------------------------

@@ -6,7 +6,6 @@
 
 #include "sensjoin/common/logging.h"
 #include "sensjoin/obs/trace.h"
-#include "sensjoin/sim/parallel_engine.h"
 
 namespace sensjoin::sim {
 namespace {
@@ -16,22 +15,6 @@ namespace {
 inline bool Tracing(const obs::Tracer* tracer) {
   return obs::kTracingCompiledIn && tracer != nullptr && tracer->enabled();
 }
-
-/// obs::EventKind as the integer the TurnEffects op format carries.
-constexpr uint16_t K(obs::EventKind kind) {
-  return static_cast<uint16_t>(kind);
-}
-
-/// The calling thread's capture context. Thread-local so concurrent turns
-/// of one simulator capture into disjoint logs; tagged with the simulator
-/// so nested simulators (tests) never cross wires.
-struct CaptureCtx {
-  const Simulator* sim = nullptr;
-  TurnEffects* fx = nullptr;
-  int32_t partition = -1;
-  const int32_t* part_of = nullptr;
-};
-thread_local CaptureCtx tls_capture;
 
 }  // namespace
 
@@ -43,8 +26,6 @@ Simulator::Simulator(Radio radio, PacketizationParams packets,
   alive_.assign(radio_.num_nodes(), 1);
   stats_.resize(radio_.num_nodes());
 }
-
-Simulator::~Simulator() = default;
 
 Simulator::ReceiveHandler Simulator::SetReceiveHandler(
     ReceiveHandler handler) {
@@ -59,186 +40,23 @@ Simulator::TraceSink Simulator::SetTraceSink(TraceSink sink) {
   return old;
 }
 
-// --- Windowed execution ----------------------------------------------------
-
-void Simulator::ConfigureEngine(const EngineConfig& config) {
-  engine_config_ = config;
-  engine_ = std::make_unique<ParallelEngine>(*this, config);
-}
-
-ParallelEngine& Simulator::engine() {
-  if (!engine_) {
-    engine_ = std::make_unique<ParallelEngine>(*this, engine_config_);
-  }
-  return *engine_;
-}
-
-bool Simulator::WindowSafe() const {
-  return !arq_params_.enabled && !delay_params_.enabled() &&
-         !replay_enabled_ && !fault_events_scheduled_ && dead_nodes_ == 0 &&
-         radio_.num_failed_links() == 0 && radio_.num_outage_links() == 0 &&
-         !radio_.AnyFaultRatesConfigured() && !trace_sink_;
-}
-
-void Simulator::BeginTurnCapture(TurnEffects* fx, int32_t partition,
-                                 const int32_t* part_of) {
-  SENSJOIN_CHECK(tls_capture.fx == nullptr)
-      << "nested turn capture on one thread";
-  tls_capture = CaptureCtx{this, fx, partition, part_of};
-}
-
-void Simulator::EndTurnCapture() { tls_capture = CaptureCtx{}; }
-
-bool Simulator::capturing() const {
-  return tls_capture.sim == this && tls_capture.fx != nullptr;
-}
-
-bool Simulator::CaptureCall(std::function<void()> fn) {
-  if (!capturing()) return false;
-  TurnEffects::Op& op = tls_capture.fx->Push(TurnEffects::Op::Kind::kCall);
-  op.call = std::move(fn);
-  return true;
-}
-
-void Simulator::GAdd(uint64_t& counter, uint64_t delta) {
-  if (capturing()) {
-    TurnEffects::Op& op =
-        tls_capture.fx->Push(TurnEffects::Op::Kind::kAddU64);
-    op.u64_target = &counter;
-    op.u64 = delta;
-    return;
-  }
-  counter += delta;
-}
-
-void Simulator::GAdd(double& counter, double delta) {
-  if (capturing()) {
-    TurnEffects::Op& op =
-        tls_capture.fx->Push(TurnEffects::Op::Kind::kAddF64);
-    op.f64_target = &counter;
-    op.f64 = delta;
-    return;
-  }
-  counter += delta;
-}
-
-void Simulator::TRecord(uint16_t trace_kind, NodeId node, NodeId peer,
-                        MessageKind msg_kind, uint32_t count, uint64_t bytes,
-                        double energy_mj, uint32_t detail) {
-  if (capturing()) {
-    TurnEffects::Op& op =
-        tls_capture.fx->Push(TurnEffects::Op::Kind::kTrace);
-    op.trace_kind = trace_kind;
-    op.msg_kind = static_cast<uint16_t>(msg_kind);
-    op.time = events_.now();
-    op.node = node;
-    op.peer = peer;
-    op.count = count;
-    op.u64 = bytes;
-    op.f64 = energy_mj;
-    op.detail = detail;
-    return;
-  }
-  tracer_->Record(static_cast<obs::EventKind>(trace_kind), events_.now(),
-                  node, peer, msg_kind, count, bytes, energy_mj, detail);
-}
-
-void Simulator::TObserveMessage(size_t payload_bytes, int fragments) {
-  if (capturing()) {
-    TurnEffects::Op& op =
-        tls_capture.fx->Push(TurnEffects::Op::Kind::kObsMessage);
-    op.u64 = payload_bytes;
-    op.count = static_cast<uint32_t>(fragments);
-    return;
-  }
-  tracer_->ObserveMessage(payload_bytes, fragments);
-}
-
-void Simulator::TObserveHopLatency(double seconds) {
-  if (capturing()) {
-    TurnEffects::Op& op =
-        tls_capture.fx->Push(TurnEffects::Op::Kind::kObsHopLatency);
-    op.f64 = seconds;
-    return;
-  }
-  tracer_->ObserveHopLatency(seconds);
-}
-
-void Simulator::TObserveRetransmits(int retransmissions) {
-  if (capturing()) {
-    TurnEffects::Op& op =
-        tls_capture.fx->Push(TurnEffects::Op::Kind::kObsRetransmits);
-    op.count = static_cast<uint32_t>(retransmissions);
-    return;
-  }
-  tracer_->ObserveRetransmits(retransmissions);
-}
-
-void Simulator::CommitTurnEffects(TurnEffects& fx) {
-  SENSJOIN_CHECK(!capturing());
-  using Kind = TurnEffects::Op::Kind;
-  for (TurnEffects::Op& op : fx.ops_) {
-    switch (op.kind) {
-      case Kind::kAddU64:
-        *op.u64_target += op.u64;
-        break;
-      case Kind::kAddF64:
-        *op.f64_target += op.f64;
-        break;
-      case Kind::kTrace:
-        if (Tracing(tracer_)) {
-          tracer_->Record(static_cast<obs::EventKind>(op.trace_kind), op.time,
-                          op.node, op.peer,
-                          static_cast<MessageKind>(op.msg_kind), op.count,
-                          op.u64, op.f64, op.detail);
-        }
-        break;
-      case Kind::kObsMessage:
-        if (Tracing(tracer_)) {
-          tracer_->ObserveMessage(op.u64, static_cast<int>(op.count));
-        }
-        break;
-      case Kind::kObsHopLatency:
-        if (Tracing(tracer_)) tracer_->ObserveHopLatency(op.f64);
-        break;
-      case Kind::kObsRetransmits:
-        if (Tracing(tracer_)) {
-          tracer_->ObserveRetransmits(static_cast<int>(op.count));
-        }
-        break;
-      case Kind::kScheduleUnicast:
-        ScheduleDelivery(std::move(op.msg), op.delay);
-        break;
-      case Kind::kScheduleBroadcast:
-        ScheduleBroadcastRx(std::move(op.shared), op.node, op.delay);
-        break;
-      case Kind::kCall:
-        op.call();
-        break;
-    }
-  }
-  fx.Clear();
-}
-
 // --- Accounting ------------------------------------------------------------
 
 double Simulator::AccountTx(NodeId sender, MessageKind kind, int fragments,
                             size_t frame_bytes) {
   NodeStats& s = stats_[sender];
-  GAdd(s.packets_sent, static_cast<uint64_t>(fragments));
-  GAdd(s.bytes_sent, frame_bytes);
-  GAdd(s.packets_sent_by_kind[static_cast<size_t>(kind)],
-       static_cast<uint64_t>(fragments));
+  s.packets_sent += fragments;
+  s.bytes_sent += frame_bytes;
+  s.packets_sent_by_kind[static_cast<size_t>(kind)] += fragments;
   const double cost = energy_model_.TxCost(fragments, frame_bytes);
-  GAdd(s.energy_mj, cost);
-  GAdd(total_packets_sent_, static_cast<uint64_t>(fragments));
-  GAdd(total_bytes_sent_, frame_bytes);
-  GAdd(total_energy_mj_, cost);
-  GAdd(packets_by_kind_[static_cast<size_t>(kind)],
-       static_cast<uint64_t>(fragments));
+  s.energy_mj += cost;
+  total_packets_sent_ += fragments;
+  total_bytes_sent_ += frame_bytes;
+  total_energy_mj_ += cost;
+  packets_by_kind_[static_cast<size_t>(kind)] += fragments;
   if (kind == MessageKind::kRepair) {
-    GAdd(repair_bytes_sent_, frame_bytes);
-    GAdd(repair_energy_mj_, cost);
+    repair_bytes_sent_ += frame_bytes;
+    repair_energy_mj_ += cost;
   }
   return cost;
 }
@@ -246,12 +64,12 @@ double Simulator::AccountTx(NodeId sender, MessageKind kind, int fragments,
 double Simulator::AccountRx(NodeId receiver, MessageKind kind, int fragments,
                             size_t frame_bytes) {
   NodeStats& s = stats_[receiver];
-  GAdd(s.packets_received, static_cast<uint64_t>(fragments));
-  GAdd(s.bytes_received, frame_bytes);
+  s.packets_received += fragments;
+  s.bytes_received += frame_bytes;
   const double cost = energy_model_.RxCost(fragments, frame_bytes);
-  GAdd(s.energy_mj, cost);
-  GAdd(total_energy_mj_, cost);
-  if (kind == MessageKind::kRepair) GAdd(repair_energy_mj_, cost);
+  s.energy_mj += cost;
+  total_energy_mj_ += cost;
+  if (kind == MessageKind::kRepair) repair_energy_mj_ += cost;
   return cost;
 }
 
@@ -292,14 +110,6 @@ bool Simulator::SendUnicast(Message msg, bool* corrupted) {
       LossApplies(msg.kind) ? radio_.LossRate(msg.src, msg.dst) : 0.0;
   const double corrupt =
       LossApplies(msg.kind) ? radio_.CorruptionRate(msg.src, msg.dst) : 0.0;
-  // A captured turn must be a pure function of its inputs: the WindowSafe
-  // gate guarantees no fault randomness and no failed deliveries, and this
-  // check catches any drift between the gate and the send path.
-  SENSJOIN_CHECK(!capturing() ||
-                 (link_ok && loss == 0.0 && corrupt == 0.0 &&
-                  !arq_params_.enabled && !delay_params_.enabled() &&
-                  !replay_enabled_))
-      << "windowed turn hit a non-window-safe unicast";
 
   // Per-fragment link-layer simulation: one initial attempt and, with ARQ
   // enabled, up to max_retransmissions more with exponential backoff. An
@@ -340,7 +150,7 @@ bool Simulator::SendUnicast(Message msg, bool* corrupted) {
       const bool frag_corrupt =
           frag_arrives && corrupt > 0.0 && fault_rng_.NextBool(corrupt);
       if (frag_corrupt) {
-        GAdd(stats_[msg.dst].corrupted_packets_received, 1);
+        ++stats_[msg.dst].corrupted_packets_received;
         if (crc_active) {
           ++detected_fragments;
           prev_crc_reject = true;
@@ -372,39 +182,31 @@ bool Simulator::SendUnicast(Message msg, bool* corrupted) {
   const double tx_cost =
       AccountTx(msg.src, msg.kind, tx_fragments, frame_bytes + extra_bytes);
   if (retransmissions > 0) {
-    GAdd(stats_[msg.src].packets_retransmitted,
-         static_cast<uint64_t>(retransmissions));
-    GAdd(total_packets_retransmitted_,
-         static_cast<uint64_t>(retransmissions));
-    GAdd(retransmit_energy_mj_,
-         energy_model_.TxCost(retransmissions, extra_bytes));
+    stats_[msg.src].packets_retransmitted += retransmissions;
+    total_packets_retransmitted_ += retransmissions;
+    retransmit_energy_mj_ += energy_model_.TxCost(retransmissions, extra_bytes);
   }
   if (integrity_retransmissions > 0) {
-    GAdd(integrity_retransmit_energy_mj_,
-         energy_model_.TxCost(
-             integrity_retransmissions,
-             static_cast<size_t>(integrity_retransmissions) *
-                 avg_frame_bytes));
+    integrity_retransmit_energy_mj_ += energy_model_.TxCost(
+        integrity_retransmissions,
+        static_cast<size_t>(integrity_retransmissions) * avg_frame_bytes);
   }
-  GAdd(total_corrupted_packets_, static_cast<uint64_t>(detected_fragments));
-  GAdd(total_undetected_corrupted_packets_,
-       static_cast<uint64_t>(undetected_fragments));
+  total_corrupted_packets_ += detected_fragments;
+  total_undetected_corrupted_packets_ += undetected_fragments;
   if (arq_duplicate_fragments > 0) {
     // Already charged through rx_fragments; surfaced here so the cost
     // reports can itemize what the lost acks cost the receiver.
-    GAdd(stats_[msg.dst].duplicate_packets_received,
-         static_cast<uint64_t>(arq_duplicate_fragments));
-    GAdd(total_duplicate_packets_,
-         static_cast<uint64_t>(arq_duplicate_fragments));
+    stats_[msg.dst].duplicate_packets_received += arq_duplicate_fragments;
+    total_duplicate_packets_ += arq_duplicate_fragments;
   }
   if (crc_active) {
     const size_t tx_crc =
         static_cast<size_t>(tx_fragments) * integrity_params_.crc_bytes;
     const size_t rx_crc =
         static_cast<size_t>(rx_fragments) * integrity_params_.crc_bytes;
-    GAdd(crc_bytes_sent_, tx_crc);
-    GAdd(crc_energy_mj_,
-         energy_model_.TxCost(0, tx_crc) + energy_model_.RxCost(0, rx_crc));
+    crc_bytes_sent_ += tx_crc;
+    crc_energy_mj_ +=
+        energy_model_.TxCost(0, tx_crc) + energy_model_.RxCost(0, rx_crc);
   }
   size_t ack_bytes = 0;
   double ack_tx = 0.0;
@@ -416,12 +218,12 @@ bool Simulator::SendUnicast(Message msg, bool* corrupted) {
     ack_bytes = static_cast<size_t>(acks) * arq_params_.ack_bytes;
     ack_tx = energy_model_.TxCost(acks, ack_bytes);
     ack_rx = energy_model_.RxCost(acks, ack_bytes);
-    GAdd(stats_[msg.dst].ack_packets_sent, static_cast<uint64_t>(acks));
-    GAdd(stats_[msg.dst].energy_mj, ack_tx);
-    GAdd(stats_[msg.src].energy_mj, ack_rx);
-    GAdd(total_ack_packets_, static_cast<uint64_t>(acks));
-    GAdd(total_energy_mj_, ack_tx + ack_rx);
-    GAdd(ack_energy_mj_, ack_tx + ack_rx);
+    stats_[msg.dst].ack_packets_sent += acks;
+    stats_[msg.dst].energy_mj += ack_tx;
+    stats_[msg.src].energy_mj += ack_rx;
+    total_ack_packets_ += acks;
+    total_energy_mj_ += ack_tx + ack_rx;
+    ack_energy_mj_ += ack_tx + ack_rx;
   }
   size_t rx_bytes = 0;
   double rx_cost = 0.0;
@@ -433,50 +235,55 @@ bool Simulator::SendUnicast(Message msg, bool* corrupted) {
   }
   if (Tracing(tracer_)) {
     using obs::EventKind;
+    const SimTime now = events_.now();
     // kFragTx carries the sender's whole tx debit (incl. retransmissions
     // and CRC trailers); ack and rx events carry theirs. Itemization events
     // (retransmit, loss, corrupt, drop) carry no energy — summing every
     // event's energy reproduces the simulator's total exactly once.
-    TRecord(K(EventKind::kFragTx), msg.src, msg.dst, msg.kind,
-            static_cast<uint32_t>(tx_fragments), frame_bytes + extra_bytes,
-            tx_cost);
+    tracer_->Record(EventKind::kFragTx, now, msg.src, msg.dst, msg.kind,
+                    static_cast<uint32_t>(tx_fragments),
+                    frame_bytes + extra_bytes, tx_cost);
     if (retransmissions > 0) {
-      TRecord(K(EventKind::kRetransmit), msg.src, msg.dst, msg.kind,
-              static_cast<uint32_t>(retransmissions), extra_bytes, 0.0,
-              static_cast<uint32_t>(integrity_retransmissions));
+      tracer_->Record(EventKind::kRetransmit, now, msg.src, msg.dst, msg.kind,
+                      static_cast<uint32_t>(retransmissions), extra_bytes, 0.0,
+                      static_cast<uint32_t>(integrity_retransmissions));
     }
     if (tx_fragments > rx_fragments) {
-      TRecord(K(EventKind::kFragLoss), msg.dst, msg.src, msg.kind,
-              static_cast<uint32_t>(tx_fragments - rx_fragments), 0, 0.0);
+      tracer_->Record(EventKind::kFragLoss, now, msg.dst, msg.src, msg.kind,
+                      static_cast<uint32_t>(tx_fragments - rx_fragments), 0,
+                      0.0);
     }
     if (detected_fragments + undetected_fragments > 0) {
-      TRecord(K(EventKind::kFragCorrupt), msg.dst, msg.src, msg.kind,
-              static_cast<uint32_t>(detected_fragments + undetected_fragments),
-              0, 0.0, static_cast<uint32_t>(detected_fragments));
+      tracer_->Record(EventKind::kFragCorrupt, now, msg.dst, msg.src, msg.kind,
+                      static_cast<uint32_t>(detected_fragments +
+                                            undetected_fragments),
+                      0, 0.0, static_cast<uint32_t>(detected_fragments));
     }
     if (acks > 0) {
-      TRecord(K(EventKind::kAckTx), msg.dst, msg.src, msg.kind,
-              static_cast<uint32_t>(acks), ack_bytes, ack_tx);
-      TRecord(K(EventKind::kAckRx), msg.src, msg.dst, msg.kind,
-              static_cast<uint32_t>(acks), ack_bytes, ack_rx);
+      tracer_->Record(EventKind::kAckTx, now, msg.dst, msg.src, msg.kind,
+                      static_cast<uint32_t>(acks), ack_bytes, ack_tx);
+      tracer_->Record(EventKind::kAckRx, now, msg.src, msg.dst, msg.kind,
+                      static_cast<uint32_t>(acks), ack_bytes, ack_rx);
     }
     if (rx_fragments > 0) {
-      TRecord(K(EventKind::kFragRx), msg.dst, msg.src, msg.kind,
-              static_cast<uint32_t>(rx_fragments), rx_bytes, rx_cost);
+      tracer_->Record(EventKind::kFragRx, now, msg.dst, msg.src, msg.kind,
+                      static_cast<uint32_t>(rx_fragments), rx_bytes, rx_cost);
     }
     if (arq_duplicate_fragments > 0) {
       // Ack-lost duplicates: already paid inside kFragRx, so this record
       // carries no energy (detail == 0 marks the ARQ flavor).
-      TRecord(K(EventKind::kDuplicateRx), msg.dst, msg.src, msg.kind,
-              static_cast<uint32_t>(arq_duplicate_fragments), 0, 0.0,
-              /*detail=*/0);
+      tracer_->Record(EventKind::kDuplicateRx, now, msg.dst, msg.src,
+                      msg.kind,
+                      static_cast<uint32_t>(arq_duplicate_fragments), 0, 0.0,
+                      /*detail=*/0);
     }
     if (!delivered) {
-      TRecord(K(EventKind::kMessageDrop), msg.src, msg.dst, msg.kind,
-              static_cast<uint32_t>(fragments), msg.payload_bytes, 0.0);
+      tracer_->Record(EventKind::kMessageDrop, now, msg.src, msg.dst,
+                      msg.kind, static_cast<uint32_t>(fragments),
+                      msg.payload_bytes, 0.0);
     }
-    TObserveMessage(msg.payload_bytes, fragments);
-    if (arq_params_.enabled) TObserveRetransmits(retransmissions);
+    tracer_->ObserveMessage(msg.payload_bytes, fragments);
+    if (arq_params_.enabled) tracer_->ObserveRetransmits(retransmissions);
   }
   if (trace_sink_) {
     trace_sink_(TraceRecord{events_.now(), msg.src, msg.dst, msg.kind,
@@ -510,17 +317,16 @@ bool Simulator::SendUnicast(Message msg, bool* corrupted) {
     // side was already paid by the retransmission that raced its ack.
     const double dup_rx_cost =
         AccountRx(msg.dst, msg.kind, fragments, frame_bytes);
-    GAdd(stats_[msg.dst].duplicate_packets_received,
-         static_cast<uint64_t>(fragments));
-    GAdd(total_duplicate_packets_, static_cast<uint64_t>(fragments));
-    GAdd(duplicate_energy_mj_, dup_rx_cost);
+    stats_[msg.dst].duplicate_packets_received += fragments;
+    total_duplicate_packets_ += fragments;
+    duplicate_energy_mj_ += dup_rx_cost;
     if (Tracing(tracer_)) {
-      TRecord(K(obs::EventKind::kDuplicateRx), msg.dst, msg.src, msg.kind,
-              static_cast<uint32_t>(fragments), frame_bytes, dup_rx_cost,
-              /*detail=*/1);
+      tracer_->Record(obs::EventKind::kDuplicateRx, events_.now(), msg.dst,
+                      msg.src, msg.kind, static_cast<uint32_t>(fragments),
+                      frame_bytes, dup_rx_cost, /*detail=*/1);
     }
   }
-  if (Tracing(tracer_)) TObserveHopLatency(delay + jitter_s);
+  if (Tracing(tracer_)) tracer_->ObserveHopLatency(delay + jitter_s);
   Message dup_msg;
   if (duplicated) dup_msg = msg;  // copy before the original moves away
   ScheduleDelivery(std::move(msg), delay + jitter_s);
@@ -531,13 +337,6 @@ bool Simulator::SendUnicast(Message msg, bool* corrupted) {
 }
 
 void Simulator::ScheduleDelivery(Message msg, SimTime delay) {
-  if (capturing()) {
-    TurnEffects::Op& op =
-        tls_capture.fx->Push(TurnEffects::Op::Kind::kScheduleUnicast);
-    op.msg = std::move(msg);
-    op.delay = delay;
-    return;
-  }
   if (replay_enabled_ && LossApplies(msg.kind)) {
     const uint64_t id = next_delivery_id_++;
     PendingDelivery& pending =
@@ -559,24 +358,6 @@ void Simulator::ScheduleDelivery(Message msg, SimTime delay) {
   events_.ScheduleAfter(delay, [this, slot]() {
     if (receive_handler_) receive_handler_(slot->dst, *slot);
     unicast_slots_.Destroy(slot);
-  });
-}
-
-void Simulator::ScheduleBroadcastRx(std::shared_ptr<const Message> msg,
-                                    NodeId receiver, SimTime delay) {
-  if (capturing()) {
-    TurnEffects::Op& op =
-        tls_capture.fx->Push(TurnEffects::Op::Kind::kScheduleBroadcast);
-    op.shared = std::move(msg);
-    op.node = receiver;
-    op.delay = delay;
-    return;
-  }
-  BroadcastRx* slot =
-      broadcast_slots_.Create(BroadcastRx{std::move(msg), receiver});
-  events_.ScheduleAfter(delay, [this, slot]() {
-    if (receive_handler_) receive_handler_(slot->receiver, *slot->msg);
-    broadcast_slots_.Destroy(slot);
   });
 }
 
@@ -649,27 +430,26 @@ int Simulator::Broadcast(Message msg, std::vector<NodeId>* delivered,
   const size_t avg_frame_bytes = frame_bytes / fragments;
   const double tx_cost = AccountTx(bmsg.src, bmsg.kind, fragments, frame_bytes);
   if (crc_active) {
-    GAdd(crc_bytes_sent_, trailer_bytes);
-    GAdd(crc_energy_mj_, energy_model_.TxCost(0, trailer_bytes));
+    crc_bytes_sent_ += trailer_bytes;
+    crc_energy_mj_ += energy_model_.TxCost(0, trailer_bytes);
   }
   if (Tracing(tracer_)) {
-    TRecord(K(obs::EventKind::kFragTx), bmsg.src, kInvalidNode, bmsg.kind,
-            static_cast<uint32_t>(fragments), frame_bytes, tx_cost);
-    TObserveMessage(bmsg.payload_bytes, fragments);
+    tracer_->Record(obs::EventKind::kFragTx, events_.now(), bmsg.src,
+                    kInvalidNode, bmsg.kind, static_cast<uint32_t>(fragments),
+                    frame_bytes, tx_cost);
+    tracer_->ObserveMessage(bmsg.payload_bytes, fragments);
   }
   int trace_corrupted = 0;
   const SimTime delay = fragments * per_packet_latency_s_;
   int receivers = 0;
   // Neighbor iteration works at any scale: materialized radios hand out the
-  // precomputed list, on-demand radios fill a thread-local scratch from the
-  // grid (each worker thread gets its own).
-  static thread_local std::vector<NodeId> nb_scratch;
+  // precomputed list, on-demand radios fill a scratch list from the grid.
   const std::vector<NodeId>* nbrs;
   if (radio_.materialized()) {
     nbrs = &radio_.Neighbors(bmsg.src);
   } else {
-    radio_.Neighbors(bmsg.src, nb_scratch);
-    nbrs = &nb_scratch;
+    radio_.Neighbors(bmsg.src, nb_scratch_);
+    nbrs = &nb_scratch_;
   }
   for (NodeId nb : *nbrs) {
     if (!alive(nb) || !radio_.LinkUp(bmsg.src, nb)) continue;
@@ -681,10 +461,6 @@ int Simulator::Broadcast(Message msg, std::vector<NodeId>* delivered,
         LossApplies(bmsg.kind) ? radio_.LossRate(bmsg.src, nb) : 0.0;
     const double corrupt =
         LossApplies(bmsg.kind) ? radio_.CorruptionRate(bmsg.src, nb) : 0.0;
-    SENSJOIN_CHECK(!capturing() ||
-                   (loss == 0.0 && corrupt == 0.0 &&
-                    !delay_params_.enabled()))
-        << "windowed turn hit a non-window-safe broadcast";
     int heard = fragments;    // frames physically received (rx cost)
     int accepted = fragments; // frames kept after the CRC check
     int frag_corruptions = 0;
@@ -698,10 +474,10 @@ int Simulator::Broadcast(Message msg, std::vector<NodeId>* delivered,
         if (corrupt > 0.0 && fault_rng_.NextBool(corrupt)) {
           ++frag_corruptions;
           if (crc_active) {
-            GAdd(total_corrupted_packets_, 1);
+            ++total_corrupted_packets_;
             continue;
           }
-          GAdd(total_undetected_corrupted_packets_, 1);
+          ++total_undetected_corrupted_packets_;
           rx_corrupted = true;
         }
         ++accepted;
@@ -713,27 +489,28 @@ int Simulator::Broadcast(Message msg, std::vector<NodeId>* delivered,
                              : static_cast<size_t>(heard) * avg_frame_bytes;
       const double rx_cost = AccountRx(nb, bmsg.kind, heard, rx_bytes);
       if (crc_active) {
-        GAdd(crc_energy_mj_,
-             energy_model_.RxCost(
-                 0, static_cast<size_t>(heard) * integrity_params_.crc_bytes));
+        crc_energy_mj_ += energy_model_.RxCost(
+            0, static_cast<size_t>(heard) * integrity_params_.crc_bytes);
       }
       if (Tracing(tracer_)) {
-        TRecord(K(obs::EventKind::kFragRx), nb, bmsg.src, bmsg.kind,
-                static_cast<uint32_t>(heard), rx_bytes, rx_cost);
+        tracer_->Record(obs::EventKind::kFragRx, events_.now(), nb, bmsg.src,
+                        bmsg.kind, static_cast<uint32_t>(heard), rx_bytes,
+                        rx_cost);
       }
     }
     if (heard < fragments && Tracing(tracer_)) {
-      TRecord(K(obs::EventKind::kFragLoss), nb, bmsg.src, bmsg.kind,
-              static_cast<uint32_t>(fragments - heard), 0, 0.0);
+      tracer_->Record(obs::EventKind::kFragLoss, events_.now(), nb, bmsg.src,
+                      bmsg.kind, static_cast<uint32_t>(fragments - heard), 0,
+                      0.0);
     }
     if (frag_corruptions > 0) {
-      GAdd(stats_[nb].corrupted_packets_received,
-           static_cast<uint64_t>(frag_corruptions));
+      stats_[nb].corrupted_packets_received += frag_corruptions;
       trace_corrupted += frag_corruptions;
       if (Tracing(tracer_)) {
-        TRecord(K(obs::EventKind::kFragCorrupt), nb, bmsg.src, bmsg.kind,
-                static_cast<uint32_t>(frag_corruptions), 0, 0.0,
-                static_cast<uint32_t>(crc_active ? frag_corruptions : 0));
+        tracer_->Record(
+            obs::EventKind::kFragCorrupt, events_.now(), nb, bmsg.src,
+            bmsg.kind, static_cast<uint32_t>(frag_corruptions), 0, 0.0,
+            static_cast<uint32_t>(crc_active ? frag_corruptions : 0));
       }
     }
     if (accepted < fragments) continue;
@@ -750,7 +527,11 @@ int Simulator::Broadcast(Message msg, std::vector<NodeId>* delivered,
       jitter_s = fault_rng_.UniformDouble(delay_params_.min_jitter_s,
                                           delay_params_.max_jitter_s);
     }
-    ScheduleBroadcastRx(shared, nb, delay + jitter_s);
+    BroadcastRx* slot = broadcast_slots_.Create(BroadcastRx{shared, nb});
+    events_.ScheduleAfter(delay + jitter_s, [this, slot]() {
+      if (receive_handler_) receive_handler_(slot->receiver, *slot->msg);
+      broadcast_slots_.Destroy(slot);
+    });
   }
   if (trace_sink_) {
     trace_sink_(TraceRecord{events_.now(), bmsg.src, kInvalidNode, bmsg.kind,
@@ -762,7 +543,6 @@ int Simulator::Broadcast(Message msg, std::vector<NodeId>* delivered,
 }
 
 BitWriter Simulator::DamagePayload(const BitWriter& payload) {
-  SENSJOIN_CHECK(!capturing());
   const size_t bits = payload.size_bits();
   if (bits == 0) return BitWriter{};
   std::vector<uint8_t> bytes = payload.bytes();
@@ -785,8 +565,6 @@ BitWriter Simulator::DamagePayload(const BitWriter& payload) {
 
 void Simulator::ScheduleCrash(NodeId id, SimTime at) {
   SENSJOIN_CHECK(id >= 0 && id < num_nodes());
-  SENSJOIN_CHECK(!capturing());
-  fault_events_scheduled_ = true;
   events_.ScheduleAt(at, [this, id] {
     set_alive(id, false);
     if (Tracing(tracer_)) {
@@ -799,8 +577,6 @@ void Simulator::ScheduleCrash(NodeId id, SimTime at) {
 
 void Simulator::ScheduleRecovery(NodeId id, SimTime at) {
   SENSJOIN_CHECK(id >= 0 && id < num_nodes());
-  SENSJOIN_CHECK(!capturing());
-  fault_events_scheduled_ = true;
   events_.ScheduleAt(at, [this, id] {
     set_alive(id, true);
     if (Tracing(tracer_)) {
@@ -814,8 +590,6 @@ void Simulator::ScheduleRecovery(NodeId id, SimTime at) {
 void Simulator::ScheduleLinkOutage(const LinkOutageWindow& window) {
   SENSJOIN_CHECK(window.up_at >= window.down_at)
       << "link outage window ends before it starts";
-  SENSJOIN_CHECK(!capturing());
-  fault_events_scheduled_ = true;
   events_.ScheduleAt(window.down_at, [this, a = window.a, b = window.b] {
     radio_.SetLinkOutage(a, b, /*down=*/true);
   });
@@ -825,7 +599,6 @@ void Simulator::ScheduleLinkOutage(const LinkOutageWindow& window) {
 }
 
 void Simulator::ResetStats() {
-  SENSJOIN_CHECK(!capturing());
   for (NodeStats& s : stats_) s.Reset();
   total_packets_sent_ = 0;
   total_bytes_sent_ = 0;

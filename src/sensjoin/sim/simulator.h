@@ -17,7 +17,6 @@
 #include "sensjoin/sim/node.h"
 #include "sensjoin/sim/packet.h"
 #include "sensjoin/sim/radio.h"
-#include "sensjoin/sim/sim_config.h"
 #include "sensjoin/sim/time.h"
 
 namespace sensjoin::obs {
@@ -25,77 +24,6 @@ class Tracer;
 }  // namespace sensjoin::obs
 
 namespace sensjoin::sim {
-
-class ParallelEngine;
-
-/// The ordered side-effect log of one captured turn (windowed engine). While
-/// a turn runs under BeginTurnCapture, every simulator effect — counter and
-/// per-node-stat additions, tracer records, delivery scheduling, deferred
-/// closures — is appended here instead of applied, and
-/// Simulator::CommitTurnEffects replays the log later on the coordinating
-/// thread. Because logs are committed in sequential turn order and each log
-/// preserves the turn's program order, the committed effect sequence —
-/// including floating-point accumulation order and event-queue sequence
-/// numbers — is exactly what sequential execution would have produced.
-class TurnEffects {
- public:
-  TurnEffects() = default;
-  TurnEffects(TurnEffects&&) = default;
-  TurnEffects& operator=(TurnEffects&&) = default;
-
-  /// Drops all ops, retaining capacity for reuse across windows.
-  void Clear() { ops_.clear(); }
-  bool empty() const { return ops_.empty(); }
-  size_t size() const { return ops_.size(); }
-
- private:
-  friend class Simulator;
-
-  struct Op {
-    enum class Kind : uint8_t {
-      kAddU64,             ///< *u64_target += u64
-      kAddF64,             ///< *f64_target += f64
-      kTrace,              ///< tracer_->Record(...) (POD args below)
-      kObsMessage,         ///< tracer_->metrics().ObserveMessage
-      kObsHopLatency,      ///< tracer_->metrics().ObserveHopLatency
-      kObsRetransmits,     ///< tracer_->metrics().ObserveRetransmits
-      kScheduleUnicast,    ///< ScheduleDelivery(msg, delay)
-      kScheduleBroadcast,  ///< schedule broadcast reception at `node`
-      kCall,               ///< run `call` (ParallelEngine::Defer)
-    };
-
-    Kind kind = Kind::kAddU64;
-    // kAddU64 / kAddF64 (address-based: targets are stable Simulator
-    // members or per-node stats slots).
-    uint64_t* u64_target = nullptr;
-    double* f64_target = nullptr;
-    uint64_t u64 = 0;
-    double f64 = 0.0;
-    // kTrace / kObs* — obs::EventKind and MessageKind carried as integers
-    // so this header needs no obs dependency.
-    uint16_t trace_kind = 0;
-    uint16_t msg_kind = 0;
-    SimTime time = 0;
-    NodeId node = kInvalidNode;
-    NodeId peer = kInvalidNode;
-    uint32_t count = 0;
-    uint32_t detail = 0;
-    // kScheduleUnicast / kScheduleBroadcast
-    SimTime delay = 0;
-    Message msg;
-    std::shared_ptr<const Message> shared;
-    // kCall
-    std::function<void()> call;
-  };
-
-  Op& Push(Op::Kind kind) {
-    Op& op = ops_.emplace_back();
-    op.kind = kind;
-    return op;
-  }
-
-  std::vector<Op> ops_;
-};
 
 /// One transmission event, as seen by an attached trace sink. `dst` is
 /// kInvalidNode for local broadcasts; `delivered` is false when the
@@ -128,7 +56,6 @@ class Simulator {
 
   Simulator(Radio radio, PacketizationParams packets = PacketizationParams{},
             EnergyModel energy = EnergyModel{});
-  ~Simulator();
 
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
@@ -147,11 +74,8 @@ class Simulator {
   // accounting touch only the cache lines they need.
   bool alive(NodeId id) const { return alive_[id] != 0; }
   void set_alive(NodeId id, bool alive) {
-    if (alive_[id] == static_cast<uint8_t>(alive)) return;
     alive_[id] = static_cast<uint8_t>(alive);
-    dead_nodes_ += alive ? -1 : 1;
   }
-  int dead_nodes() const { return dead_nodes_; }
   NodeStats& stats(NodeId id) { return stats_[id]; }
   const NodeStats& stats(NodeId id) const { return stats_[id]; }
 
@@ -337,46 +261,6 @@ class Simulator {
   void set_tracer(obs::Tracer* tracer);
   obs::Tracer* tracer() const { return tracer_; }
 
-  // --- Windowed execution ------------------------------------------------
-
-  /// Selects the turn-loop engine (see sim_config.h). Executors reach the
-  /// engine through engine(); reconfiguring replaces it.
-  void ConfigureEngine(const EngineConfig& config);
-  const EngineConfig& engine_config() const { return engine_config_; }
-
-  /// The turn-loop engine (lazily constructed; sequential by default).
-  ParallelEngine& engine();
-
-  /// Conservative gate: true when the simulator state guarantees that a
-  /// turn's effects are a pure function of its inputs with no fault
-  /// randomness — no ARQ, no delivery jitter, no replay tracking, zero
-  /// loss/corruption/duplication rates, no failed or outaged links, no dead
-  /// nodes, no fault events ever scheduled, and no synchronous trace sink.
-  /// Only then may the windowed engine run turns concurrently.
-  bool WindowSafe() const;
-
-  /// Enters capture mode on the calling thread: until EndTurnCapture, every
-  /// side effect of this simulator's send paths is appended to `fx` instead
-  /// of applied. `partition` / `part_of` describe the capturing turn's
-  /// partition so send paths can sanity-check confinement. Capture state is
-  /// thread-local: concurrent turns on different threads capture into
-  /// different logs.
-  void BeginTurnCapture(TurnEffects* fx, int32_t partition,
-                        const int32_t* part_of);
-  void EndTurnCapture();
-
-  /// True when the calling thread is inside BeginTurnCapture on this
-  /// simulator.
-  bool capturing() const;
-
-  /// If capturing, appends `fn` as an ordered op and returns true;
-  /// otherwise returns false (caller runs it immediately).
-  bool CaptureCall(std::function<void()> fn);
-
-  /// Replays a captured turn's effect log in program order. Must run on the
-  /// coordinating thread, outside capture mode.
-  void CommitTurnEffects(TurnEffects& fx);
-
   // --- Delivery-slot memory ----------------------------------------------
 
   /// Bytes the delivery arena has reserved (diagnostics / benches).
@@ -410,35 +294,17 @@ class Simulator {
            kind != MessageKind::kRepair;
   }
 
-  /// Capture-aware mutation helpers: apply immediately in sequential mode,
-  /// append an address-based op when the calling thread is capturing.
-  void GAdd(uint64_t& counter, uint64_t delta);
-  void GAdd(double& counter, double delta);
-  /// Capture-aware tracer record (no-op with no tracer attached).
-  void TRecord(uint16_t trace_kind, NodeId node, NodeId peer,
-               MessageKind msg_kind, uint32_t count, uint64_t bytes,
-               double energy_mj, uint32_t detail = 0);
-  void TObserveMessage(size_t payload_bytes, int fragments);
-  void TObserveHopLatency(double seconds);
-  void TObserveRetransmits(int retransmissions);
-  /// Capture-aware broadcast-reception scheduling (shared payload).
-  void ScheduleBroadcastRx(std::shared_ptr<const Message> msg, NodeId receiver,
-                           SimTime delay);
-
   EventQueue events_;
   Radio radio_;
   PacketizationParams packet_params_;
   EnergyModel energy_model_;
   std::vector<uint8_t> alive_;
   std::vector<NodeStats> stats_;
-  int dead_nodes_ = 0;
-  /// Sticky: set when any crash/recovery/link-outage event was ever
-  /// scheduled; WindowSafe then stays false for the simulator's lifetime
-  /// (pending fault events may fire at any sim time).
-  bool fault_events_scheduled_ = false;
   ReceiveHandler receive_handler_;
   TraceSink trace_sink_;
   obs::Tracer* tracer_ = nullptr;
+  /// Neighbor scratch for broadcasts on an on-demand (grid-backed) radio.
+  std::vector<NodeId> nb_scratch_;
   double per_packet_latency_s_ = 0.004;
   ArqParams arq_params_;
   IntegrityParams integrity_params_{.crc_enabled = false};
@@ -480,10 +346,6 @@ class Simulator {
   uint64_t next_delivery_id_ = 0;
   std::vector<Message> replay_buffer_;
 
-  // --- Engine ------------------------------------------------------------
-  EngineConfig engine_config_;
-  std::unique_ptr<ParallelEngine> engine_;
-
   // --- Delivery-slot memory ----------------------------------------------
   /// One broadcast reception: the shared logical message plus the receiver
   /// it is bound for.
@@ -494,8 +356,7 @@ class Simulator {
   /// Arena-pooled delivery slots. Scheduling a delivery parks the message
   /// in a recycled slot and the event closure captures only {this, slot} —
   /// small enough for the std::function small-buffer — so the steady state
-  /// allocates nothing per send. Slots are created and destroyed only on
-  /// the coordinating thread (capture mode defers scheduling ops).
+  /// allocates nothing per send.
   Arena delivery_arena_;
   ArenaPool<Message> unicast_slots_{&delivery_arena_};
   ArenaPool<BroadcastRx> broadcast_slots_{&delivery_arena_};

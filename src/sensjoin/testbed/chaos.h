@@ -147,11 +147,10 @@ std::vector<std::string> CheckInvariants(const join::JoinResult& truth,
 /// FNV-1a over every field of every trace event: any reordering, drop or
 /// numeric drift between two runs changes the digest. Doubles are hashed
 /// as bit patterns, so the digest certifies bit-identical floating-point
-/// accumulation, not just closeness — the property the windowed engine's
-/// turn-ordered effect commit is designed to preserve.
+/// accumulation, not just closeness.
 uint64_t TraceDigest(const obs::Tracer& tracer);
 
-/// Every number a replay (or an engine-equivalence check) must reproduce,
+/// Every number a replay (or a cross-commit pinning check) must reproduce,
 /// in one string: result, costs (doubles as bit patterns), self-healing
 /// counters, the full completeness certificate, and — when `tracer` is
 /// non-null — the trace digest.

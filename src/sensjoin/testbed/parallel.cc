@@ -1,6 +1,8 @@
 #include "sensjoin/testbed/parallel.h"
 
 #include <atomic>
+#include <cctype>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -8,8 +10,6 @@
 #include <mutex>
 #include <string>
 #include <thread>
-
-#include "sensjoin/testbed/testbed.h"
 
 namespace sensjoin::testbed {
 namespace {
@@ -67,44 +67,20 @@ int ParseThreadsFlag(int* argc, char** argv) {
   return threads > 0 ? threads : 0;
 }
 
-sim::SimConfig ParseEngineFlag(int* argc, char** argv) {
-  const char* value = nullptr;
-  int out = 1;
-  for (int i = 1; i < *argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strcmp(arg, "--engine") == 0 && i + 1 < *argc) {
-      value = argv[i + 1];
-      ++i;  // skip the value
-      continue;
-    }
-    if (std::strncmp(arg, "--engine=", 9) == 0) {
-      value = arg + 9;
-      continue;
-    }
-    argv[out++] = argv[i];
-  }
-  *argc = out;
-  argv[out] = nullptr;
-  if (value == nullptr) return DefaultSimConfig();
-
-  sim::SimConfig config = DefaultSimConfig();
-  std::string kind(value);
-  if (const size_t colon = kind.find(':'); colon != std::string::npos) {
-    config.engine.workers = std::atoi(kind.c_str() + colon + 1);
-    kind.resize(colon);
-  }
-  if (kind == "seq" || kind == "sequential") {
-    config.engine.kind = sim::EngineKind::kSequential;
-  } else if (kind == "windowed") {
-    config.engine.kind = sim::EngineKind::kWindowed;
-  } else {
+uint64_t ParseSeedArg(int argc, char** argv, uint64_t default_seed) {
+  if (argc <= 1) return default_seed;
+  const char* arg = argv[1];
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long seed = std::strtoull(arg, &end, 10);
+  if (!std::isdigit(static_cast<unsigned char>(arg[0])) || *end != '\0' ||
+      errno == ERANGE) {
     std::fprintf(stderr,
-                 "unknown --engine value '%s' (want seq|windowed[:N])\n",
-                 value);
+                 "invalid seed '%s' (want a non-negative decimal integer)\n",
+                 arg);
     std::exit(2);
   }
-  SetDefaultSimConfig(config);
-  return config;
+  return seed;
 }
 
 ParallelRunner::ParallelRunner(int threads)

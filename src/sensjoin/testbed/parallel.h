@@ -8,7 +8,6 @@
 
 #include "sensjoin/common/status.h"
 #include "sensjoin/common/statusor.h"
-#include "sensjoin/sim/sim_config.h"
 
 namespace sensjoin::testbed {
 
@@ -32,15 +31,12 @@ int ResolveThreadCount(int requested = 0);
 /// arguments (seed, node count) keep their indices for existing parsing.
 int ParseThreadsFlag(int* argc, char** argv);
 
-/// Strips a `--engine KIND` / `--engine=KIND` argument from (argc, argv),
-/// where KIND is `seq`/`sequential` or `windowed`, optionally suffixed with
-/// `:N` to pin the windowed worker count (`--engine=windowed:4`). The
-/// parsed selection is installed as the process default
-/// (SetDefaultSimConfig), so TestbedParams built afterwards inherit it.
-/// Mutates argv in place like ParseThreadsFlag; returns the resulting
-/// config (the untouched default when the flag is absent). Unrecognized
-/// KINDs abort with a clear message.
-sim::SimConfig ParseEngineFlag(int* argc, char** argv);
+/// Reads a harness's positional seed from argv[1] (after flag parsers
+/// have stripped their flags), or returns `default_seed` when absent. A
+/// value that is not a plain decimal integer — a leftover or misspelled
+/// flag, trailing characters, a sign, an out-of-range number — prints a
+/// message and exits with status 2 rather than running with a wrong seed.
+uint64_t ParseSeedArg(int argc, char** argv, uint64_t default_seed);
 
 /// Identity of one trial inside a sweep, handed to the trial callback.
 struct TrialContext {

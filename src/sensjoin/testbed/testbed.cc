@@ -5,15 +5,6 @@
 #include "sensjoin/net/flooding.h"
 
 namespace sensjoin::testbed {
-namespace {
-sim::SimConfig g_default_sim_config;
-}  // namespace
-
-const sim::SimConfig& DefaultSimConfig() { return g_default_sim_config; }
-
-void SetDefaultSimConfig(const sim::SimConfig& config) {
-  g_default_sim_config = config;
-}
 
 StatusOr<std::unique_ptr<Testbed>> Testbed::Create(
     const TestbedParams& params) {
@@ -23,12 +14,8 @@ StatusOr<std::unique_ptr<Testbed>> Testbed::Create(
       net::GenerateConnectedPlacement(params.placement, rng));
 
   auto simulator = std::make_unique<sim::Simulator>(
-      sim::Radio(placement.positions, params.placement.range_m,
-                 sim::RadioOptions{.materialize_threshold =
-                                       params.sim
-                                           .neighbor_materialize_threshold}),
+      sim::Radio(placement.positions, params.placement.range_m),
       params.packets, params.energy);
-  simulator->ConfigureEngine(params.sim.engine);
 
   auto env = std::make_unique<data::NetworkData>(
       placement.positions, params.placement.area_width_m,

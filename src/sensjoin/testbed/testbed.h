@@ -20,13 +20,6 @@
 
 namespace sensjoin::testbed {
 
-/// Process-wide default sim::SimConfig picked up by newly-constructed
-/// TestbedParams. Harness mains set it once from their --engine flag
-/// (ParseEngineFlag in testbed/parallel.h) before building testbeds, so
-/// every helper that constructs a TestbedParams inherits the selection.
-const sim::SimConfig& DefaultSimConfig();
-void SetDefaultSimConfig(const sim::SimConfig& config);
-
 /// Everything needed to stand up a simulated deployment matching the
 /// paper's general setting (Sec. VI): random connected placement, CTP-style
 /// routing tree, spatially correlated sensor fields, default quantization.
@@ -38,8 +31,6 @@ struct TestbedParams {
   /// Install the default sensor fields (temperature, humidity, pressure,
   /// light). Set false to add custom fields via data().AddField.
   bool default_fields = true;
-  /// Engine selection + memory-layout thresholds for the trial's simulator.
-  sim::SimConfig sim = DefaultSimConfig();
 };
 
 /// A ready-to-run simulated deployment. Owns the simulator, the environment

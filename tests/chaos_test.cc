@@ -72,8 +72,8 @@ LivenessBounds SwarmLiveness() {
   return bounds;
 }
 
-// TraceDigest / ExecutionFingerprint live in testbed/chaos.h now, shared
-// with the windowed-engine equivalence tests.
+// TraceDigest / ExecutionFingerprint live in testbed/chaos.h, shared with
+// the benches that replay a run.
 
 struct TrialOutcome {
   std::string fingerprint;
@@ -313,6 +313,89 @@ TEST(ChaosWatchdogTest, ExpiredWatchdogDegradesWithoutRepair) {
   EXPECT_EQ(report->repairs_attempted, 0u);
   EXPECT_TRUE(report->certificate.degraded);
   EXPECT_TRUE(report->certificate.IsExcluded(victim));
+}
+
+/// FNV-1a over a fingerprint string, so a whole execution pins to one
+/// 64-bit literal.
+uint64_t Fnv1a(const std::string& s) {
+  uint64_t h = 1469598103934665603ull;
+  for (unsigned char c : s) {
+    h ^= c;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+struct PinnedDigests {
+  uint64_t sens_traced = 0;  ///< SENS-Join fingerprint incl. trace digest
+  uint64_t external = 0;     ///< external-join fingerprint
+};
+
+/// One query flood, external join and traced SENS-Join on a 220-node
+/// deployment. `chaos_seed != 0` arms a seeded six-axis fault schedule
+/// (with ARQ) and the full self-healing ladder first.
+PinnedDigests RunPinned(uint64_t seed, uint64_t chaos_seed) {
+  TestbedParams params;
+  params.placement.num_nodes = 220;
+  params.placement.area_width_m = 420;
+  params.placement.area_height_m = 420;
+  params.seed = seed;
+  auto tb = Testbed::Create(params);
+  SENSJOIN_CHECK(tb.ok()) << tb.status();
+  auto q = (*tb)->ParseQuery(kQuery);
+  SENSJOIN_CHECK(q.ok()) << q.status();
+  (*tb)->DisseminateQuery(*q);
+
+  join::ProtocolConfig config;
+  if (chaos_seed != 0) {
+    ChaosParams chaos = SwarmParams(chaos_seed);
+    chaos.arq_enabled = true;
+    ApplyChaos(**tb, MakeChaosSchedule(**tb, chaos));
+    config = SelfHealingConfig();
+  }
+
+  obs::Tracer tracer;
+  (*tb)->AttachTracer(&tracer);
+  auto ext = (*tb)->MakeExternalJoin(config).Execute(*q, 0);
+  auto sens = (*tb)->MakeSensJoin(config).Execute(*q, 0);
+  (*tb)->AttachTracer(nullptr);
+  SENSJOIN_CHECK(ext.ok()) << ext.status();
+  SENSJOIN_CHECK(sens.ok()) << sens.status();
+  return {Fnv1a(ExecutionFingerprint(*sens, &tracer)),
+          Fnv1a(ExecutionFingerprint(*ext, nullptr))};
+}
+
+struct PinnedCase {
+  uint64_t seed;
+  uint64_t chaos_seed;
+  uint64_t sens_traced;
+  uint64_t external;
+};
+
+/// Byte-identity across commits: every packet, byte, energy bit pattern,
+/// certificate entry and trace event of these executions is pinned to the
+/// digests recorded when the values were last deliberately changed. A
+/// refactor that claims identical output must leave them untouched.
+TEST(PinnedFingerprintTest, ExecutionsMatchRecordedDigests) {
+  if (!obs::kTracingCompiledIn) {
+    GTEST_SKIP() << "the pinned digests include the sim-time trace";
+  }
+  const PinnedCase cases[] = {
+      {7, 0, 0x28d53ebd3a078572ull, 0xf0d991728e6fead0ull},
+      {101, 0, 0x9bfcf8232bd5ba36ull, 0xb30d0c61560c3116ull},
+      {9000, 0, 0x9fb3ee10b73df602ull, 0xc02691a9078c3f44ull},
+      {21, 3, 0x239a912fc8f60031ull, 0x25ee7a7ceb1b93f9ull},
+      {21, 17, 0x04b026798ab064c0ull, 0x7783a96d8041c156ull},
+  };
+  for (const PinnedCase& c : cases) {
+    const PinnedDigests got = RunPinned(c.seed, c.chaos_seed);
+    EXPECT_EQ(got.sens_traced, c.sens_traced)
+        << "seed=" << c.seed << " chaos=" << c.chaos_seed << std::hex
+        << " sens_traced=0x" << got.sens_traced;
+    EXPECT_EQ(got.external, c.external)
+        << "seed=" << c.seed << " chaos=" << c.chaos_seed << std::hex
+        << " external=0x" << got.external;
+  }
 }
 
 }  // namespace

@@ -74,6 +74,37 @@ TEST(ParseThreadsFlagTest, AbsentReturnsZero) {
   EXPECT_EQ(argc, 2);
 }
 
+TEST(ParseSeedArgTest, ReadsDecimalSeed) {
+  char bench[] = "bench";
+  char seed[] = "7";
+  char* argv[] = {bench, seed, nullptr};
+  EXPECT_EQ(ParseSeedArg(2, argv, 42), 7u);
+}
+
+TEST(ParseSeedArgTest, AbsentReturnsDefault) {
+  char bench[] = "bench";
+  char* argv[] = {bench, nullptr};
+  EXPECT_EQ(ParseSeedArg(1, argv, 42), 42u);
+}
+
+// Death tests run before the suite's threaded tests, so the forked child
+// starts single-threaded.
+TEST(ParseSeedArgDeathTest, LeftoverFlagExits) {
+  char bench[] = "bench";
+  char flag[] = "--engine=windowed";
+  char* argv[] = {bench, flag, nullptr};
+  EXPECT_EXIT(ParseSeedArg(2, argv, 42), ::testing::ExitedWithCode(2),
+              "invalid seed '--engine=windowed'");
+}
+
+TEST(ParseSeedArgDeathTest, TrailingCharactersExit) {
+  char bench[] = "bench";
+  char seed[] = "12abc";
+  char* argv[] = {bench, seed, nullptr};
+  EXPECT_EXIT(ParseSeedArg(2, argv, 42), ::testing::ExitedWithCode(2),
+              "invalid seed '12abc'");
+}
+
 TEST(ParallelRunnerTest, ZeroTrialsIsOkAndEmpty) {
   ParallelRunner runner(4);
   auto r = runner.Run(0, /*sweep_seed=*/42,
