@@ -1,16 +1,22 @@
-// Microbenchmark for the base station's pre-computation join
-// (ComputeJoinFilter): the conservative interval-arithmetic join over
-// quantized join-attribute tuples. The base station is powered, but the
-// computation must still finish well within a query's response time.
+// Microbenchmark for the base station's two joins: the pre-computation join
+// (ComputeJoinFilter), a conservative interval-arithmetic join over quantized
+// join-attribute tuples, and the exact join over full tuples
+// (ComputeExactJoin). The base station is powered, but both must still
+// finish well within a query's response time.
+//
+// The `evaluated` counters are deterministic: they count predicate
+// evaluations, which the probe windows keep far below the cross product.
 
 #include <benchmark/benchmark.h>
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "sensjoin/common/rng.h"
 #include "sensjoin/data/schema.h"
 #include "sensjoin/join/join_filter.h"
+#include "sensjoin/join/result.h"
 #include "sensjoin/query/query.h"
 
 namespace sensjoin::join {
@@ -52,14 +58,13 @@ PointSet CollectedSet(const JoinAttrCodec& codec, int n) {
   return set;
 }
 
-void RunFilterJoin(benchmark::State& state, FilterJoinStrategy strategy) {
-  const query::AnalyzedQuery q = BenchQuery();
+void RunFilterJoin(benchmark::State& state, const query::AnalyzedQuery& q) {
   const JoinAttrCodec codec = BenchCodec();
   const PointSet collected = CollectedSet(codec, state.range(0));
   size_t filter_size = 0;
   size_t evaluated = 0;
   for (auto _ : state) {
-    const FilterJoinResult r = ComputeJoinFilter(q, codec, collected, strategy);
+    const FilterJoinResult r = ComputeJoinFilter(q, codec, collected);
     filter_size = r.filter.size();
     evaluated = r.combinations_evaluated;
     benchmark::DoNotOptimize(filter_size);
@@ -72,25 +77,12 @@ void RunFilterJoin(benchmark::State& state, FilterJoinStrategy strategy) {
 }
 
 void BM_ComputeJoinFilter(benchmark::State& state) {
-  RunFilterJoin(state, FilterJoinStrategy::kAuto);
+  RunFilterJoin(state, BenchQuery());
 }
 BENCHMARK(BM_ComputeJoinFilter)->Arg(100)->Arg(400)->Arg(1500)
     ->Unit(benchmark::kMillisecond);
 
-void BM_ComputeJoinFilterNaive(benchmark::State& state) {
-  RunFilterJoin(state, FilterJoinStrategy::kNaive);
-}
-BENCHMARK(BM_ComputeJoinFilterNaive)->Arg(100)->Arg(400)->Arg(1500)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_ComputeJoinFilterIndexed(benchmark::State& state) {
-  RunFilterJoin(state, FilterJoinStrategy::kIndexed);
-}
-BENCHMARK(BM_ComputeJoinFilterIndexed)->Arg(100)->Arg(400)->Arg(1500)
-    ->Unit(benchmark::kMillisecond);
-
-// Three-relation chain: a temp band on A-B, a proximity join on B-C. The
-// naive engine is cubic in the collected size, so the arguments stay small.
+// Three-relation chain: a temp band on A-B, a proximity join on B-C.
 query::AnalyzedQuery ThreeWayQuery() {
   auto q = query::AnalyzedQuery::FromString(
       "SELECT A.hum, B.hum, C.hum FROM sensors A, sensors B, sensors C "
@@ -101,31 +93,44 @@ query::AnalyzedQuery ThreeWayQuery() {
   return std::move(q).value();
 }
 
-void RunThreeWay(benchmark::State& state, FilterJoinStrategy strategy) {
-  const query::AnalyzedQuery q = ThreeWayQuery();
-  const JoinAttrCodec codec = BenchCodec();
-  const PointSet collected = CollectedSet(codec, state.range(0));
-  size_t filter_size = 0;
-  for (auto _ : state) {
-    const FilterJoinResult r = ComputeJoinFilter(q, codec, collected, strategy);
-    filter_size = r.filter.size();
-    benchmark::DoNotOptimize(filter_size);
+void BM_ComputeJoinFilter3Way(benchmark::State& state) {
+  RunFilterJoin(state, ThreeWayQuery());
+}
+BENCHMARK(BM_ComputeJoinFilter3Way)->Arg(150)->Arg(600)
+    ->Unit(benchmark::kMillisecond);
+
+// The exact join over full tuples: a half-band join (A warmer than B by
+// more than 7.5 degrees) on temperatures uniform in [18, 26], about 0.2 % of
+// the pairs.
+void BM_ComputeExactJoin(benchmark::State& state) {
+  auto q = query::AnalyzedQuery::FromString(
+      "SELECT A.hum, B.hum FROM sensors A, sensors B "
+      "WHERE A.temp - B.temp > 7.5 ONCE",
+      BenchSchema());
+  SENSJOIN_CHECK(q.ok());
+  Rng rng(state.range(0));
+  std::vector<data::Tuple> tuples(state.range(0));
+  std::vector<const data::Tuple*> candidates;
+  for (size_t i = 0; i < tuples.size(); ++i) {
+    tuples[i].node = static_cast<sim::NodeId>(i);
+    tuples[i].values = {rng.UniformDouble(0, 1050), rng.UniformDouble(0, 1050),
+                        rng.UniformDouble(18, 26), rng.UniformDouble(20, 80),
+                        rng.UniformDouble(990, 1030)};
+    candidates.push_back(&tuples[i]);
   }
-  state.counters["points"] = static_cast<double>(collected.size());
-  state.counters["filter"] = static_cast<double>(filter_size);
+  size_t rows = 0;
+  size_t evaluated = 0;
+  for (auto _ : state) {
+    const JoinResult r = ComputeExactJoin(*q, {candidates, candidates});
+    rows = r.rows.size();
+    evaluated = r.combinations_evaluated;
+    benchmark::DoNotOptimize(rows);
+  }
+  state.counters["candidates"] = static_cast<double>(candidates.size());
+  state.counters["rows"] = static_cast<double>(rows);
+  state.counters["evaluated"] = static_cast<double>(evaluated);
 }
-
-void BM_ComputeJoinFilter3WayNaive(benchmark::State& state) {
-  RunThreeWay(state, FilterJoinStrategy::kNaive);
-}
-BENCHMARK(BM_ComputeJoinFilter3WayNaive)->Arg(60)->Arg(150)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_ComputeJoinFilter3WayIndexed(benchmark::State& state) {
-  RunThreeWay(state, FilterJoinStrategy::kIndexed);
-}
-BENCHMARK(BM_ComputeJoinFilter3WayIndexed)->Arg(60)->Arg(150)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ComputeExactJoin)->Arg(1500)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace sensjoin::join

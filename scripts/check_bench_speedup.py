@@ -3,14 +3,18 @@
 
 Two modes:
 
-Filter-join mode (default):
-    check_bench_speedup.py <bench.json> [n] [min_ratio]
+Base-station join mode (default):
+    check_bench_speedup.py <bench.json> [baseline.json]
   Reads a google-benchmark JSON file (as written by
-  `micro_filterjoin --benchmark_out=...`) and compares
-  BM_ComputeJoinFilterNaive/<n> against BM_ComputeJoinFilterIndexed/<n>.
-  CI runners are noisy, so this is a regression tripwire, not a
-  performance measurement: it fails only if the indexed engine loses to
-  the naive one.
+  `micro_filterjoin --benchmark_out=...`) and compares it with the
+  committed baseline (default BENCH_filterjoin.json). For
+  BM_ComputeJoinFilter/1500, every BM_ComputeJoinFilter3Way/<n> and every
+  BM_ComputeExactJoin/<n> of the baseline, the fresh run's `evaluated`
+  counter (predicate evaluations) must not exceed the baseline's, and its
+  output counter (`filter` or `rows`) must equal it. Both counters are
+  deterministic, so the check is free of timing noise: losing a probe
+  window, as an exhaustive enumeration does, raises the 1500-point filter
+  count from ~0.5M to ~2.46M.
 
 Runtime mode:
     check_bench_speedup.py --runtime <BENCH_runtime.json> [min_ratio]
@@ -61,26 +65,49 @@ SERVICE_SHARING_RATIO = 0.25
 SERVICE_SHARING_POINT = 16
 
 
-def check_filterjoin(path: str, n: str, min_ratio: float) -> int:
+JOIN_BENCH_PREFIXES = (
+    "BM_ComputeJoinFilter/1500",
+    "BM_ComputeJoinFilter3Way/",
+    "BM_ComputeExactJoin/",
+)
+
+
+def join_counters(path: str) -> dict:
     with open(path) as f:
         data = json.load(f)
-    times = {}
-    for bench in data["benchmarks"]:
-        if bench.get("run_type", "iteration") != "iteration":
+    return {
+        bench["name"]: bench
+        for bench in data["benchmarks"]
+        if bench.get("run_type", "iteration") == "iteration"
+    }
+
+
+def check_join_counters(path: str, baseline_path: str) -> int:
+    fresh = join_counters(path)
+    baseline = join_counters(baseline_path)
+    names = sorted(
+        name for name in baseline if name.startswith(JOIN_BENCH_PREFIXES)
+    )
+    if not names:
+        print(f"FAIL: no tracked join benchmarks in {baseline_path}")
+        return 1
+    failures = []
+    for name in names:
+        if name not in fresh:
+            failures.append(f"{name} missing from {path}")
             continue
-        times[bench["name"]] = float(bench["real_time"])
-    naive = times.get(f"BM_ComputeJoinFilterNaive/{n}")
-    indexed = times.get(f"BM_ComputeJoinFilterIndexed/{n}")
-    if naive is None or indexed is None:
-        print(f"missing benchmarks for n={n} in {path}: {sorted(times)}")
-        return 1
-    ratio = naive / indexed
-    print(f"naive/{n}: {naive:.3f}  indexed/{n}: {indexed:.3f}  "
-          f"speedup: {ratio:.2f}x (required >= {min_ratio}x)")
-    if ratio < min_ratio:
-        print("FAIL: indexed filter join is slower than the naive engine")
-        return 1
-    return 0
+        want, got = baseline[name], fresh[name]
+        output = "filter" if "filter" in want else "rows"
+        print(f"{name}: evaluated {got['evaluated']:.0f} "
+              f"(baseline {want['evaluated']:.0f}), {output} "
+              f"{got[output]:.0f} (baseline {want[output]:.0f})")
+        if got["evaluated"] > want["evaluated"]:
+            failures.append(f"{name} evaluates more combinations")
+        if got[output] != want[output]:
+            failures.append(f"{name} changed its {output} count")
+    for failure in failures:
+        print(f"FAIL: {failure}")
+    return 1 if failures else 0
 
 
 def check_runtime(path: str, min_ratio: float) -> int:
@@ -235,9 +262,8 @@ def main() -> int:
     if args and args[0] == "--service":
         return check_service(args[1])
     path = args[0]
-    n = args[1] if len(args) > 1 else "1500"
-    min_ratio = float(args[2]) if len(args) > 2 else 1.0
-    return check_filterjoin(path, n, min_ratio)
+    baseline = args[1] if len(args) > 1 else "BENCH_filterjoin.json"
+    return check_join_counters(path, baseline)
 
 
 if __name__ == "__main__":

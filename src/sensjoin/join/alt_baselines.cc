@@ -10,7 +10,6 @@
 #include "sensjoin/join/result.h"
 #include "sensjoin/join/stats.h"
 #include "sensjoin/net/flooding.h"
-#include "sensjoin/query/expr_eval.h"
 
 namespace sensjoin::join {
 namespace {
@@ -89,21 +88,22 @@ StatusOr<ExecutionReport> SemiJoinExecutor::Execute(
     for (int idx : a_attrs) proj.values[idx] = a->values[idx];
     a_projections.push_back(std::move(proj));
   }
-  auto b_has_partner = [&](const data::Tuple& b) {
-    for (const data::Tuple& a : a_projections) {
-      std::vector<const data::Tuple*> pair = {&a, &b};
-      query::TupleContext pair_ctx(pair);
-      bool match = true;
-      for (const auto& p : q.join_predicates()) {
-        if (!query::EvalPredicate(*p, pair_ctx)) {
-          match = false;
-          break;
-        }
-      }
-      if (match) return true;
+  // One join over {A projections, B candidates} marks every B node with a
+  // partner.
+  std::vector<const data::Tuple*> a_side;
+  std::vector<const data::Tuple*> b_side;
+  for (const data::Tuple& a : a_projections) a_side.push_back(&a);
+  for (int u = 0; u < sim_.num_nodes(); ++u) {
+    const ExecutorContext::NodeInfo& info = ctx.info(u);
+    if (info.has_tuple && ctx.PassesTable(info.tuple, 1)) {
+      b_side.push_back(&info.tuple);
     }
-    return false;
-  };
+  }
+  const std::vector<char> partnered = JoinParticipants(q, {a_side, b_side}, 1);
+  std::vector<char> b_has_partner(sim_.num_nodes(), 0);
+  for (size_t i = 0; i < b_side.size(); ++i) {
+    b_has_partner[b_side[i]->node] = partnered[i];
+  }
 
   std::vector<std::vector<data::Tuple>> pending_full(sim_.num_nodes());
   std::vector<data::Tuple> base_candidates;
@@ -112,8 +112,7 @@ StatusOr<ExecutionReport> SemiJoinExecutor::Execute(
     const ExecutorContext::NodeInfo& info = ctx.info(u);
     if (info.has_tuple) {
       const bool as_a = ctx.PassesTable(info.tuple, 0);
-      const bool as_b =
-          ctx.PassesTable(info.tuple, 1) && b_has_partner(info.tuple);
+      const bool as_b = b_has_partner[u] != 0;
       if (as_a || as_b) {
         contribution.push_back(info.tuple);
         ++report.final_tuples_shipped;

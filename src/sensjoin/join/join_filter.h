@@ -20,28 +20,15 @@ struct FilterJoinResult {
   /// join-attribute tuple is in this set ship their complete tuple.
   PointSet filter;
 
-  /// Key combinations whose predicates were evaluated.
+  /// Predicate evaluations over (partial) key combinations.
   size_t combinations_evaluated = 0;
   /// Combinations that were not certainly false.
   size_t combinations_matched = 0;
-
-  /// True when the indexed engine ran with at least one probe constraint.
-  bool used_index = false;
-  /// Index range lookups performed (indexed engine only).
+  /// Probe windows computed (index range lookups).
   size_t index_probes = 0;
-  /// Probe constraints the planner extracted from the join predicates.
-  size_t constraints_extracted = 0;
 
-  FilterJoinResult() : filter(nullptr) {}
   explicit FilterJoinResult(PointSet f) : filter(std::move(f)) {}
 };
-
-/// Engine selection for ComputeJoinFilter. kAuto uses the indexed engine
-/// whenever the planner extracts at least one probe constraint from the
-/// join predicates, and the exhaustive nested-loop DFS otherwise. The two
-/// engines produce bit-identical filters and combinations_matched counts;
-/// kNaive/kIndexed force one engine (reference semantics / benchmarks).
-enum class FilterJoinStrategy { kAuto, kNaive, kIndexed };
 
 /// Maps the FROM-list tables of `q` to relation bit indices (bit r of a
 /// key's flags = membership in the r-th distinct relation of the query, in
@@ -53,11 +40,11 @@ std::vector<int> TableRelationBits(const query::AnalyzedQuery& q);
 /// three-valued logic; a combination is kept unless some predicate is
 /// certainly false, so quantization can only add false positives, never
 /// drop a real result tuple (footnote 2). A key is eligible for table t iff
-/// its relation flags include t's relation.
-FilterJoinResult ComputeJoinFilter(
-    const query::AnalyzedQuery& q, const JoinAttrCodec& codec,
-    const PointSet& collected,
-    FilterJoinStrategy strategy = FilterJoinStrategy::kAuto);
+/// its relation flags include t's relation. Levels the predicates allow are
+/// probed through sorted key indexes (JoinPlan::ForFilter, join_plan.h).
+FilterJoinResult ComputeJoinFilter(const query::AnalyzedQuery& q,
+                                   const JoinAttrCodec& codec,
+                                   const PointSet& collected);
 
 /// Incrementally extends `previous` — the filter of the previous epoch's
 /// collected set — to the filter of `collected`, where `added` is the
@@ -67,10 +54,10 @@ FilterJoinResult ComputeJoinFilter(
 /// was in `previous`. A key outside the filter matched no combination, so
 /// its removal cannot invalidate any other key's membership; every key of
 /// `previous` therefore still matches, and new members can only come from
-/// combinations touching at least one added key. The DFS enumerates exactly
-/// those (pivoting on the first added position), so the result is
-/// bit-identical to ComputeJoinFilter(q, codec, collected).filter at a cost
-/// proportional to the added fraction instead of the full cross product.
+/// combinations touching at least one added key. The enumeration visits
+/// exactly those (pivoting on the plan level of the first added key), so the
+/// result is bit-identical to ComputeJoinFilter(q, codec, collected).filter
+/// at a cost proportional to the added fraction.
 FilterJoinResult ComputeJoinFilterDelta(const query::AnalyzedQuery& q,
                                         const JoinAttrCodec& codec,
                                         const PointSet& collected,
@@ -78,7 +65,7 @@ FilterJoinResult ComputeJoinFilterDelta(const query::AnalyzedQuery& q,
                                         const std::vector<uint64_t>& added);
 
 /// Epoch-to-epoch join-filter cache for continuous execution: picks the
-/// cheapest sound maintenance path per epoch (reuse / delta DFS / full
+/// cheapest sound maintenance path per epoch (reuse / delta join / full
 /// recompute) from the set-level collection delta reported by
 /// DeltaGroupExecutor. The produced filter is always bit-identical to a
 /// from-scratch ComputeJoinFilter over the same collected set.
@@ -88,17 +75,16 @@ class IncrementalJoinFilter {
   /// set-level change since the previous Update; they are ignored when the
   /// cache is empty (first call or after Reset), which forces a full
   /// computation.
-  const FilterJoinResult& Update(
-      const query::AnalyzedQuery& q, const JoinAttrCodec& codec,
-      const PointSet& collected, const std::vector<uint64_t>& added,
-      const std::vector<uint64_t>& removed,
-      FilterJoinStrategy strategy = FilterJoinStrategy::kAuto);
+  const FilterJoinResult& Update(const query::AnalyzedQuery& q,
+                                 const JoinAttrCodec& codec,
+                                 const PointSet& collected,
+                                 const std::vector<uint64_t>& added,
+                                 const std::vector<uint64_t>& removed);
 
   /// Drops the cache; the next Update recomputes from scratch.
   void Reset() { valid_ = false; }
 
-  bool valid() const { return valid_; }
-  /// Last produced result (valid() only).
+  /// Last produced result (after the first Update).
   const FilterJoinResult& last() const { return *last_; }
 
   /// Maintenance-path counters (cumulative since construction).

@@ -2,30 +2,133 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
+#include <cstdint>
 #include <limits>
-#include <set>
+#include <map>
+#include <numeric>
+#include <utility>
 
 #include "sensjoin/common/logging.h"
+#include "sensjoin/join/join_plan.h"
 #include "sensjoin/query/expr_eval.h"
+#include "sensjoin/query/interval_eval.h"
 
 namespace sensjoin::join {
 namespace {
 
-/// ScalarContext over an in-progress table->tuple assignment.
-class AssignmentContext : public query::ScalarContext {
- public:
-  explicit AssignmentContext(const std::vector<const data::Tuple*>* assignment)
-      : assignment_(assignment) {}
+/// Relative width of the exact join's probe-window widening (see Window).
+constexpr double kProbeSlack = 1e-9;
 
-  double Value(int table_index, int attr_index) const override {
-    const data::Tuple* t = (*assignment_)[table_index];
-    SENSJOIN_DCHECK(t != nullptr);
-    return t->values[attr_index];
+void SortUnique(std::vector<sim::NodeId>* nodes) {
+  std::sort(nodes->begin(), nodes->end());
+  nodes->erase(std::unique(nodes->begin(), nodes->end()), nodes->end());
+}
+
+/// Largest finite |literal| in `e`.
+double LiteralMagnitude(const query::Expr& e) {
+  double m = e.kind == query::ExprKind::kLiteral && std::isfinite(e.literal)
+                 ? std::abs(e.literal)
+                 : 0.0;
+  for (const auto& arg : e.args) m = std::max(m, LiteralMagnitude(*arg));
+  return m;
+}
+
+/// EnumerateJoin's domain over full tuples (see join_plan.h): a row is a
+/// position in its table's candidate list, and predicates run with scalar
+/// semantics, the exact answer.
+class ExactDomain : public query::ScalarContext {
+ public:
+  using Coord = double;
+  /// Rows and aggregate sums must come out in nested-loop order.
+  static constexpr bool kCandidateOrder = true;
+
+  ExactDomain(const query::AnalyzedQuery& q,
+              const std::vector<std::vector<const data::Tuple*>>& per_table,
+              size_t* evaluated)
+      : per_table_(per_table),
+        evaluated_(evaluated),
+        candidates_(per_table.size()),
+        assignment_(per_table.size(), nullptr) {
+    SENSJOIN_CHECK_EQ(static_cast<int>(per_table.size()), q.num_tables());
+    for (size_t t = 0; t < per_table.size(); ++t) {
+      candidates_[t].resize(per_table[t].size());
+      std::iota(candidates_[t].begin(), candidates_[t].end(), 0u);
+      for (const data::Tuple* tup : per_table[t]) {
+        for (double v : tup->values) {
+          if (std::isfinite(v)) magnitude_ = std::max(magnitude_, std::abs(v));
+        }
+      }
+    }
+    for (const auto& p : q.join_predicates()) {
+      magnitude_ = std::max(magnitude_, LiteralMagnitude(*p));
+    }
+  }
+
+  double Value(int table, int attr) const override {
+    return assignment_[table]->values[attr];
+  }
+
+  const std::vector<uint32_t>& Candidates(int t) const {
+    return candidates_[t];
+  }
+  bool Admit(size_t, const JoinPlan::Level& lv, uint32_t row) {
+    assignment_[lv.table] = per_table_[lv.table][row];
+    for (const query::Expr* pred : lv.preds) {
+      ++*evaluated_;
+      if (!query::EvalPredicate(*pred, *this)) return false;
+    }
+    return true;
+  }
+  /// The probe's AllowedRange over point intervals, widened on each side by
+  /// kProbeSlack * (|end| + magnitude_). AllowedRange is sound for interval
+  /// arithmetic, while rows are accepted by scalar evaluation; the two run
+  /// the same operations up to rounding (interval Div is a*(1/b), scalar
+  /// a/b), a few ulps of the largest value or literal involved, and the
+  /// slack is ~10^7 ulps of that. Rows with a NaN probe attribute never
+  /// match: the constraint's arithmetic carries the NaN into a comparison.
+  bool Window(const JoinPlan::Probe& probe, double* lo, double* hi) const {
+    const query::Interval allowed =
+        probe.constraint.AllowedRange(ProbeContext(this));
+    if (!(allowed.lo <= allowed.hi)) return false;
+    *lo = allowed.lo;
+    *hi = allowed.hi;
+    if (std::isfinite(*lo)) *lo -= kProbeSlack * (std::abs(*lo) + magnitude_);
+    if (std::isfinite(*hi)) *hi += kProbeSlack * (std::abs(*hi) + magnitude_);
+    return true;
+  }
+  const std::vector<uint32_t>& Index(int t, int attr) {
+    auto [it, added] = indexes_.try_emplace({t, attr});
+    if (added) {
+      auto value = [&](uint32_t row) { return CoordOf(t, row, attr); };
+      it->second = candidates_[t];
+      std::erase_if(it->second,
+                    [&](uint32_t r) { return std::isnan(value(r)); });
+      std::ranges::stable_sort(it->second, {}, value);
+    }
+    return it->second;
+  }
+  double CoordOf(int t, uint32_t row, int attr) const {
+    return per_table_[t][row]->values[attr];
   }
 
  private:
-  const std::vector<const data::Tuple*>* assignment_;
+  /// Point intervals of the current assignment, for AllowedRange.
+  struct ProbeContext : query::IntervalContext {
+    explicit ProbeContext(const ExactDomain* d) : domain(d) {}
+    query::Interval Value(int table, int attr) const override {
+      return query::Interval::Single(domain->Value(table, attr));
+    }
+    const ExactDomain* domain;
+  };
+
+  const std::vector<std::vector<const data::Tuple*>>& per_table_;
+  size_t* evaluated_;
+  std::vector<std::vector<uint32_t>> candidates_;
+  std::vector<const data::Tuple*> assignment_;
+  std::map<std::pair<int, int>, std::vector<uint32_t>> indexes_;
+  /// Largest finite |value| among the candidates and the join predicates'
+  /// literals: the scale of the rounding errors Window absorbs.
+  double magnitude_ = 0.0;
 };
 
 /// Running state of one aggregate SELECT item.
@@ -70,7 +173,6 @@ JoinResult ComputeExactJoin(
     const query::AnalyzedQuery& q,
     const std::vector<std::vector<const data::Tuple*>>& per_table_tuples) {
   const int num_tables = q.num_tables();
-  SENSJOIN_CHECK_EQ(static_cast<int>(per_table_tuples.size()), num_tables);
 
   JoinResult result;
 
@@ -96,69 +198,43 @@ JoinResult ComputeExactJoin(
     }
   }
 
-  // Join predicates grouped by the last table they reference.
-  std::vector<std::vector<const query::Expr*>> preds_at(num_tables);
-  for (const auto& p : q.join_predicates()) {
-    std::set<int> tables;
-    p->CollectTableIndices(&tables);
-    SENSJOIN_CHECK(!tables.empty());
-    preds_at[*tables.rbegin()].push_back(p.get());
-  }
+  ExactDomain domain(q, per_table_tuples, &result.combinations_evaluated);
+  // used[t][row]: candidate `row` of table t is in some matching combination.
+  std::vector<std::vector<char>> used;
+  for (const auto& tuples : per_table_tuples) used.emplace_back(tuples.size());
 
-  std::vector<const data::Tuple*> assignment(num_tables, nullptr);
-  AssignmentContext ctx(&assignment);
-  std::set<sim::NodeId> contributors;
-
-  std::function<void(int)> dfs = [&](int t) {
-    if (t == num_tables) {
-      ++result.matched_combinations;
-      for (const data::Tuple* tup : assignment) contributors.insert(tup->node);
-      if (q.has_aggregates()) {
-        for (size_t i = 0; i < q.select().size(); ++i) {
-          const query::SelectItem& item = q.select()[i];
-          const double v = item.expr != nullptr
-                               ? query::EvalScalar(*item.expr, ctx)
-                               : 1.0;  // COUNT(*)
-          accumulators[i].Update(v);
-        }
-      } else {
-        std::vector<double> row;
-        if (q.select_star()) {
-          row.reserve(static_cast<size_t>(num_tables) *
-                      q.schema().num_attributes());
-          for (const data::Tuple* tup : assignment) {
-            row.insert(row.end(), tup->values.begin(), tup->values.end());
-          }
-        } else {
-          row.reserve(q.select().size());
-          for (const query::SelectItem& item : q.select()) {
-            row.push_back(query::EvalScalar(*item.expr, ctx));
-          }
-        }
-        result.rows.push_back(std::move(row));
-        std::set<sim::NodeId> row_contributors;
-        for (const data::Tuple* tup : assignment) {
-          row_contributors.insert(tup->node);
-        }
-        result.row_nodes.emplace_back(row_contributors.begin(),
-                                      row_contributors.end());
+  // The exact plan keeps FROM order, so rows[t] is table t's candidate.
+  auto emit = [&](const std::vector<uint32_t>& rows) {
+    ++result.matched_combinations;
+    for (int t = 0; t < num_tables; ++t) used[t][rows[t]] = 1;
+    if (q.has_aggregates()) {
+      for (size_t i = 0; i < q.select().size(); ++i) {
+        const query::SelectItem& item = q.select()[i];
+        const double v = item.expr != nullptr
+                             ? query::EvalScalar(*item.expr, domain)
+                             : 1.0;  // COUNT(*)
+        accumulators[i].Update(v);
       }
       return;
     }
-    for (const data::Tuple* tup : per_table_tuples[t]) {
-      assignment[t] = tup;
-      bool alive = true;
-      for (const query::Expr* p : preds_at[t]) {
-        if (!query::EvalPredicate(*p, ctx)) {
-          alive = false;
-          break;
-        }
+    std::vector<double> row;
+    row.reserve(result.column_labels.size());
+    std::vector<sim::NodeId> nodes;
+    for (int t = 0; t < num_tables; ++t) {
+      const data::Tuple* tup = per_table_tuples[t][rows[t]];
+      nodes.push_back(tup->node);
+      if (q.select_star()) {
+        row.insert(row.end(), tup->values.begin(), tup->values.end());
       }
-      if (alive) dfs(t + 1);
     }
-    assignment[t] = nullptr;
+    for (const query::SelectItem& item : q.select()) {  // empty for SELECT *
+      row.push_back(query::EvalScalar(*item.expr, domain));
+    }
+    result.rows.push_back(std::move(row));
+    SortUnique(&nodes);
+    result.row_nodes.push_back(std::move(nodes));
   };
-  dfs(0);
+  EnumerateJoin(JoinPlan::ForExact(q), domain, emit);
 
   if (q.has_aggregates()) {
     std::vector<double> row;
@@ -167,8 +243,29 @@ JoinResult ComputeExactJoin(
     result.rows.push_back(std::move(row));
   }
 
-  result.contributing_nodes.assign(contributors.begin(), contributors.end());
+  for (int t = 0; t < num_tables; ++t) {
+    for (size_t row = 0; row < used[t].size(); ++row) {
+      if (used[t][row]) {
+        result.contributing_nodes.push_back(per_table_tuples[t][row]->node);
+      }
+    }
+  }
+  SortUnique(&result.contributing_nodes);
   return result;
+}
+
+std::vector<char> JoinParticipants(
+    const query::AnalyzedQuery& q,
+    const std::vector<std::vector<const data::Tuple*>>& per_table_tuples,
+    int table) {
+  std::vector<char> participates(per_table_tuples[table].size(), 0);
+  size_t evaluated = 0;
+  ExactDomain domain(q, per_table_tuples, &evaluated);
+  EnumerateJoin(JoinPlan::ForExact(q), domain,
+                [&](const std::vector<uint32_t>& rows) {
+                  participates[rows[table]] = 1;
+                });
+  return participates;
 }
 
 }  // namespace sensjoin::join

@@ -18,6 +18,8 @@ struct JoinResult {
 
   /// Number of tuple combinations satisfying all predicates.
   size_t matched_combinations = 0;
+  /// Join-predicate evaluations over (partial) tuple combinations.
+  size_t combinations_evaluated = 0;
 
   /// Distinct nodes contributing a tuple to some matching combination
   /// (sorted). |contributing_nodes| / network size is the paper's "fraction
@@ -36,10 +38,20 @@ struct JoinResult {
 /// query's join predicates, SELECT list and aggregates. `per_table_tuples`
 /// holds, for each FROM entry, the candidate tuples of that table's
 /// relation (full schema width; selections are assumed already applied).
-/// Borrowed pointers must outlive the call.
+/// Borrowed pointers must outlive the call. Rows and aggregate folds follow
+/// nested-loop order over the FROM list; the enumeration probes sorted value
+/// indexes where the predicates allow (JoinPlan::ForExact, join_plan.h).
 JoinResult ComputeExactJoin(
     const query::AnalyzedQuery& q,
     const std::vector<std::vector<const data::Tuple*>>& per_table_tuples);
+
+/// Flags the candidates of FROM entry `table` (per_table_tuples[table], in
+/// list order) that take part in at least one combination satisfying every
+/// join predicate — the semi-join's partner test.
+std::vector<char> JoinParticipants(
+    const query::AnalyzedQuery& q,
+    const std::vector<std::vector<const data::Tuple*>>& per_table_tuples,
+    int table);
 
 }  // namespace sensjoin::join
 

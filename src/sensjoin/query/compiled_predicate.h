@@ -10,7 +10,7 @@
 namespace sensjoin::query {
 
 /// A join predicate compiled to a flat postfix program over intervals. The
-/// indexed filter join evaluates every surviving candidate combination
+/// filter join evaluates every surviving candidate combination
 /// against the full predicate; doing that through the Expr tree pays
 /// recursion, virtual context dispatch and a string compare per function
 /// node on the hottest path of the base-station join. The compiled form

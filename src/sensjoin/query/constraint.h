@@ -12,9 +12,9 @@ namespace sensjoin::query {
 
 /// A compiled, conservative bound on one attribute of one table, derived
 /// from a join predicate by inverting the expression tree toward a single
-/// attribute reference of the "probe" table. The base station's indexed
-/// filter join uses these to restrict the candidate keys probed at each
-/// nesting level to a contiguous range of a sorted per-dimension index.
+/// attribute reference of the "probe" table. The base station's filter and
+/// exact joins use these to restrict the candidates probed at each nesting
+/// level to a contiguous range of a sorted per-attribute index.
 ///
 /// Soundness contract (what makes index pruning bit-exact): for any interval
 /// assignment of the *other* tables supplied via `ctx`,
@@ -25,7 +25,7 @@ namespace sensjoin::query {
 /// where ctx' extends ctx with any interval for the probe attribute. The
 /// implication is with respect to EvalTri's actual (outward-conservative)
 /// interval arithmetic, not ideal real semantics, so a key skipped by the
-/// range is guaranteed to be one the naive nested-loop join would have
+/// range is guaranteed to be one an exhaustive nested-loop join would have
 /// rejected at this predicate. The range may be wider than necessary; the
 /// caller re-evaluates the predicate on every surviving candidate.
 ///

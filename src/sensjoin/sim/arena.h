@@ -1,8 +1,10 @@
 #ifndef SENSJOIN_SIM_ARENA_H_
 #define SENSJOIN_SIM_ARENA_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <new>
 #include <utility>
@@ -69,11 +71,27 @@ class Arena {
 /// A typed free-list pool over an Arena. Create/Destroy recycle fixed-size
 /// slots: the first wave of Creates bump-allocates from the arena, and once
 /// the population stabilizes every Create is a free-list pop — no heap
-/// traffic, no per-object malloc metadata.
+/// traffic, no per-object malloc metadata. Objects still alive when the
+/// pool is destroyed are destroyed with it (e.g. the payloads of deliveries
+/// pending when a Simulator goes away); the pool must not outlive its arena.
 template <typename T>
 class ArenaPool {
  public:
   explicit ArenaPool(Arena* arena) : arena_(arena) {}
+
+  ArenaPool(const ArenaPool&) = delete;
+  ArenaPool& operator=(const ArenaPool&) = delete;
+
+  ~ArenaPool() {
+    if (live_ == 0) return;
+    const std::less<T*> before;
+    std::sort(free_.begin(), free_.end(), before);
+    for (T* slot : slots_) {
+      if (!std::binary_search(free_.begin(), free_.end(), slot, before)) {
+        slot->~T();
+      }
+    }
+  }
 
   template <typename... Args>
   T* Create(Args&&... args) {
@@ -83,7 +101,9 @@ class ArenaPool {
       free_.pop_back();
       return ::new (static_cast<void*>(slot)) T(std::forward<Args>(args)...);
     }
-    return arena_->New<T>(std::forward<Args>(args)...);
+    T* slot = arena_->New<T>(std::forward<Args>(args)...);
+    slots_.push_back(slot);
+    return slot;
   }
 
   void Destroy(T* p) {
@@ -99,6 +119,7 @@ class ArenaPool {
 
  private:
   Arena* arena_;
+  std::vector<T*> slots_;  ///< every slot ever carved from the arena
   std::vector<T*> free_;
   size_t live_ = 0;
 };

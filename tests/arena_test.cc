@@ -127,5 +127,23 @@ TEST(ArenaPoolTest, SteadyStateChurnsWithoutArenaGrowth) {
   EXPECT_EQ(Tracked::live, 0);
 }
 
+TEST(ArenaPoolTest, DestroysLiveObjectsWithThePool) {
+  Arena arena;
+  {
+    ArenaPool<Tracked> pool(&arena);
+    Tracked* a = pool.Create(1);
+    Tracked* b = pool.Create(2);
+    pool.Create(3);
+    pool.Destroy(a);
+    pool.Create(4);  // reuses a's slot
+    pool.Destroy(b);
+    EXPECT_EQ(Tracked::live, 2);
+    EXPECT_EQ(pool.live(), 2u);
+  }
+  // The two live objects are destroyed with the pool; b's parked slot is
+  // not destroyed a second time.
+  EXPECT_EQ(Tracked::live, 0);
+}
+
 }  // namespace
 }  // namespace sensjoin::sim

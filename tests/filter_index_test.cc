@@ -1,5 +1,5 @@
-#include "sensjoin/join/filter_index.h"
-
+#include <algorithm>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -9,6 +9,8 @@
 #include "sensjoin/data/schema.h"
 #include "sensjoin/join/join_attr_codec.h"
 #include "sensjoin/join/join_filter.h"
+#include "sensjoin/join/join_plan.h"
+#include "sensjoin/query/interval_eval.h"
 #include "sensjoin/query/query.h"
 
 namespace sensjoin::join {
@@ -65,80 +67,134 @@ PointSet RandomCollected(const JoinAttrCodec& codec, int n, int num_relations,
   return out;
 }
 
-// The core property: the indexed engine must agree with the exhaustive DFS
-// bit for bit — same filter keys and same number of matching combinations —
-// on every query it accelerates. Index probes may only shrink
-// combinations_evaluated.
-void ExpectEquivalent(const query::AnalyzedQuery& q, const JoinAttrCodec& codec,
-                      const PointSet& collected, const std::string& label) {
-  const FilterJoinResult naive =
-      ComputeJoinFilter(q, codec, collected, FilterJoinStrategy::kNaive);
-  const FilterJoinResult indexed =
-      ComputeJoinFilter(q, codec, collected, FilterJoinStrategy::kIndexed);
-  EXPECT_EQ(naive.filter.keys(), indexed.filter.keys()) << label;
-  EXPECT_EQ(naive.combinations_matched, indexed.combinations_matched) << label;
-  EXPECT_LE(indexed.combinations_evaluated, naive.combinations_evaluated)
-      << label;
-  const FilterJoinResult aut =
-      ComputeJoinFilter(q, codec, collected, FilterJoinStrategy::kAuto);
-  EXPECT_EQ(naive.filter.keys(), aut.filter.keys()) << label;
-  EXPECT_EQ(naive.combinations_matched, aut.combinations_matched) << label;
+// Exhaustive reference: a nested loop over the eligible keys of each table
+// in FROM order that evaluates each join predicate with the tree
+// interpreter once its last table is assigned. A key is eligible for a table
+// iff its flags include the table's relation.
+struct Reference {
+  std::vector<uint64_t> filter;
+  size_t matched = 0;
+  size_t evaluated = 0;
+};
+
+Reference ExhaustiveFilter(const query::AnalyzedQuery& q,
+                           const JoinAttrCodec& codec,
+                           const PointSet& collected) {
+  const std::vector<uint64_t>& keys = collected.keys();
+  const Quantizer& quant = codec.quantizer();
+  std::vector<std::vector<query::Interval>> rows;
+  for (uint64_t key : keys) {
+    std::vector<query::Interval> row(q.schema().num_attributes());
+    const std::vector<query::Interval> cell = codec.KeyIntervals(key);
+    for (int d = 0; d < quant.num_dims(); ++d) {
+      row[quant.dim(d).attr_index] = cell[d];
+    }
+    rows.push_back(std::move(row));
+  }
+  const int num_tables = q.num_tables();
+  std::vector<std::vector<const query::Expr*>> preds_at(num_tables);
+  for (const auto& p : q.join_predicates()) {
+    std::set<int> tables;
+    p->CollectTableIndices(&tables);
+    preds_at[*tables.rbegin()].push_back(p.get());
+  }
+  const std::vector<int> rel_bits = TableRelationBits(q);
+  std::vector<size_t> picked(num_tables, 0);
+  std::vector<const std::vector<query::Interval>*> assignment(num_tables);
+  std::vector<char> matched(keys.size(), 0);
+  Reference ref;
+  auto visit = [&](auto&& self, int t) -> void {
+    if (t == num_tables) {
+      ++ref.matched;
+      for (size_t k : picked) matched[k] = 1;
+      return;
+    }
+    for (size_t k = 0; k < keys.size(); ++k) {
+      if (codec.flag_bits() != 0 &&
+          !((codec.KeyFlags(keys[k]) >> rel_bits[t]) & 1)) {
+        continue;
+      }
+      picked[t] = k;
+      assignment[t] = &rows[k];
+      const query::RowIntervalContext ctx(assignment);
+      bool alive = true;
+      for (const query::Expr* p : preds_at[t]) {
+        ++ref.evaluated;
+        if (query::EvalTri(*p, ctx) == query::Tri::kFalse) {
+          alive = false;
+          break;
+        }
+      }
+      if (alive) self(self, t + 1);
+    }
+  };
+  visit(visit, 0);
+  for (size_t k = 0; k < keys.size(); ++k) {
+    if (matched[k]) ref.filter.push_back(keys[k]);
+  }
+  return ref;
 }
 
-TEST(FilterIndexTest, BandJoinMatchesNaive) {
+// The core property: the planned, index-probing enumeration agrees with the
+// exhaustive reference bit for bit — same filter keys and same number of
+// matching combinations — and probe windows only ever save evaluations.
+FilterJoinResult ExpectEquivalent(const query::AnalyzedQuery& q,
+                                  const JoinAttrCodec& codec,
+                                  const PointSet& collected,
+                                  const std::string& label) {
+  const Reference ref = ExhaustiveFilter(q, codec, collected);
+  FilterJoinResult r = ComputeJoinFilter(q, codec, collected);
+  EXPECT_EQ(ref.filter, r.filter.keys()) << label;
+  EXPECT_EQ(ref.matched, r.combinations_matched) << label;
+  EXPECT_LE(r.combinations_evaluated, ref.evaluated) << label;
+  return r;
+}
+
+TEST(FilterIndexTest, BandJoinMatchesExhaustive) {
   const auto q = MustAnalyze(
       "SELECT A.hum, B.hum FROM s A, s B "
       "WHERE |A.temp - B.temp| < 0.9 ONCE");
   const JoinAttrCodec codec = MakeCodec(1);
   Rng rng(11);
   const PointSet collected = RandomCollected(codec, 80, 1, &rng);
-  const FilterJoinResult indexed =
-      ComputeJoinFilter(q, codec, collected, FilterJoinStrategy::kIndexed);
-  EXPECT_TRUE(indexed.used_index);
-  EXPECT_GT(indexed.constraints_extracted, 0u);
-  EXPECT_GT(indexed.index_probes, 0u);
-  ExpectEquivalent(q, codec, collected, "band");
+  EXPECT_GT(JoinPlan::ForFilter(q, codec).num_constraints(), 0);
+  const FilterJoinResult r = ExpectEquivalent(q, codec, collected, "band");
+  EXPECT_GT(r.index_probes, 0u);
+  // The probe skips most of the 80 x 80 pairs.
+  EXPECT_LT(r.combinations_evaluated, 80u * 80u / 4);
 }
 
-TEST(FilterIndexTest, DistanceJoinMatchesNaive) {
+TEST(FilterIndexTest, DistanceJoinMatchesExhaustive) {
   const auto q = MustAnalyze(
       "SELECT A.hum, B.hum FROM s A, s B "
       "WHERE distance(A.x, A.y, B.x, B.y) < 60 ONCE");
   const JoinAttrCodec codec = MakeCodec(1);
   Rng rng(12);
   const PointSet collected = RandomCollected(codec, 80, 1, &rng);
-  const FilterJoinResult indexed =
-      ComputeJoinFilter(q, codec, collected, FilterJoinStrategy::kIndexed);
-  EXPECT_TRUE(indexed.used_index);
-  ExpectEquivalent(q, codec, collected, "distance");
+  EXPECT_TRUE(JoinPlan::ForFilter(q, codec).num_constraints() > 0);
+  const FilterJoinResult r = ExpectEquivalent(q, codec, collected, "distance");
+  EXPECT_GT(r.index_probes, 0u);
 }
 
-TEST(FilterIndexTest, NoExtractableConstraintFallsBackToNaive) {
-  // != never yields a range; the planner must extract nothing, kAuto must
-  // take the naive engine, and a forced indexed run must still agree.
+TEST(FilterIndexTest, NoExtractableConstraintEnumeratesEverything) {
+  // != never yields a range: the planner extracts nothing and every pair
+  // of eligible keys is evaluated.
   const auto q = MustAnalyze(
       "SELECT A.hum FROM s A, s B WHERE A.temp != B.temp ONCE");
   const JoinAttrCodec codec = MakeCodec(1);
-  const FilterJoinPlan plan(q, codec);
-  EXPECT_FALSE(plan.has_probes());
-  EXPECT_EQ(plan.num_constraints(), 0);
+  EXPECT_EQ(JoinPlan::ForFilter(q, codec).num_constraints(), 0);
 
   Rng rng(13);
   const PointSet collected = RandomCollected(codec, 50, 1, &rng);
-  const FilterJoinResult aut =
-      ComputeJoinFilter(q, codec, collected, FilterJoinStrategy::kAuto);
-  EXPECT_FALSE(aut.used_index);
-  const FilterJoinResult indexed =
-      ComputeJoinFilter(q, codec, collected, FilterJoinStrategy::kIndexed);
-  EXPECT_FALSE(indexed.used_index);
-  EXPECT_EQ(aut.filter.keys(), indexed.filter.keys());
-  EXPECT_EQ(aut.combinations_matched, indexed.combinations_matched);
+  const FilterJoinResult r = ExpectEquivalent(q, codec, collected, "!=");
+  EXPECT_EQ(r.index_probes, 0u);
+  EXPECT_EQ(r.combinations_evaluated, collected.size() * collected.size());
 }
 
-TEST(FilterIndexTest, RandomizedQueriesMatchNaive) {
+TEST(FilterIndexTest, RandomizedQueriesMatchExhaustive) {
   // Property: over randomized multi-relation queries mixing band, distance,
-  // equality, shifted-difference and unextractable predicates, the indexed
-  // engine is bit-identical to the exhaustive DFS.
+  // equality, shifted-difference and unextractable predicates, the planned
+  // enumeration is bit-identical to the exhaustive reference.
   const std::vector<std::string> pair_preds = {
       "|$L.temp - $R.temp| < 0.9",
       "|$L.temp - $R.temp| < 2.5",
@@ -190,7 +246,7 @@ TEST(FilterIndexTest, RandomizedQueriesMatchNaive) {
         "SELECT A.hum FROM " + from + " WHERE " + where + " ONCE";
     const auto q = MustAnalyze(sql);
     const JoinAttrCodec codec = MakeCodec(self_join ? 1 : num_tables);
-    // Keep 3-way joins small; the naive engine is cubic.
+    // Keep 3-way joins small; the reference is cubic.
     const int n = num_tables == 3 ? 30 : 70;
     const PointSet collected =
         RandomCollected(codec, n, self_join ? 1 : num_tables, &rng);
@@ -204,9 +260,8 @@ TEST(FilterIndexTest, PlanOrdersTablesAndExtractsConstraints) {
       "WHERE |A.temp - B.temp| < 0.5 "
       "AND distance(B.x, B.y, C.x, C.y) < 60 ONCE");
   const JoinAttrCodec codec = MakeCodec(1);
-  const FilterJoinPlan plan(q, codec);
+  const JoinPlan plan = JoinPlan::ForFilter(q, codec);
   ASSERT_EQ(plan.levels().size(), 3u);
-  EXPECT_TRUE(plan.has_probes());
   // The temp band gives one probe; the distance predicate gives a box (two
   // probes) once both of its tables are placed.
   EXPECT_GE(plan.num_constraints(), 2);
@@ -216,6 +271,92 @@ TEST(FilterIndexTest, PlanOrdersTablesAndExtractsConstraints) {
   EXPECT_EQ(preds, 2u);
   // Level 0 never has probes (nothing to probe against yet).
   EXPECT_TRUE(plan.levels()[0].probes.empty());
+}
+
+TEST(FilterIndexTest, ExactPlanKeepsFromOrderAndProbesAnyAttribute) {
+  // hum is not a quantizer dimension: the filter plan cannot probe it, the
+  // exact plan can.
+  const auto q = MustAnalyze(
+      "SELECT A.hum FROM s A, s B, s C "
+      "WHERE |B.temp - C.temp| < 0.5 AND A.hum < B.hum ONCE");
+  const JoinAttrCodec codec = MakeCodec(1);
+  const JoinPlan exact = JoinPlan::ForExact(q);
+  ASSERT_EQ(exact.levels().size(), 3u);
+  for (int l = 0; l < 3; ++l) EXPECT_EQ(exact.levels()[l].table, l);
+  EXPECT_EQ(exact.num_constraints(), 2);  // B.hum at level 1, C.temp at 2
+  EXPECT_EQ(JoinPlan::ForFilter(q, codec).num_constraints(), 1);
+}
+
+// IncrementalJoinFilter must produce exactly the from-scratch filter after
+// every epoch's edit, whichever maintenance path it takes.
+TEST(IncrementalJoinFilterTest, RandomEditsMatchFromScratch) {
+  const std::vector<std::pair<std::string, int>> queries = {
+      {"SELECT A.hum FROM s A, s B WHERE |A.temp - B.temp| < 0.4", 1},
+      {"SELECT A.hum FROM s A, s B "
+       "WHERE distance(A.x, A.y, B.x, B.y) < 25 AND A.temp > B.temp", 1},
+      {"SELECT A.hum FROM hot A, cold B WHERE A.temp - B.temp > 20", 2},
+      {"SELECT A.hum FROM s A, s B, s C "
+       "WHERE |A.temp - B.temp| < 0.3 AND distance(B.x, B.y, C.x, C.y) < 20",
+       1},
+      {"SELECT A.hum FROM r0 A, r1 B, r2 C "
+       "WHERE A.temp != B.temp AND |B.temp - C.temp| < 0.5 "
+       "AND C.x + 2 * A.x < 120",
+       3},
+  };
+  Rng rng(31);
+  for (const auto& [where, num_relations] : queries) {
+    const auto q = MustAnalyze(where + " ONCE");
+    const JoinAttrCodec codec = MakeCodec(num_relations);
+    const std::vector<uint64_t> universe =
+        RandomCollected(codec, 160, num_relations, &rng).keys();
+    std::vector<char> present(universe.size(), 0);
+    for (char& p : present) p = rng.NextBool(0.5) ? 1 : 0;
+
+    IncrementalJoinFilter cache;
+    std::vector<uint64_t> added;
+    std::vector<uint64_t> removed;
+    for (int step = 0; step < 60; ++step) {
+      if (step % 5 == 4) {
+        // Only keys outside the current filter leave: nothing to recompute.
+        for (size_t i = 0; i < universe.size() && removed.size() < 3; ++i) {
+          if (present[i] && !cache.last().filter.Contains(universe[i]) &&
+              rng.NextBool(0.3)) {
+            present[i] = 0;
+            removed.push_back(universe[i]);
+          }
+        }
+      } else if (step % 5 != 0) {
+        const int edits = static_cast<int>(rng.UniformInt(1, 4));
+        for (int e = 0; e < edits; ++e) {
+          const size_t i = rng.UniformInt(0, universe.size() - 1);
+          present[i] = !present[i];
+          auto& list = present[i] ? added : removed;
+          auto& other = present[i] ? removed : added;
+          const auto it = std::find(other.begin(), other.end(), universe[i]);
+          if (it != other.end()) {
+            other.erase(it);  // toggled back within the step
+          } else {
+            list.push_back(universe[i]);
+          }
+        }
+      }
+      std::vector<uint64_t> keys;
+      for (size_t i = 0; i < universe.size(); ++i) {
+        if (present[i]) keys.push_back(universe[i]);
+      }
+      const PointSet collected = PointSet::FromKeys(codec.layout(), keys);
+      const FilterJoinResult& got =
+          cache.Update(q, codec, collected, added, removed);
+      const FilterJoinResult want = ComputeJoinFilter(q, codec, collected);
+      ASSERT_EQ(want.filter.keys(), got.filter.keys())
+          << where << " at step " << step;
+      added.clear();
+      removed.clear();
+    }
+    EXPECT_GT(cache.reuses(), 0u) << where;
+    EXPECT_GT(cache.incremental_updates(), 0u) << where;
+    EXPECT_GT(cache.full_recomputes(), 0u) << where;
+  }
 }
 
 }  // namespace
