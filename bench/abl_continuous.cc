@@ -4,7 +4,8 @@
 // steady-state collection cost drops well below the snapshot executor's,
 // while filter/final costs track the (stable) result size.
 //
-// The delta executor carries state from epoch to epoch, so it stays a
+// The continuous query runs as the only query of a JoinService (the
+// service's delta engine carries state from epoch to epoch), so it stays a
 // sequential loop on the main thread. The per-epoch snapshot references
 // are independent, so they run as ParallelRunner trials on per-trial
 // testbeds, byte-identical to a sequential run.
@@ -14,8 +15,8 @@
 #include <iostream>
 #include <vector>
 
-#include "sensjoin/join/continuous.h"
 #include "sensjoin/sensjoin.h"
+#include "sensjoin/testbed/service_harness.h"
 #include "util/calibration.h"
 #include "util/table.h"
 #include "util/tracing.h"
@@ -40,9 +41,6 @@ void Main(uint64_t seed, int threads, bool use_treecut) {
   const Calibration cal = CalibrateFraction(
       *tb, [](double d) { return RatioQueryOneJoinAttr(3, d); }, 0.0, 25.0,
       0.05, /*increasing=*/false, /*epoch=*/0, /*iterations=*/22, &runner);
-  auto q = tb->ParseQuery(cal.sql);
-  SENSJOIN_CHECK(q.ok());
-
   // Continuous mode supports Treecut (frozen at the bootstrap boundary;
   // exited nodes re-ship changed tuples to their proxy). Default off so the
   // headline rows isolate the delta-collection effect; --treecut quantifies
@@ -63,24 +61,29 @@ void Main(uint64_t seed, int threads, bool use_treecut) {
       });
   SENSJOIN_CHECK(snapshots.ok()) << snapshots.status();
 
-  join::ContinuousSensJoinExecutor continuous(
-      tb->simulator(), tb->tree(), tb->data(), tb->quantization(), config);
+  service::ServiceConfig service_config;
+  service_config.protocol = config;
+  service::JoinService continuous = testbed::MakeService(*tb, service_config);
+  const StatusOr<service::QueryId> id = continuous.Register(cal.sql);
+  SENSJOIN_CHECK(id.ok()) << id.status();
 
   TablePrinter table({"epoch", "changed nodes", "delta collection", "filter",
                       "final", "total", "snapshot total"});
   for (uint64_t epoch = 0; epoch < kEpochs; ++epoch) {
-    auto delta = continuous.ExecuteEpoch(*q, epoch);
-    SENSJOIN_CHECK(delta.ok()) << delta.status();
+    const auto epoch_report = continuous.RunEpoch();
+    SENSJOIN_CHECK(epoch_report.ok()) << epoch_report.status();
+    const join::ExecutionReport& delta =
+        (*continuous.registry().Get(*id))->reports.back();
     const Snapshot& snapshot = (*snapshots)[epoch];
-    SENSJOIN_CHECK(delta->result.matched_combinations ==
+    SENSJOIN_CHECK(delta.result.matched_combinations ==
                    snapshot.matched_combinations)
         << "delta and snapshot executions disagree";
     table.AddRow({epoch == 0 ? "0 (bootstrap)" : Fmt(epoch),
-                  Fmt(delta->delta_changed_nodes),
-                  Fmt(delta->cost.phases.collection_packets),
-                  Fmt(delta->cost.phases.filter_packets),
-                  Fmt(delta->cost.phases.final_packets),
-                  Fmt(delta->cost.join_packets),
+                  Fmt(delta.delta_changed_nodes),
+                  Fmt(delta.cost.phases.collection_packets),
+                  Fmt(delta.cost.phases.filter_packets),
+                  Fmt(delta.cost.phases.final_packets),
+                  Fmt(delta.cost.join_packets),
                   Fmt(snapshot.join_packets)});
   }
   table.Print(std::cout);

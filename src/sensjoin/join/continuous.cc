@@ -2,13 +2,10 @@
 
 #include <algorithm>
 #include <iterator>
-#include <set>
 #include <utility>
 
 #include "sensjoin/common/logging.h"
 #include "sensjoin/join/representation.h"
-#include "sensjoin/join/result.h"
-#include "sensjoin/join/stats.h"
 #include "sensjoin/obs/trace.h"
 
 namespace sensjoin::join {
@@ -57,15 +54,6 @@ PointSet SetView(const std::map<uint64_t, int>& counts,
     if (count > 0) keys.push_back(key);
   }
   return PointSet::FromKeys(codec.layout(), std::move(keys));
-}
-
-std::vector<int> QueryJoinAttrIndices(const query::AnalyzedQuery& q) {
-  std::set<int> attrs;
-  for (int t = 0; t < q.num_tables(); ++t) {
-    attrs.insert(q.table(t).join_attr_indices.begin(),
-                 q.table(t).join_attr_indices.end());
-  }
-  return std::vector<int>(attrs.begin(), attrs.end());
 }
 
 }  // namespace
@@ -151,7 +139,7 @@ Status DeltaGroupExecutor::Collect(const net::RoutingTree& tree,
     proxy_of_.assign(n, sim::kInvalidNode);
     proxied_at_.assign(n, {});
     stored_tuple_.assign(n, std::nullopt);
-    const std::vector<int> boot_dims = QueryJoinAttrIndices(q);
+    const std::vector<int> boot_dims = q.JoinAttrIndices();
     SENSJOIN_ASSIGN_OR_RETURN(
         Quantizer quantizer,
         Quantizer::FromConfig(q.schema(), boot_dims, quantization_));
@@ -160,7 +148,7 @@ Status DeltaGroupExecutor::Collect(const net::RoutingTree& tree,
     out->bootstrap = true;
   }
   const JoinAttrCodec& codec = *codec_;
-  const std::vector<int> dims = QueryJoinAttrIndices(q);
+  const std::vector<int> dims = q.JoinAttrIndices();
   const bool bootstrap = out->bootstrap;
 
   // New keys for this epoch.
@@ -480,71 +468,6 @@ Status DeltaGroupExecutor::DisseminateAndFinalize(const PointSet& filter,
   }
   sim_.events().Run();
   return Status::Ok();
-}
-
-ContinuousSensJoinExecutor::ContinuousSensJoinExecutor(
-    sim::Simulator& sim, net::RoutingTree tree, const data::NetworkData& data,
-    QuantizationConfig quantization, ProtocolConfig config)
-    : sim_(sim),
-      tree_(std::move(tree)),
-      config_(config),
-      engine_(sim, data, std::move(quantization), config) {}
-
-StatusOr<ExecutionReport> ContinuousSensJoinExecutor::ExecuteEpoch(
-    const query::AnalyzedQuery& q, uint64_t epoch) {
-  if (q.num_tables() < 2) {
-    return Status::InvalidArgument(
-        "SENS-Join requires at least two relations in FROM");
-  }
-  if (config_.use_treecut &&
-      config_.dmax_bytes >= sim_.packet_params().max_packet_bytes) {
-    return Status::InvalidArgument(
-        "Dmax must be below the maximum packet size (Sec. IV-E)");
-  }
-  for (int attempt = 0; attempt <= config_.max_retries; ++attempt) {
-    ExecutionReport report;
-    report.attempts = attempt + 1;
-    const StatsSnapshot snapshot(sim_);
-    const double start_time = sim_.now();
-
-    DeltaGroupExecutor::CollectOutcome collected;
-    SENSJOIN_RETURN_IF_ERROR(engine_.Collect(tree_, q, epoch, &collected));
-    bool failed = collected.failed;
-    if (!failed) {
-      const PointSet collected_set = engine_.CollectedSet();
-      const FilterJoinResult& filter_result =
-          filter_.Update(q, *engine_.codec(), collected_set, collected.added,
-                         collected.removed);
-      report.collected_points = collected_set.size();
-      report.filter_points = filter_result.filter.size();
-      report.delta_changed_nodes = collected.changed_nodes;
-      report.delta_resyncs = collected.resyncs;
-      report.treecut_exited_nodes = collected.treecut_exited;
-
-      DeltaGroupExecutor::FinalOutcome fin;
-      SENSJOIN_RETURN_IF_ERROR(
-          engine_.DisseminateAndFinalize(filter_result.filter, &fin));
-      report.delta_resyncs += fin.resyncs;
-      failed = fin.failed;
-      if (!failed) {
-        report.final_tuples_shipped = fin.final_tuples_shipped;
-        report.candidate_tuples = fin.candidates.size();
-        report.result = ComputeExactJoin(
-            q, engine_.context()->PerTableCandidates(fin.candidates));
-        report.success = true;
-        report.cost = snapshot.DeltaTo(sim_);
-        report.response_time_s = sim_.now() - start_time;
-        return report;
-      }
-    }
-    // Topology changed mid-execution: the distributed state no longer
-    // matches the tree. Repair and bootstrap (a full collection).
-    tree_ = net::RoutingTree::Build(sim_, tree_.root());
-    engine_.Reset();
-    filter_.Reset();
-  }
-  return Status::ResourceExhausted(
-      "continuous SENS-Join failed after retries");
 }
 
 }  // namespace sensjoin::join

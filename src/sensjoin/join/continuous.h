@@ -10,10 +10,8 @@
 #include "sensjoin/common/statusor.h"
 #include "sensjoin/data/network_data.h"
 #include "sensjoin/data/tuple.h"
-#include "sensjoin/join/execution_report.h"
 #include "sensjoin/join/executor_context.h"
 #include "sensjoin/join/join_attr_codec.h"
-#include "sensjoin/join/join_filter.h"
 #include "sensjoin/join/point_set.h"
 #include "sensjoin/join/protocol.h"
 #include "sensjoin/join/quantizer.h"
@@ -159,33 +157,6 @@ class DeltaGroupExecutor {
   /// Last tuple content each exited owner shipped (tracks the proxy's
   /// store; nullopt = no tuple / tombstoned).
   std::vector<std::optional<data::Tuple>> stored_tuple_;
-};
-
-/// Continuous-query variant of SENS-Join: single-query wrapper around
-/// DeltaGroupExecutor with incremental filter maintenance at the base
-/// station. The first ExecuteEpoch call (and any call after a topology
-/// repair) bootstraps the distributed state, which is exactly a full
-/// collection.
-class ContinuousSensJoinExecutor {
- public:
-  ContinuousSensJoinExecutor(sim::Simulator& sim, net::RoutingTree tree,
-                             const data::NetworkData& data,
-                             QuantizationConfig quantization,
-                             ProtocolConfig config = ProtocolConfig{});
-
-  /// Executes one period over snapshot `epoch`.
-  StatusOr<ExecutionReport> ExecuteEpoch(const query::AnalyzedQuery& q,
-                                         uint64_t epoch);
-
-  const net::RoutingTree& tree() const { return tree_; }
-  bool bootstrapped() const { return engine_.bootstrapped(); }
-
- private:
-  sim::Simulator& sim_;
-  net::RoutingTree tree_;
-  ProtocolConfig config_;
-  DeltaGroupExecutor engine_;
-  IncrementalJoinFilter filter_;
 };
 
 }  // namespace sensjoin::join

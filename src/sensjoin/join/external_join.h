@@ -5,7 +5,6 @@
 
 #include "sensjoin/common/statusor.h"
 #include "sensjoin/data/network_data.h"
-#include "sensjoin/join/delivery_guard.h"
 #include "sensjoin/join/execution_report.h"
 #include "sensjoin/join/protocol.h"
 #include "sensjoin/net/routing_tree.h"
@@ -13,6 +12,8 @@
 #include "sensjoin/sim/simulator.h"
 
 namespace sensjoin::join {
+
+class FaultLadder;
 
 /// The state-of-the-art general-purpose baseline (Sec. I, VI): every node
 /// ships its (projected, selection-filtered) tuple to the base station
@@ -36,11 +37,10 @@ class ExternalJoinExecutor {
   const net::RoutingTree& tree() const { return tree_; }
 
  private:
-  /// One attempt; returns false on a link failure mid-execution. `guard`
-  /// stamps every unicast and classifies its deliveries (exactly-once
-  /// semantics; see delivery_guard.h).
+  /// One attempt over `ladder` (fault_ladder.h); false on a persistent
+  /// failure mid-execution that needs a tree rebuild.
   bool ExecuteAttempt(const query::AnalyzedQuery& q, uint64_t epoch,
-                      DeliveryGuard* guard, ExecutionReport* report);
+                      FaultLadder& ladder, ExecutionReport* report);
 
   sim::Simulator& sim_;
   net::RoutingTree tree_;

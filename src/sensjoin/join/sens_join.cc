@@ -2,36 +2,19 @@
 
 #include <algorithm>
 #include <optional>
-#include <set>
 #include <utility>
 #include <vector>
 
 #include "sensjoin/common/logging.h"
 #include "sensjoin/data/tuple.h"
-#include "sensjoin/net/tree_maintenance.h"
-#include "sensjoin/obs/trace.h"
 #include "sensjoin/join/executor_context.h"
+#include "sensjoin/join/fault_ladder.h"
 #include "sensjoin/join/join_attr_codec.h"
 #include "sensjoin/join/join_filter.h"
 #include "sensjoin/join/representation.h"
+#include "sensjoin/obs/trace.h"
 
 namespace sensjoin::join {
-namespace {
-
-/// Join attributes of the query: the union over all FROM entries, in schema
-/// order (Definition 1 — a join-attribute tuple projects onto the join
-/// attributes of the query; for self-joins the aliases' attributes usually
-/// coincide and are sent once, Sec. IV-B).
-std::vector<int> QueryJoinAttrIndices(const query::AnalyzedQuery& q) {
-  std::set<int> attrs;
-  for (int t = 0; t < q.num_tables(); ++t) {
-    attrs.insert(q.table(t).join_attr_indices.begin(),
-                 q.table(t).join_attr_indices.end());
-  }
-  return std::vector<int>(attrs.begin(), attrs.end());
-}
-
-}  // namespace
 
 SensJoinExecutor::SensJoinExecutor(sim::Simulator& sim, net::RoutingTree tree,
                                    const data::NetworkData& data,
@@ -53,139 +36,22 @@ StatusOr<ExecutionReport> SensJoinExecutor::Execute(
     return Status::InvalidArgument(
         "Dmax must be below the maximum packet size (Sec. IV-E)");
   }
-  size_t recovery_requests_total = 0;
-  size_t repairs_attempted_total = 0;
-  size_t repairs_succeeded_total = 0;
-  size_t watchdog_expirations_total = 0;
-  const StatsSnapshot execute_snapshot(sim_);
-
-  // Exactly-once validation: every unicast of the execution is stamped with
-  // an (attempt, per-link sequence) tag, and every queue-level delivery is
-  // fed through the guard. The canonical state application happens inline
-  // at send time (the omniscient-driver model), so the handler's verdicts
-  // drive counters and trace events, never protocol state — which is what
-  // keeps fault-free runs bit-identical to the seed.
-  DeliveryGuard guard(
-      config_.dedup_window,
-      config_.charge_tag_wire_bytes ? config_.tag_wire_bytes : 0);
-  auto previous_handler = sim_.SetReceiveHandler(
-      [this, &guard](sim::NodeId receiver, const sim::Message& msg) {
-        const DeliveryVerdict verdict = guard.Classify(receiver, msg);
-        if (verdict == DeliveryVerdict::kStale && obs::kTracingCompiledIn &&
-            sim_.tracer() != nullptr && sim_.tracer()->enabled()) {
-          sim_.tracer()->Record(obs::EventKind::kStaleDrop, sim_.now(),
-                                receiver, msg.src, msg.kind, /*count=*/1,
-                                /*bytes=*/0, /*energy_mj=*/0.0,
-                                /*detail=*/msg.tag.attempt_id);
-        }
+  const int recovery_budget =
+      config_.enable_phase_recovery ? config_.max_recovery_requests : 0;
+  return RunOneShotAttempts(
+      sim_, tree_, config_, recovery_budget, /*attempt_span=*/std::nullopt,
+      "SENS-Join failed after retries (network partitioned?)",
+      [&](FaultLadder& ladder, ExecutionReport* report) {
+        return ExecuteAttempt(q, epoch, ladder, report);
       });
-  struct HandlerRestore {
-    sim::Simulator& sim;
-    sim::Simulator::ReceiveHandler previous;
-    ~HandlerRestore() { sim.SetReceiveHandler(std::move(previous)); }
-  } handler_restore{sim_, std::move(previous_handler)};
-
-  for (int attempt = 0; attempt <= config_.max_retries; ++attempt) {
-    guard.BeginAttempt(static_cast<uint32_t>(attempt));
-    // In-flight messages captured from an aborted attempt are re-delivered
-    // now; the guard classifies them as stale (their attempt id is old).
-    sim_.ReleaseReplays();
-    ExecutionReport report;
-    report.attempts = attempt + 1;
-    const StatsSnapshot snapshot(sim_);
-    const double start_time = sim_.now();
-    bool failed = false;
-    SENSJOIN_RETURN_IF_ERROR(ExecuteAttempt(q, epoch, &guard, &report, &failed));
-    // Capture still-flying deliveries of an aborted attempt for replay
-    // before the drain delivers them normally.
-    if (failed) sim_.NotifyAttemptAbort();
-    sim_.events().Run();
-    if (!failed) {
-      report.success = true;
-      report.recovery_requests += recovery_requests_total;
-      report.repairs_attempted += repairs_attempted_total;
-      report.repairs_succeeded += repairs_succeeded_total;
-      report.watchdog_expirations += watchdog_expirations_total;
-      report.duplicate_deliveries = guard.duplicate_deliveries();
-      report.stale_messages_dropped = guard.stale_drops();
-      report.reordered_messages = guard.reordered_deliveries();
-      SENSJOIN_CHECK_EQ(guard.phantom_deliveries(), 0u)
-          << "delivery validator saw a tag that was never stamped";
-      report.cost = snapshot.DeltaTo(sim_);
-      report.total_cost = execute_snapshot.DeltaTo(sim_);
-      report.response_time_s = sim_.now() - start_time;
-      return report;
-    }
-    recovery_requests_total += report.recovery_requests;
-    repairs_attempted_total += report.repairs_attempted;
-    repairs_succeeded_total += report.repairs_succeeded;
-    watchdog_expirations_total += report.watchdog_expirations;
-    // Link failure: wait out the CTP repair window (scheduled node
-    // recoveries can fire meanwhile), let the tree protocol re-establish
-    // routes, and re-execute the query (Sec. IV-F).
-    if (config_.retry_backoff_s > 0) {
-      sim_.events().RunUntil(sim_.now() + config_.retry_backoff_s);
-    }
-    tree_ = net::RoutingTree::Build(sim_, tree_.root());
-  }
-  return Status::ResourceExhausted(
-      "SENS-Join failed after retries (network partitioned?)");
 }
 
-Status SensJoinExecutor::ExecuteAttempt(const query::AnalyzedQuery& q,
-                                        uint64_t epoch, DeliveryGuard* guard,
-                                        ExecutionReport* report,
-                                        bool* failed) {
-  *failed = false;
+StatusOr<bool> SensJoinExecutor::ExecuteAttempt(const query::AnalyzedQuery& q,
+                                                uint64_t epoch,
+                                                FaultLadder& ladder,
+                                                ExecutionReport* report) {
   const ExecutorContext ctx(data_, q, epoch);
-
-  // Hop delivery with phase-level recovery: when a send fails but both
-  // endpoints are alive and the link is up (transient loss that outlasted
-  // the ARQ budget), the receiver re-requests just the missing contribution
-  // (NACK down the hop) and the sender re-sends from stored state, a
-  // bounded number of times. Persistent failures — crashes, downed links —
-  // fall through to the full re-execution with tree rebuild.
-  //
-  // The message is stamped once, before the first send; recovery resends
-  // keep the tag (the receiver's dedup window is what makes a resend of a
-  // message that did arrive safe). A permanently failed send retracts its
-  // tag so the ordering check never waits on a delivery that cannot come.
-  auto send_with_recovery = [this, guard, report](
-                                sim::Message msg,
-                                bool* corrupted = nullptr) -> bool {
-    guard->Stamp(msg);
-    if (sim_.SendUnicast(msg, corrupted)) return true;
-    if (!config_.enable_phase_recovery) {
-      guard->Retract(msg);
-      return false;
-    }
-    for (int r = 0; r < config_.max_recovery_requests; ++r) {
-      if (!sim_.alive(msg.src) || !sim_.alive(msg.dst) ||
-          !sim_.radio().LinkUp(msg.src, msg.dst)) {
-        guard->Retract(msg);
-        return false;  // persistent: needs CTP repair
-      }
-      sim::Message rereq;
-      rereq.src = msg.dst;
-      rereq.dst = msg.src;
-      rereq.kind = sim::MessageKind::kControl;
-      rereq.payload_bytes = 4;  // names the missing contribution
-      guard->Stamp(rereq);
-      if (!sim_.SendUnicast(rereq)) guard->Retract(rereq);
-      ++report->recovery_requests;
-      if (obs::kTracingCompiledIn && sim_.tracer() != nullptr &&
-          sim_.tracer()->enabled()) {
-        sim_.tracer()->Record(obs::EventKind::kRecoveryRequest, sim_.now(),
-                              msg.dst, msg.src, msg.kind, /*count=*/1,
-                              /*bytes=*/0, /*energy_mj=*/0.0);
-      }
-      if (sim_.SendUnicast(msg, corrupted)) return true;
-    }
-    guard->Retract(msg);
-    return false;
-  };
-
-  const std::vector<int> dims = QueryJoinAttrIndices(q);
+  const std::vector<int> dims = q.JoinAttrIndices();
   SENSJOIN_ASSIGN_OR_RETURN(
       Quantizer quantizer,
       Quantizer::FromConfig(q.schema(), dims, quantization_));
@@ -227,73 +93,12 @@ Status SensJoinExecutor::ExecuteAttempt(const query::AnalyzedQuery& q,
   const sim::NodeId root = tree_.root();
   std::vector<data::Tuple> base_candidates;
 
-  // --- Self-healing machinery ---------------------------------------------
-  // Persistent hop failures escalate in order: phase watchdog (give up on a
-  // phase that overran its sim-time budget) -> in-network tree repair
-  // (re-attach the stranded subtree and re-route its buffered state) ->
-  // graceful degradation (certify the loss and finish over the reachable
-  // field). Everything here is inert under the default config, keeping
-  // fault-free runs bit-identical to the seed.
-  std::set<sim::NodeId> excluded;                // nodes whose data is lost
-  std::vector<sim::NodeId> excluded_roots;       // shallowest node per loss
-  std::vector<sim::NodeId> repaired_roots;       // re-attached orphans
   std::vector<uint64_t> union_scratch;  // recycled across per-node unions
-  std::optional<net::TreeMaintenance> maintenance;
-  if (config_.enable_tree_repair) {
-    net::TreeMaintenanceConfig mc;
-    mc.max_repair_rounds = config_.max_repair_rounds;
-    mc.round_wait_s = config_.repair_round_wait_s;
-    mc.stamp = [guard](sim::Message& m) { guard->Stamp(m); };
-    mc.retract = [guard](const sim::Message& m) { guard->Retract(m); };
-    maintenance.emplace(sim_, tree_, mc);
-  }
 
-  auto trace_on = [this] {
-    return obs::kTracingCompiledIn && sim_.tracer() != nullptr &&
-           sim_.tracer()->enabled();
-  };
-
-  auto record_exclusion = [&excluded, &excluded_roots](
-                              sim::NodeId at,
-                              const std::vector<sim::NodeId>& nodes) {
-    excluded_roots.push_back(at);
-    excluded.insert(nodes.begin(), nodes.end());
-  };
-
-  // Admission predicate handed to TreeMaintenance: a new parent must still
-  // be in the protocol (Treecut exits left it) and must not forward through
-  // a branch whose contribution was already given up on (its path would be
-  // silent for the rest of the execution).
-  auto repair_parent_ok = [&](sim::NodeId cand) {
-    if (states[cand].exited) return false;
-    for (sim::NodeId v = cand; v != root; v = tree_.parent(v)) {
-      if (excluded.count(v) != 0) return false;
-    }
-    return true;
-  };
-
-  // Phase watchdog: each phase gets a deadline scaled by tree depth; once a
-  // phase overruns it, the executor stops repairing and degrades instead of
-  // stalling in unbounded recovery loops.
-  double phase_deadline = sim::kSimTimeMax;
-  auto arm_watchdog = [&] {
-    phase_deadline = config_.enable_phase_watchdog
-                         ? sim_.now() + config_.watchdog_base_s +
-                               tree_.max_depth() * sim_.per_packet_latency_s() *
-                                   config_.watchdog_per_hop_factor
-                         : sim::kSimTimeMax;
-  };
-  auto watchdog_expired = [&](obs::Phase phase) {
-    if (sim_.now() <= phase_deadline) return false;
-    ++report->watchdog_expirations;
-    if (trace_on()) {
-      sim_.tracer()->Record(obs::EventKind::kDeadlineExpired, sim_.now(), root,
-                            sim::kInvalidNode, sim::MessageKind::kControl,
-                            /*count=*/0, /*bytes=*/0, /*energy_mj=*/0.0,
-                            /*detail=*/static_cast<uint32_t>(phase));
-    }
-    return true;
-  };
+  // A repaired orphan's new parent must still be in the protocol: Treecut
+  // exits left it.
+  const FaultLadder::ParentAcceptable in_protocol =
+      [&states](sim::NodeId cand) { return !states[cand].exited; };
 
   // With the CRC trailer disabled, a delivery can arrive with a damaged
   // payload. For the quadtree wire format the damage is materialized on the
@@ -334,7 +139,7 @@ Status SensJoinExecutor::ExecuteAttempt(const query::AnalyzedQuery& q,
 
   // ---- Phase 1a: Join-Attribute-Collection with Treecut (Fig. 2) --------
   span.emplace(sim_.tracer(), sim_.events(), obs::Phase::kJoinAttrCollection);
-  arm_watchdog();
+  ladder.ArmWatchdog();
   // Collection-turn flags: set when a node's upward send already happened.
   // Repairs mutate the tree mid-phase, so the traversal iterates a copy of
   // the order snapshot and late contributions are relayed through nodes
@@ -353,24 +158,15 @@ Status SensJoinExecutor::ExecuteAttempt(const query::AnalyzedQuery& q,
     std::vector<sim::NodeId> tuple_nodes;
     tuple_nodes.reserve(tuples.size());
     for (const data::Tuple& t : tuples) tuple_nodes.push_back(t.node);
+    // A Treecut contribution carries exactly these nodes' data; a structure
+    // send aggregates the whole subtree: everything at or below u flows
+    // through this hop.
     auto degrade = [&]() -> bool {
-      if (!config_.enable_graceful_degradation) return false;
-      if (treecut) {
-        // A Treecut contribution carries exactly these nodes' data.
-        record_exclusion(u, tuple_nodes);
-      } else {
-        // A structure send aggregates the whole subtree: everything at or
-        // below u flows through this hop.
-        record_exclusion(u, tree_.SubtreeNodes(u));
-      }
-      return true;
+      return ladder.Degrade(u, treecut ? tuple_nodes : tree_.SubtreeNodes(u));
     };
-    if (watchdog_expired(obs::Phase::kJoinAttrCollection)) return degrade();
-    if (!maintenance) return degrade();
-    ++report->repairs_attempted;
-    if (!maintenance->Repair(u, repair_parent_ok)) return degrade();
-    ++report->repairs_succeeded;
-    repaired_roots.push_back(u);
+    if (!ladder.Repair(u, obs::Phase::kJoinAttrCollection, in_protocol)) {
+      return degrade();
+    }
 
     const sim::NodeId np = tree_.parent(u);
     sim::Message msg;
@@ -381,7 +177,7 @@ Status SensJoinExecutor::ExecuteAttempt(const query::AnalyzedQuery& q,
         treecut ? tuple_bytes
                 : StructureWireBytes(points, codec, config_.representation);
     bool corrupted = false;
-    if (!send_with_recovery(msg, &corrupted)) return degrade();
+    if (!ladder.Send(msg, &corrupted)) return degrade();
     if (corrupted) {
       // Damage on the rescued hop: the contribution is lost like any other
       // corrupt delivery (not certificate-tracked; see chaos invariants).
@@ -432,7 +228,7 @@ Status SensJoinExecutor::ExecuteAttempt(const query::AnalyzedQuery& q,
       relay.payload_bytes =
           StructureWireBytes(points, codec, config_.representation);
       bool relay_corrupted = false;
-      if (!send_with_recovery(relay, &relay_corrupted)) return degrade();
+      if (!ladder.Send(relay, &relay_corrupted)) return degrade();
       if (relay_corrupted) {
         ++report->corrupted_deliveries;
         return true;
@@ -487,7 +283,7 @@ Status SensJoinExecutor::ExecuteAttempt(const query::AnalyzedQuery& q,
       msg.kind = sim::MessageKind::kCollection;
       msg.payload_bytes = full_bytes;
       bool corrupted = false;
-      if (!send_with_recovery(msg, &corrupted)) {
+      if (!ladder.Send(msg, &corrupted)) {
         // Rebuild the contribution's join-attribute keys so a successful
         // rescue can still register them with the base station's filter.
         PointSet keys = codec.EmptySet();
@@ -498,8 +294,7 @@ Status SensJoinExecutor::ExecuteAttempt(const query::AnalyzedQuery& q,
         }
         keys.InsertAll(std::move(key_list));
         if (!rescue_collection(u, keys, std::move(contribution), full_bytes)) {
-          *failed = true;
-          return Status::Ok();
+          return false;
         }
         continue;
       }
@@ -546,14 +341,11 @@ Status SensJoinExecutor::ExecuteAttempt(const query::AnalyzedQuery& q,
     msg.kind = sim::MessageKind::kCollection;
     msg.payload_bytes = StructureWireBytes(out, codec, config_.representation);
     bool corrupted = false;
-    if (!send_with_recovery(msg, &corrupted)) {
-      if (!rescue_collection(u, out, {}, 0)) {
-        *failed = true;
-        return Status::Ok();
-      }
+    if (!ladder.Send(msg, &corrupted)) {
+      if (!rescue_collection(u, out, {}, 0)) return false;
       // A degraded rescue leaves u out of the upward structure flow, so its
       // parent must not expect it as a dissemination target in step 1b.
-      if (excluded.count(u) == 0) s.sent_attrs = true;
+      if (!ladder.IsExcluded(u)) s.sent_attrs = true;
       continue;
     }
     s.sent_attrs = true;
@@ -581,7 +373,7 @@ Status SensJoinExecutor::ExecuteAttempt(const query::AnalyzedQuery& q,
 
   // ---- Phase 1b: Filter-Dissemination (Fig. 3) ---------------------------
   span.emplace(sim_.tracer(), sim_.events(), obs::Phase::kFilterDissemination);
-  arm_watchdog();
+  ladder.ArmWatchdog();
   states[root].filter = filter_result.filter;
   states[root].got_filter = true;
   // No in-network repair in this phase: a re-attached child would need its
@@ -631,8 +423,8 @@ Status SensJoinExecutor::ExecuteAttempt(const query::AnalyzedQuery& q,
       }
       if (!have) {
         if (config_.enable_graceful_degradation &&
-            watchdog_expired(obs::Phase::kFilterDissemination)) {
-          record_exclusion(c, tree_.SubtreeNodes(c));
+            ladder.WatchdogExpired(obs::Phase::kFilterDissemination)) {
+          ladder.Degrade(c, tree_.SubtreeNodes(c));
           continue;
         }
         // Detected subtree loss: the child missed the filter broadcast.
@@ -645,15 +437,11 @@ Status SensJoinExecutor::ExecuteAttempt(const query::AnalyzedQuery& q,
         resend.payload_bytes = msg.payload_bytes;
         bool corrupted = false;
         if (!config_.enable_phase_recovery ||
-            !send_with_recovery(resend, &corrupted)) {
-          if (config_.enable_graceful_degradation) {
-            // The filter cannot reach c: its subtree ships nothing in the
-            // final phase, so certify the whole branch as excluded.
-            record_exclusion(c, tree_.SubtreeNodes(c));
-            continue;
-          }
-          *failed = true;
-          return Status::Ok();
+            !ladder.Send(resend, &corrupted)) {
+          // The filter cannot reach c: its subtree ships nothing in the
+          // final phase, so certify the whole branch as excluded.
+          if (ladder.Degrade(c, tree_.SubtreeNodes(c))) continue;
+          return false;
         }
         child_filter = forward;
         if (corrupted) {
@@ -674,58 +462,9 @@ Status SensJoinExecutor::ExecuteAttempt(const query::AnalyzedQuery& q,
 
   // ---- Phase 2: Final-Result-Computation ---------------------------------
   span.emplace(sim_.tracer(), sim_.events(), obs::Phase::kFinalResult);
-  arm_watchdog();
+  ladder.ArmWatchdog();
   std::vector<std::vector<data::Tuple>> pending_final(n);
   std::vector<char> done2(n, 0);
-
-  // Escalation for a persistent upward kFinal failure at `u`: repair the
-  // tree and re-route the contribution, relaying it hop by hop through
-  // already-processed ancestors until a node whose turn is still to come
-  // buffers it (the relay path cannot contain Treecut-exited nodes: a
-  // non-exited node never has an exited ancestor). Returns false only when
-  // the attempt must abort.
-  auto rescue_final = [&](sim::NodeId u, std::vector<data::Tuple> contribution,
-                          size_t payload) -> bool {
-    std::vector<sim::NodeId> lost;
-    lost.reserve(contribution.size());
-    for (const data::Tuple& t : contribution) lost.push_back(t.node);
-    auto degrade = [&]() -> bool {
-      if (!config_.enable_graceful_degradation) return false;
-      // A final-phase contribution carries exactly these nodes' rows.
-      record_exclusion(u, lost);
-      return true;
-    };
-    if (watchdog_expired(obs::Phase::kFinalResult)) return degrade();
-    if (!maintenance) return degrade();
-    ++report->repairs_attempted;
-    if (!maintenance->Repair(u, repair_parent_ok)) return degrade();
-    ++report->repairs_succeeded;
-    repaired_roots.push_back(u);
-    sim::NodeId v = u;
-    for (;;) {
-      const sim::NodeId dst = tree_.parent(v);
-      sim::Message msg;
-      msg.src = v;
-      msg.dst = dst;
-      msg.kind = sim::MessageKind::kFinal;
-      msg.payload_bytes = payload;
-      bool corrupted = false;
-      if (!send_with_recovery(msg, &corrupted)) return degrade();
-      if (corrupted) {
-        // Garbled result rows are discarded upstream like any other
-        // corrupt delivery (the chaos invariants gate exactness on zero
-        // corrupted deliveries).
-        ++report->corrupted_deliveries;
-        return true;
-      }
-      v = dst;
-      if (!done2[v]) break;  // v's turn is still to come: it buffers
-    }
-    std::vector<data::Tuple>& up = pending_final[v];
-    up.insert(up.end(), std::make_move_iterator(contribution.begin()),
-              std::make_move_iterator(contribution.end()));
-    return true;
-  };
 
   const std::vector<sim::NodeId> order_2 = tree_.collection_order();
   for (sim::NodeId u : order_2) {
@@ -765,10 +504,14 @@ Status SensJoinExecutor::ExecuteAttempt(const query::AnalyzedQuery& q,
     msg.kind = sim::MessageKind::kFinal;
     msg.payload_bytes = payload;
     bool corrupted = false;
-    if (!send_with_recovery(msg, &corrupted)) {
-      if (!rescue_final(u, std::move(contribution), payload)) {
-        *failed = true;
-        return Status::Ok();
+    if (!ladder.Send(msg, &corrupted)) {
+      // Repair and relay the rows through already-processed ancestors (the
+      // relay path cannot contain Treecut-exited nodes: a non-exited node
+      // never has an exited ancestor).
+      if (!ladder.RescueTuples(u, std::move(contribution), payload,
+                               obs::Phase::kFinalResult, done2, pending_final,
+                               in_protocol)) {
+        return false;
       }
       continue;
     }
@@ -789,35 +532,7 @@ Status SensJoinExecutor::ExecuteAttempt(const query::AnalyzedQuery& q,
   report->result =
       ComputeExactJoin(q, ctx.PerTableCandidates(base_candidates));
 
-  // ---- Completeness certificate ------------------------------------------
-  // Nodes the routing tree never reached (partitioned field, dead at build
-  // time) are counted as excluded even with graceful degradation disabled:
-  // their data cannot be in the result and the certificate must say so.
-  for (sim::NodeId u : tree_.UnreachableNodes()) {
-    if (excluded.insert(u).second) excluded_roots.push_back(u);
-  }
-  CompletenessCertificate& cert = report->certificate;
-  cert.excluded_nodes.assign(excluded.begin(), excluded.end());
-  std::sort(excluded_roots.begin(), excluded_roots.end());
-  excluded_roots.erase(
-      std::unique(excluded_roots.begin(), excluded_roots.end()),
-      excluded_roots.end());
-  cert.excluded_subtree_roots = std::move(excluded_roots);
-  std::sort(repaired_roots.begin(), repaired_roots.end());
-  repaired_roots.erase(
-      std::unique(repaired_roots.begin(), repaired_roots.end()),
-      repaired_roots.end());
-  cert.repaired_roots = std::move(repaired_roots);
-  cert.total_nodes = n;
-  cert.reporting_nodes = n - static_cast<int>(cert.excluded_nodes.size());
-  cert.degraded = !cert.excluded_nodes.empty();
-  if (cert.degraded && trace_on()) {
-    sim_.tracer()->Record(obs::EventKind::kDegradedResult, sim_.now(), root,
-                          sim::kInvalidNode, sim::MessageKind::kControl,
-                          static_cast<uint32_t>(cert.excluded_nodes.size()),
-                          /*bytes=*/0, /*energy_mj=*/0.0);
-  }
-  return Status::Ok();
+  return true;
 }
 
 }  // namespace sensjoin::join

@@ -5,7 +5,6 @@
 
 #include "sensjoin/common/statusor.h"
 #include "sensjoin/data/network_data.h"
-#include "sensjoin/join/delivery_guard.h"
 #include "sensjoin/join/execution_report.h"
 #include "sensjoin/join/protocol.h"
 #include "sensjoin/join/quantizer.h"
@@ -14,6 +13,8 @@
 #include "sensjoin/sim/simulator.h"
 
 namespace sensjoin::join {
+
+class FaultLadder;
 
 /// SENS-Join (Sec. IV): the energy-efficient general-purpose join. An
 /// execution runs three tree phases:
@@ -31,7 +32,8 @@ namespace sensjoin::join {
 ///      base station computes the exact result.
 ///
 /// Failure handling escalates in order (each stage opt-in via
-/// ProtocolConfig, all off by default):
+/// ProtocolConfig, all off by default; the ladder is shared with the
+/// external join, see fault_ladder.h):
 ///
 ///  1. Phase-level recovery: a transient hop failure (packet loss beyond
 ///     the ARQ budget) re-requests the missing subtree contribution over
@@ -68,14 +70,11 @@ class SensJoinExecutor {
   const ProtocolConfig& config() const { return config_; }
 
  private:
-  /// One attempt. Returns kFailedPrecondition-free Status: OK with
-  /// *failed=false on success, OK with *failed=true on a link failure
-  /// (retryable), or a real error (bad quantization config etc.). `guard`
-  /// stamps every unicast of the attempt and classifies its deliveries
-  /// (exactly-once semantics; see delivery_guard.h).
-  Status ExecuteAttempt(const query::AnalyzedQuery& q, uint64_t epoch,
-                        DeliveryGuard* guard, ExecutionReport* report,
-                        bool* failed);
+  /// One attempt over `ladder` (fault_ladder.h): true on success, false on
+  /// a persistent failure that needs a tree rebuild (retryable), or a real
+  /// error (bad quantization config etc.).
+  StatusOr<bool> ExecuteAttempt(const query::AnalyzedQuery& q, uint64_t epoch,
+                                FaultLadder& ladder, ExecutionReport* report);
 
   sim::Simulator& sim_;
   net::RoutingTree tree_;

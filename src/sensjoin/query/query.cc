@@ -224,6 +224,15 @@ std::vector<int> AnalyzedQuery::TablesOfRelation(
   return out;
 }
 
+std::vector<int> AnalyzedQuery::JoinAttrIndices() const {
+  std::set<int> attrs;
+  for (const AnalyzedTable& table : tables_) {
+    attrs.insert(table.join_attr_indices.begin(),
+                 table.join_attr_indices.end());
+  }
+  return SortedVector(attrs);
+}
+
 std::vector<int> AnalyzedQuery::UnionJoinAttrIndices(
     const std::string& relation_name) const {
   std::set<int> attrs;

@@ -81,6 +81,12 @@ class AnalyzedQuery {
   /// Indices of the FROM entries whose relation is `relation_name`.
   std::vector<int> TablesOfRelation(const std::string& relation_name) const;
 
+  /// Union of join-attribute indices over all FROM entries, sorted: the
+  /// attributes a join-attribute tuple projects onto (Definition 1; for
+  /// self-joins the aliases' attributes usually coincide and are sent once,
+  /// Sec. IV-B).
+  std::vector<int> JoinAttrIndices() const;
+
   /// Union of join-attribute indices over all FROM entries of
   /// `relation_name` (a self-joined node sends one join-attribute tuple
   /// covering both aliases; Sec. IV-B).

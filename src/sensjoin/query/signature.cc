@@ -1,7 +1,5 @@
 #include "sensjoin/query/signature.h"
 
-#include <set>
-
 namespace sensjoin::query {
 
 std::string SharingSignatureOf(const AnalyzedQuery& q) {
@@ -14,13 +12,8 @@ std::string SharingSignatureOf(const AnalyzedQuery& q) {
     if (table.selection != nullptr) sig += table.selection->ToString();
     sig += ")";
   }
-  std::set<int> attrs;
-  for (int t = 0; t < q.num_tables(); ++t) {
-    attrs.insert(q.table(t).join_attr_indices.begin(),
-                 q.table(t).join_attr_indices.end());
-  }
   sig += "dims(";
-  for (int a : attrs) {
+  for (int a : q.JoinAttrIndices()) {
     sig += std::to_string(a);
     sig += ",";
   }

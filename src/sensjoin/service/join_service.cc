@@ -69,6 +69,12 @@ StatusOr<QueryId> JoinService::Register(const std::string& sql) {
 
 StatusOr<QueryId> JoinService::Register(const std::string& sql,
                                         join::ProtocolConfig protocol) {
+  // Checked before admission so a rejected query consumes no QueryId.
+  if (protocol.use_treecut &&
+      protocol.dmax_bytes >= sim_.packet_params().max_packet_bytes) {
+    return Status::InvalidArgument(
+        "Dmax must be below the maximum packet size (Sec. IV-E)");
+  }
   return registry_.Register(sql, protocol, next_epoch_);
 }
 
@@ -224,6 +230,7 @@ StatusOr<bool> JoinService::RunEpochAttempt(uint64_t epoch,
     for (QueryRecord* m : members) {
       join::ExecutionReport er;
       er.success = true;
+      er.attempts = static_cast<int>(report->tree_rebuilds) + 1;
       er.shared_group_size = members.size();
       er.cost = group_cost;
       er.total_cost = group_cost;

@@ -326,15 +326,42 @@ uint64_t Fnv1a(const std::string& s) {
   return h;
 }
 
+/// Rungs of the self-healing ladder (phase recovery, in-network repair,
+/// phase watchdog, certified degradation) one or more executions reached.
+struct LadderRungs {
+  bool recovery = false;
+  bool repair = false;
+  bool watchdog = false;
+  bool degraded = false;
+
+  void Add(const join::ExecutionReport& r) {
+    recovery |= r.recovery_requests > 0;
+    repair |= r.repairs_succeeded > 0;
+    watchdog |= r.watchdog_expirations > 0;
+    degraded |= r.certificate.degraded;
+  }
+  void Add(const LadderRungs& other) {
+    recovery |= other.recovery;
+    repair |= other.repair;
+    watchdog |= other.watchdog;
+    degraded |= other.degraded;
+  }
+};
+
 struct PinnedDigests {
   uint64_t sens_traced = 0;  ///< SENS-Join fingerprint incl. trace digest
   uint64_t external = 0;     ///< external-join fingerprint
+  LadderRungs sens_rungs;
+  LadderRungs external_rungs;
 };
 
 /// One query flood, external join and traced SENS-Join on a 220-node
 /// deployment. `chaos_seed != 0` arms a seeded six-axis fault schedule
-/// (with ARQ) and the full self-healing ladder first.
-PinnedDigests RunPinned(uint64_t seed, uint64_t chaos_seed) {
+/// (with ARQ) and the full self-healing ladder first; `tight_watchdog`
+/// then shrinks each phase's budget to one packet latency per hop of tree
+/// depth, so escalations late in a phase hit the watchdog rung.
+PinnedDigests RunPinned(uint64_t seed, uint64_t chaos_seed,
+                        bool tight_watchdog) {
   TestbedParams params;
   params.placement.num_nodes = 220;
   params.placement.area_width_m = 420;
@@ -352,6 +379,10 @@ PinnedDigests RunPinned(uint64_t seed, uint64_t chaos_seed) {
     chaos.arq_enabled = true;
     ApplyChaos(**tb, MakeChaosSchedule(**tb, chaos));
     config = SelfHealingConfig();
+    if (tight_watchdog) {
+      config.watchdog_base_s = 0.0;
+      config.watchdog_per_hop_factor = 1.0;
+    }
   }
 
   obs::Tracer tracer;
@@ -361,8 +392,12 @@ PinnedDigests RunPinned(uint64_t seed, uint64_t chaos_seed) {
   (*tb)->AttachTracer(nullptr);
   SENSJOIN_CHECK(ext.ok()) << ext.status();
   SENSJOIN_CHECK(sens.ok()) << sens.status();
-  return {Fnv1a(ExecutionFingerprint(*sens, &tracer)),
-          Fnv1a(ExecutionFingerprint(*ext, nullptr))};
+  PinnedDigests digests;
+  digests.sens_traced = Fnv1a(ExecutionFingerprint(*sens, &tracer));
+  digests.external = Fnv1a(ExecutionFingerprint(*ext, nullptr));
+  digests.sens_rungs.Add(*sens);
+  digests.external_rungs.Add(*ext);
+  return digests;
 }
 
 struct PinnedCase {
@@ -370,6 +405,7 @@ struct PinnedCase {
   uint64_t chaos_seed;
   uint64_t sens_traced;
   uint64_t external;
+  bool tight_watchdog = false;
 };
 
 /// Byte-identity across commits: every packet, byte, energy bit pattern,
@@ -386,9 +422,16 @@ TEST(PinnedFingerprintTest, ExecutionsMatchRecordedDigests) {
       {9000, 0, 0x9fb3ee10b73df602ull, 0xc02691a9078c3f44ull},
       {21, 3, 0x239a912fc8f60031ull, 0x25ee7a7ceb1b93f9ull},
       {21, 17, 0x04b026798ab064c0ull, 0x7783a96d8041c156ull},
+      {21, 52, 0xa979ab2e6fd829f2ull, 0x1c9e1b2a2b5f2773ull,
+       /*tight_watchdog=*/true},
   };
+  LadderRungs sens_rungs;
+  LadderRungs external_rungs;
   for (const PinnedCase& c : cases) {
-    const PinnedDigests got = RunPinned(c.seed, c.chaos_seed);
+    const PinnedDigests got =
+        RunPinned(c.seed, c.chaos_seed, c.tight_watchdog);
+    sens_rungs.Add(got.sens_rungs);
+    external_rungs.Add(got.external_rungs);
     EXPECT_EQ(got.sens_traced, c.sens_traced)
         << "seed=" << c.seed << " chaos=" << c.chaos_seed << std::hex
         << " sens_traced=0x" << got.sens_traced;
@@ -396,6 +439,21 @@ TEST(PinnedFingerprintTest, ExecutionsMatchRecordedDigests) {
         << "seed=" << c.seed << " chaos=" << c.chaos_seed << std::hex
         << " external=0x" << got.external;
   }
+  // Every rung of the shared fault ladder is pinned for both executors.
+  // Rungs reached at the recording: chaos 3 -> SENS-Join recovery and
+  // degradation, external repair and degradation; chaos 17 -> SENS-Join
+  // recovery, repair and degradation, external repair and degradation;
+  // chaos 52 with the tight watchdog -> SENS-Join recovery, watchdog and
+  // degradation, external watchdog and degradation. The external join has
+  // no recovery budget, so it never re-requests a hop.
+  EXPECT_TRUE(sens_rungs.recovery);
+  EXPECT_TRUE(sens_rungs.repair);
+  EXPECT_TRUE(sens_rungs.watchdog);
+  EXPECT_TRUE(sens_rungs.degraded);
+  EXPECT_FALSE(external_rungs.recovery);
+  EXPECT_TRUE(external_rungs.repair);
+  EXPECT_TRUE(external_rungs.watchdog);
+  EXPECT_TRUE(external_rungs.degraded);
 }
 
 }  // namespace

@@ -1,10 +1,12 @@
-#include "sensjoin/join/continuous.h"
+// Single-query continuous execution: one query served by a JoinService,
+// checked epoch by epoch against independent snapshot executions.
 
 #include <algorithm>
 
 #include <gtest/gtest.h>
 
 #include "sensjoin/sensjoin.h"
+#include "sensjoin/testbed/service_harness.h"
 
 namespace sensjoin::join {
 namespace {
@@ -24,11 +26,25 @@ const char* kQuery =
     "AND distance(A.x, A.y, B.x, B.y) > 500 "
     "SAMPLE PERIOD 30";
 
-ContinuousSensJoinExecutor MakeContinuous(testbed::Testbed& tb) {
-  ProtocolConfig config;
-  config.use_treecut = false;  // continuous mode runs without Treecut
-  return ContinuousSensJoinExecutor(tb.simulator(), tb.tree(), tb.data(),
-                                    tb.quantization(), config);
+/// A one-query continuous service over `tb`; `*id` receives the query.
+service::JoinService MakeContinuous(testbed::Testbed& tb,
+                                    service::QueryId* id) {
+  service::ServiceConfig config;
+  config.protocol.use_treecut = false;  // continuous mode runs without Treecut
+  service::JoinService svc = testbed::MakeService(tb, config);
+  const StatusOr<service::QueryId> registered = svc.Register(kQuery);
+  SENSJOIN_CHECK(registered.ok()) << registered.status();
+  *id = *registered;
+  return svc;
+}
+
+/// Runs the service's next epoch; returns the query's report for it.
+StatusOr<ExecutionReport> ExecuteEpoch(service::JoinService& svc,
+                                       service::QueryId id) {
+  SENSJOIN_RETURN_IF_ERROR(svc.RunEpoch().status());
+  SENSJOIN_ASSIGN_OR_RETURN(const service::QueryRecord* record,
+                            svc.registry().Get(id));
+  return record->reports.back();
 }
 
 std::vector<std::vector<double>> SortedRows(const JoinResult& r) {
@@ -45,9 +61,10 @@ TEST_P(ContinuousSeedTest, EveryEpochMatchesSnapshotExecution) {
   auto q = (*tb)->ParseQuery(kQuery);
   ASSERT_TRUE(q.ok()) << q.status();
 
-  auto continuous = MakeContinuous(**tb);
+  service::QueryId id = 0;
+  auto continuous = MakeContinuous(**tb, &id);
   for (uint64_t epoch = 0; epoch < 5; ++epoch) {
-    auto delta_report = continuous.ExecuteEpoch(*q, epoch);
+    auto delta_report = ExecuteEpoch(continuous, id);
     ASSERT_TRUE(delta_report.ok()) << delta_report.status();
     auto snapshot_report = (*tb)->MakeSensJoin().Execute(*q, epoch);
     ASSERT_TRUE(snapshot_report.ok());
@@ -62,16 +79,15 @@ TEST_P(ContinuousSeedTest, EveryEpochMatchesSnapshotExecution) {
 TEST_P(ContinuousSeedTest, SteadyStateCollectionIsMuchCheaper) {
   auto tb = testbed::Testbed::Create(MediumParams(GetParam() + 50));
   ASSERT_TRUE(tb.ok());
-  auto q = (*tb)->ParseQuery(kQuery);
-  ASSERT_TRUE(q.ok());
 
-  auto continuous = MakeContinuous(**tb);
-  auto bootstrap = continuous.ExecuteEpoch(*q, 0);
+  service::QueryId id = 0;
+  auto continuous = MakeContinuous(**tb, &id);
+  auto bootstrap = ExecuteEpoch(continuous, id);
   ASSERT_TRUE(bootstrap.ok());
   uint64_t steady_collection = 0;
   int epochs = 0;
   for (uint64_t epoch = 1; epoch <= 4; ++epoch) {
-    auto r = continuous.ExecuteEpoch(*q, epoch);
+    auto r = ExecuteEpoch(continuous, id);
     ASSERT_TRUE(r.ok());
     steady_collection += r->cost.phases.collection_packets;
     ++epochs;
@@ -86,13 +102,16 @@ TEST_P(ContinuousSeedTest, SteadyStateCollectionIsMuchCheaper) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ContinuousSeedTest, ::testing::Values(1, 9));
 
+// JoinService::RepairTopology: a permanently failed hop aborts the epoch,
+// rebuilds the tree, re-bootstraps and re-runs the epoch correctly.
 TEST(ContinuousTest, LinkFailureForcesReBootstrap) {
   auto tb = testbed::Testbed::Create(MediumParams(21));
   ASSERT_TRUE(tb.ok());
   auto q = (*tb)->ParseQuery(kQuery);
   ASSERT_TRUE(q.ok());
-  auto continuous = MakeContinuous(**tb);
-  ASSERT_TRUE(continuous.ExecuteEpoch(*q, 0).ok());
+  service::QueryId id = 0;
+  auto continuous = MakeContinuous(**tb, &id);
+  ASSERT_TRUE(ExecuteEpoch(continuous, id).ok());
 
   // Break a loaded tree edge.
   const net::RoutingTree& tree = continuous.tree();
@@ -107,13 +126,17 @@ TEST(ContinuousTest, LinkFailureForcesReBootstrap) {
   ASSERT_NE(victim, sim::kInvalidNode);
   (*tb)->simulator().radio().FailLink(victim, tree.parent(victim));
 
-  auto recovered = continuous.ExecuteEpoch(*q, 1);
-  ASSERT_TRUE(recovered.ok()) << recovered.status();
-  EXPECT_GE(recovered->attempts, 2);
+  auto epoch = continuous.RunEpoch();
+  ASSERT_TRUE(epoch.ok()) << epoch.status();
+  EXPECT_GE(epoch->tree_rebuilds, 1u);
+  auto record = continuous.registry().Get(id);
+  ASSERT_TRUE(record.ok());
+  const ExecutionReport& recovered = (*record)->reports.back();
+  EXPECT_GE(recovered.attempts, 2);
   // The re-executed epoch is correct.
   auto snapshot = (*tb)->MakeSensJoin().Execute(*q, 1);
   ASSERT_TRUE(snapshot.ok());
-  EXPECT_EQ(recovered->result.matched_combinations,
+  EXPECT_EQ(recovered.result.matched_combinations,
             snapshot->result.matched_combinations);
 }
 

@@ -216,6 +216,12 @@ TEST(ServiceTest, RegistryRejectsMalformedAndUnknown) {
   EXPECT_FALSE(service.Register("SELECT FROM WHERE").ok());
   EXPECT_FALSE(service.Register("garbage ][;;").ok());
   EXPECT_FALSE(service.Register("SELECT temp FROM sensors ONCE").ok());
+  // Treecut needs Dmax below the maximum packet size (Sec. IV-E).
+  join::ProtocolConfig oversized_dmax = config.protocol;
+  oversized_dmax.use_treecut = true;
+  oversized_dmax.dmax_bytes =
+      (*tb)->simulator().packet_params().max_packet_bytes;
+  EXPECT_FALSE(service.Register(FamilyQuery(0), oversized_dmax).ok());
   EXPECT_FALSE(service.Cancel(99).ok());
 
   auto a = service.Register(FamilyQuery(0));
@@ -223,6 +229,8 @@ TEST(ServiceTest, RegistryRejectsMalformedAndUnknown) {
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   EXPECT_NE(*a, *b);
+  // Rejected registrations consume no QueryId.
+  EXPECT_EQ(*a, 1u);
   // Admission cap counts active queries only.
   EXPECT_FALSE(service.Register(FamilyQuery(2)).ok());
   EXPECT_TRUE(service.Cancel(*a).ok());
