@@ -11,7 +11,6 @@
 // testbeds, byte-identical to a sequential run.
 
 #include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <vector>
 
@@ -32,21 +31,19 @@ struct Snapshot {
   uint64_t matched_combinations = 0;
 };
 
-void Main(uint64_t seed, int threads, bool use_treecut) {
+void Main(uint64_t seed, int threads) {
   const testbed::ParallelRunner runner(threads);
   auto tb = MustCreateTestbed(PaperDefaultParams(seed));
   std::cout << "Extension -- continuous queries with delta collection "
-               "(33% ratio, 5% fraction, Treecut "
-            << (use_treecut ? "on" : "off") << "), seed " << seed << "\n\n";
+               "(33% ratio, 5% fraction, Treecut off), seed "
+            << seed << "\n\n";
   const Calibration cal = CalibrateFraction(
       *tb, [](double d) { return RatioQueryOneJoinAttr(3, d); }, 0.0, 25.0,
       0.05, /*increasing=*/false, /*epoch=*/0, /*iterations=*/22, &runner);
-  // Continuous mode supports Treecut (frozen at the bootstrap boundary;
-  // exited nodes re-ship changed tuples to their proxy). Default off so the
-  // headline rows isolate the delta-collection effect; --treecut quantifies
-  // the interaction.
+  // The delta executor has no Treecut; the snapshot references run without
+  // it too, so both columns measure the same protocol.
   join::ProtocolConfig config;
-  config.use_treecut = use_treecut;
+  config.use_treecut = false;
 
   auto snapshots =
       runner.Run(kEpochs, seed, [&](const testbed::TrialContext& ctx) {
@@ -89,21 +86,6 @@ void Main(uint64_t seed, int threads, bool use_treecut) {
   table.Print(std::cout);
 }
 
-/// Strips a `--treecut` argument; returns whether it was present.
-bool ParseTreecutFlag(int* argc, char** argv) {
-  bool found = false;
-  int w = 1;
-  for (int i = 1; i < *argc; ++i) {
-    if (std::strcmp(argv[i], "--treecut") == 0) {
-      found = true;
-      continue;
-    }
-    argv[w++] = argv[i];
-  }
-  *argc = w;
-  return found;
-}
-
 }  // namespace
 }  // namespace sensjoin::bench
 
@@ -111,9 +93,8 @@ int main(int argc, char** argv) {
   const int threads = sensjoin::testbed::ParseThreadsFlag(&argc, argv);
   const sensjoin::bench::TraceFlag trace =
       sensjoin::bench::ParseTraceFlag(&argc, argv);
-  const bool use_treecut = sensjoin::bench::ParseTreecutFlag(&argc, argv);
   const uint64_t seed = sensjoin::testbed::ParseSeedArg(argc, argv, 42);
-  if (!trace.only) sensjoin::bench::Main(seed, threads, use_treecut);
+  if (!trace.only) sensjoin::bench::Main(seed, threads);
   if (trace.enabled()) sensjoin::bench::RunTracedExecution(trace, seed);
   return 0;
 }

@@ -46,9 +46,8 @@ std::string QueryOfIndex(int i) {
 join::ProtocolConfig ServiceProtocol() {
   join::ProtocolConfig config;
   // Same knobs for service, dedicated baseline and snapshot reference, so
-  // every comparison is apples to apples. Treecut interacts with delta
-  // shipping (see abl_continuous --treecut); keep it out of the headline
-  // numbers.
+  // every comparison is apples to apples. The service's delta executor has
+  // no Treecut, so the snapshot reference runs without it too.
   config.use_treecut = false;
   return config;
 }

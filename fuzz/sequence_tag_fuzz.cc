@@ -37,7 +37,7 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
 
   // Window size from the first byte, including the degenerate 0 (clamped
   // to 1 inside the guard) and tiny windows that force evictions.
-  DeliveryGuard guard(in.Next() % 8, /*tag_wire_bytes=*/in.Next() % 3);
+  DeliveryGuard guard(in.Next() % 8);
   guard.BeginAttempt(0);
 
   constexpr int kNodes = 4;

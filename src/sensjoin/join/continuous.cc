@@ -1,6 +1,5 @@
 #include "sensjoin/join/continuous.h"
 
-#include <algorithm>
 #include <iterator>
 #include <utility>
 
@@ -78,10 +77,6 @@ void DeltaGroupExecutor::Reset() {
   last_valid_.clear();
   subtree_counts_.clear();
   base_counts_.clear();
-  exited_.clear();
-  proxy_of_.clear();
-  proxied_at_.clear();
-  stored_tuple_.clear();
 }
 
 bool DeltaGroupExecutor::SendWithResync(sim::Message msg, size_t* resyncs) {
@@ -129,27 +124,21 @@ Status DeltaGroupExecutor::Collect(const net::RoutingTree& tree,
   const int n = sim_.num_nodes();
   const sim::NodeId root = tree.root();
   ctx_.emplace(data_, q, epoch);
+  const std::vector<int> dims = q.JoinAttrIndices();
 
   if (!bootstrapped_) {
     last_key_.assign(n, 0);
     last_valid_.assign(n, 0);
     subtree_counts_.assign(n, {});
     base_counts_.clear();
-    exited_.assign(n, 0);
-    proxy_of_.assign(n, sim::kInvalidNode);
-    proxied_at_.assign(n, {});
-    stored_tuple_.assign(n, std::nullopt);
-    const std::vector<int> boot_dims = q.JoinAttrIndices();
     SENSJOIN_ASSIGN_OR_RETURN(
         Quantizer quantizer,
-        Quantizer::FromConfig(q.schema(), boot_dims, quantization_));
+        Quantizer::FromConfig(q.schema(), dims, quantization_));
     codec_ = std::make_unique<JoinAttrCodec>(std::move(quantizer),
                                              ctx_->num_relations());
     out->bootstrap = true;
   }
   const JoinAttrCodec& codec = *codec_;
-  const std::vector<int> dims = q.JoinAttrIndices();
-  const bool bootstrap = out->bootstrap;
 
   // New keys for this epoch.
   new_key_.assign(n, 0);
@@ -168,59 +157,11 @@ Status DeltaGroupExecutor::Collect(const net::RoutingTree& tree,
   obs::ScopedPhase span(sim_.tracer(), sim_.events(),
                         obs::Phase::kJoinAttrCollection);
 
-  // In-flight state of the leaf-to-root walk.
+  // Deltas in flight towards each node during the leaf-to-root walk.
   std::vector<Delta> pending(n);
-  std::vector<std::vector<data::Tuple>> pending_tuples(n);
-  std::vector<size_t> pending_tuple_bytes(n, 0);
-  std::vector<std::vector<sim::NodeId>> pending_tombstones(n);
-  std::vector<char> any_attrs_child(n, 0);  // bootstrap Treecut decisions
-
-  // Folds owner `o`'s key change into `own` and advances the last-reported
-  // state. Exited owners' changes are folded at their proxy, everyone
-  // else's at the node itself.
-  auto merge_owner_change = [&](sim::NodeId o, Delta* own) {
-    Delta change;
-    if (last_valid_[o]) change[last_key_[o]] -= 1;
-    if (new_valid_[o]) change[new_key_[o]] += 1;
-    for (auto it = change.begin(); it != change.end();) {
-      it = it->second == 0 ? change.erase(it) : std::next(it);
-    }
-    if (!change.empty()) ++out->changed_nodes;
-    Merge(own, change);
-    last_key_[o] = new_key_[o];
-    last_valid_[o] = new_valid_[o];
-  };
-
-  auto store_at = [&](sim::NodeId proxy, const data::Tuple& t) {
-    if (proxy_of_[t.node] == sim::kInvalidNode) {
-      proxy_of_[t.node] = proxy;
-      proxied_at_[proxy].push_back(t.node);
-    }
-    stored_tuple_[t.node] = t;
-  };
-
-  // True when an exited node's current content differs from the copy its
-  // proxy stores (so the proxy's store — and the exact rows it can produce
-  // in the final phase — would go stale without a re-ship).
-  auto content_changed = [&](sim::NodeId o) {
-    const std::optional<data::Tuple>& stored = stored_tuple_[o];
-    if (!new_valid_[o]) return stored.has_value();
-    return !stored.has_value() ||
-           stored->values != ctx_->info(o).tuple.values;
-  };
-
   for (sim::NodeId u : tree.collection_order()) {
+    Delta delta = std::move(pending[u]);
     if (u == root) {
-      Delta delta = std::move(pending[u]);
-      // The base station acts as proxy for complete tuples that reached it.
-      for (const data::Tuple& t : pending_tuples[u]) {
-        store_at(u, t);
-        merge_owner_change(t.node, &delta);
-      }
-      for (sim::NodeId o : pending_tombstones[u]) {
-        stored_tuple_[o].reset();
-        merge_owner_change(o, &delta);
-      }
       // Apply to the base multiset, recording the set-level transitions the
       // incremental filter maintenance consumes.
       for (const auto& [key, change] : delta) {
@@ -234,112 +175,35 @@ Status DeltaGroupExecutor::Collect(const net::RoutingTree& tree,
       }
       break;  // root is last in collection order
     }
-    const ExecutorContext::NodeInfo& info = ctx_->info(u);
-    const sim::NodeId parent = tree.parent(u);
-
-    if (bootstrap && config_.use_treecut) {
-      // Treecut boundary, decided exactly as in the snapshot protocol: a
-      // node with no structure-sending child whose accumulated complete
-      // tuples fit Dmax ships them up and exits; the first node over the
-      // threshold stores them as their proxy.
-      const size_t full_bytes =
-          (new_valid_[u] ? static_cast<size_t>(info.full_tuple_bytes) : 0) +
-          pending_tuple_bytes[u];
-      if (!any_attrs_child[u] &&
-          full_bytes <= static_cast<size_t>(config_.dmax_bytes)) {
-        exited_[u] = 1;
-        std::vector<data::Tuple> contribution = std::move(pending_tuples[u]);
-        if (new_valid_[u]) contribution.push_back(info.tuple);
-        if (contribution.empty()) continue;
-        sim::Message msg;
-        msg.src = u;
-        msg.dst = parent;
-        msg.kind = sim::MessageKind::kCollection;
-        msg.payload_bytes = full_bytes;
-        if (!SendWithResync(msg, &out->resyncs)) {
-          out->failed = true;
-          return Status::Ok();
-        }
-        std::vector<data::Tuple>& up = pending_tuples[parent];
-        up.insert(up.end(), std::make_move_iterator(contribution.begin()),
-                  std::make_move_iterator(contribution.end()));
-        pending_tuple_bytes[parent] += full_bytes;
-        continue;
-      }
-    }
-
-    if (!bootstrap && exited_[u]) {
-      // Steady-state Treecut: the exited fringe re-ships only content that
-      // changed since the proxy stored it (a disappeared tuple travels as a
-      // one-byte tombstone). Key changes ride along implicitly — the proxy
-      // folds them into its own delta.
-      SENSJOIN_DCHECK(pending[u].empty());
-      std::vector<data::Tuple> contribution = std::move(pending_tuples[u]);
-      size_t bytes = pending_tuple_bytes[u];
-      std::vector<sim::NodeId> tombs = std::move(pending_tombstones[u]);
-      if (content_changed(u)) {
-        if (new_valid_[u]) {
-          contribution.push_back(info.tuple);
-          bytes += static_cast<size_t>(info.full_tuple_bytes);
-        } else {
-          tombs.push_back(u);
-          bytes += 1;
-        }
-      }
-      if (contribution.empty() && tombs.empty()) continue;
-      sim::Message msg;
-      msg.src = u;
-      msg.dst = parent;
-      msg.kind = sim::MessageKind::kCollection;
-      msg.payload_bytes = bytes;
-      if (!SendWithResync(msg, &out->resyncs)) {
-        out->failed = true;
-        return Status::Ok();
-      }
-      std::vector<data::Tuple>& up = pending_tuples[parent];
-      up.insert(up.end(), std::make_move_iterator(contribution.begin()),
-                std::make_move_iterator(contribution.end()));
-      pending_tuple_bytes[parent] += bytes;
-      std::vector<sim::NodeId>& ut = pending_tombstones[parent];
-      ut.insert(ut.end(), tombs.begin(), tombs.end());
-      continue;
-    }
-
-    // Non-exited node: the delta protocol. Incremental SubtreeJoinAtts
-    // maintenance — the delta from below is exactly the change of this
-    // node's descendant multiset.
-    Delta delta = std::move(pending[u]);
+    // Incremental SubtreeJoinAtts maintenance: the delta from below is
+    // exactly the change of this node's descendant multiset.
     Apply(&subtree_counts_[u], delta);
 
-    Delta own;
-    for (const data::Tuple& t : pending_tuples[u]) {
-      store_at(u, t);
-      merge_owner_change(t.node, &own);
+    // This node's own key change: its last reported key leaves, its new
+    // key arrives.
+    if (last_valid_[u] != new_valid_[u] ||
+        (new_valid_[u] && last_key_[u] != new_key_[u])) {
+      ++out->changed_nodes;
+      if (last_valid_[u]) Merge(&delta, Delta{{last_key_[u], -1}});
+      if (new_valid_[u]) Merge(&delta, Delta{{new_key_[u], 1}});
     }
-    for (sim::NodeId o : pending_tombstones[u]) {
-      stored_tuple_[o].reset();
-      merge_owner_change(o, &own);
-    }
-    merge_owner_change(u, &own);
-    Merge(&delta, own);
+    last_key_[u] = new_key_[u];
+    last_valid_[u] = new_valid_[u];
 
     if (delta.empty()) continue;
     sim::Message msg;
     msg.src = u;
-    msg.dst = parent;
+    msg.dst = tree.parent(u);
     msg.kind = sim::MessageKind::kCollection;
     msg.payload_bytes = DeltaWireBytes(delta, codec, config_.representation);
     if (!SendWithResync(msg, &out->resyncs)) {
       out->failed = true;
       return Status::Ok();
     }
-    Merge(&pending[parent], delta);
-    any_attrs_child[parent] = 1;
+    Merge(&pending[msg.dst], delta);
   }
   sim_.events().Run();
 
-  out->treecut_exited = static_cast<size_t>(
-      std::count(exited_.begin(), exited_.end(), char{1}));
   bootstrapped_ = true;
   return Status::Ok();
 }
@@ -364,13 +228,10 @@ Status DeltaGroupExecutor::DisseminateAndFinalize(const PointSet& filter,
                           obs::Phase::kFilterDissemination);
     for (sim::NodeId u : tree.dissemination_order()) {
       if (!got_filter[u]) continue;
+      // A child needs the filter only if its subtree ever reported data.
       std::vector<sim::NodeId> targets;
       for (sim::NodeId c : tree.children(u)) {
-        // Exited subtrees are answered for by their proxy; everyone else
-        // needs the filter only if their subtree ever reported data.
-        if (exited_[c]) continue;
-        if (!subtree_counts_[c].empty() || last_valid_[c] ||
-            !proxied_at_[c].empty()) {
+        if (!subtree_counts_[c].empty() || last_valid_[c]) {
           targets.push_back(c);
         }
       }
@@ -418,35 +279,11 @@ Status DeltaGroupExecutor::DisseminateAndFinalize(const PointSet& filter,
     std::vector<data::Tuple> contribution = std::move(pending_final[u]);
     if (u == root) {
       out->candidates = std::move(contribution);
-      // Stored tuples at the base station are already in place; the filter
-      // still gates them into the candidate pool (it is conservative, so
-      // no true match is lost).
-      for (sim::NodeId o : proxied_at_[u]) {
-        if (stored_tuple_[o].has_value() && last_valid_[o] &&
-            filter.Contains(last_key_[o])) {
-          out->candidates.push_back(*stored_tuple_[o]);
-        }
-      }
-      continue;
+      break;  // root is last in collection order
     }
-    if (exited_[u]) {
-      SENSJOIN_DCHECK(contribution.empty());
-      continue;
-    }
-    if (got_filter[u]) {
-      if (new_valid_[u] && filter_at[u].Contains(new_key_[u])) {
-        contribution.push_back(ctx_->info(u).tuple);
-        ++out->final_tuples_shipped;
-      }
-      // Proxy duty: ship stored tuples that match the filter on behalf of
-      // the exited fringe.
-      for (sim::NodeId o : proxied_at_[u]) {
-        if (stored_tuple_[o].has_value() && last_valid_[o] &&
-            filter_at[u].Contains(last_key_[o])) {
-          contribution.push_back(*stored_tuple_[o]);
-          ++out->final_tuples_shipped;
-        }
-      }
+    if (got_filter[u] && new_valid_[u] && filter_at[u].Contains(new_key_[u])) {
+      contribution.push_back(ctx_->info(u).tuple);
+      ++out->final_tuples_shipped;
     }
     if (contribution.empty()) continue;
     size_t payload = 0;
@@ -462,7 +299,7 @@ Status DeltaGroupExecutor::DisseminateAndFinalize(const PointSet& filter,
       out->failed = true;
       return Status::Ok();
     }
-    std::vector<data::Tuple>& up = pending_final[tree.parent(u)];
+    std::vector<data::Tuple>& up = pending_final[msg.dst];
     up.insert(up.end(), std::make_move_iterator(contribution.begin()),
               std::make_move_iterator(contribution.end()));
   }

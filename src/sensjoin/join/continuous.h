@@ -43,16 +43,13 @@ namespace sensjoin::join {
 /// through DisseminateAndFinalize and splits the resulting candidates per
 /// query at the station.
 ///
-/// Treecut (config.use_treecut): the boundary is computed during the
-/// bootstrap epoch exactly as in the snapshot protocol; it is then frozen.
-/// An exited node re-ships its complete tuple to its proxy (first
-/// non-exited ancestor) whenever the tuple's content changed, and the
-/// proxy translates stored-tuple changes into key deltas, so the base
-/// multiset stays exact. Exited subtrees are skipped by the filter
-/// dissemination; the proxy ships stored tuples that match the filter in
-/// the final phase. Steady-state treecut is usually a net loss (readings
-/// drift every epoch, so stored tuples are re-shipped every epoch) — the
-/// abl_continuous --treecut ablation quantifies this.
+/// Every in-tree node reports its key deltas every epoch; the executor has
+/// no Treecut (ProtocolConfig::use_treecut and dmax_bytes are not read).
+/// Treecut is a one-shot optimisation: kept continuously, its frozen
+/// boundary re-ships drifting complete tuples every epoch, which measured
+/// as a steady-state loss (DESIGN.md §6e). Of the protocol knobs it reads
+/// `representation`, `use_selective_forwarding`, `filter_memory_bytes`,
+/// `enable_phase_recovery` and `max_recovery_requests`.
 ///
 /// Fault handling: a lost or corrupted delta hop is re-pulled by the
 /// receiver (kControl re-request + re-send, bounded by
@@ -75,7 +72,6 @@ class DeltaGroupExecutor {
     bool bootstrap = false;
     size_t changed_nodes = 0;  ///< nodes whose reported key moved
     size_t resyncs = 0;        ///< lost/corrupted delta hops re-pulled
-    size_t treecut_exited = 0;  ///< exited nodes (fixed at bootstrap)
     /// Set-level delta of the base station's collected key set this epoch:
     /// keys whose multiset count rose from zero / fell to zero.
     std::vector<uint64_t> added;
@@ -115,7 +111,6 @@ class DeltaGroupExecutor {
   const ExecutorContext* context() const {
     return ctx_.has_value() ? &*ctx_ : nullptr;
   }
-  bool bootstrapped() const { return bootstrapped_; }
 
   /// Drops all distributed state; the next Collect bootstraps.
   void Reset();
@@ -146,17 +141,6 @@ class DeltaGroupExecutor {
   std::vector<std::map<uint64_t, int>> subtree_counts_;
   /// Base station: multiset of all reported keys.
   std::map<uint64_t, int> base_counts_;
-
-  // ---- Treecut state (config_.use_treecut; fixed at bootstrap) ----------
-  std::vector<char> exited_;
-  /// Proxy of each exited owner once its tuple first arrived somewhere
-  /// (kInvalidNode before that).
-  std::vector<sim::NodeId> proxy_of_;
-  /// Owners whose complete tuple is stored at this (proxy) node.
-  std::vector<std::vector<sim::NodeId>> proxied_at_;
-  /// Last tuple content each exited owner shipped (tracks the proxy's
-  /// store; nullopt = no tuple / tombstoned).
-  std::vector<std::optional<data::Tuple>> stored_tuple_;
 };
 
 }  // namespace sensjoin::join

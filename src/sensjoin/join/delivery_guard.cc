@@ -24,9 +24,8 @@ const char* DeliveryVerdictName(DeliveryVerdict verdict) {
   return "unknown";
 }
 
-DeliveryGuard::DeliveryGuard(int dedup_window, int tag_wire_bytes)
-    : dedup_window_(std::max(1, dedup_window)),
-      tag_wire_bytes_(std::max(0, tag_wire_bytes)) {}
+DeliveryGuard::DeliveryGuard(int dedup_window)
+    : dedup_window_(std::max(1, dedup_window)) {}
 
 void DeliveryGuard::BeginAttempt(uint32_t attempt_id) {
   attempt_id_ = attempt_id;
@@ -43,7 +42,6 @@ void DeliveryGuard::Stamp(sim::Message& msg) {
   while (link.window.size() > static_cast<size_t>(dedup_window_)) {
     link.window.pop_front();
   }
-  msg.payload_bytes += static_cast<size_t>(tag_wire_bytes_);
 }
 
 void DeliveryGuard::Retract(const sim::Message& msg) {

@@ -39,15 +39,12 @@ const char* DeliveryVerdictName(DeliveryVerdict verdict);
 /// within the phase instead of dropped, which is sound because a phase only
 /// completes once every outstanding tag of the phase has been resolved.
 ///
-/// The guard draws no randomness and, unless `tag_wire_bytes > 0`, adds no
-/// wire bytes — stamping alone leaves fault-free runs bit-identical to the
-/// seed.
+/// The guard draws no randomness and adds no wire bytes — stamping alone
+/// leaves fault-free runs bit-identical to the seed.
 class DeliveryGuard {
  public:
-  /// `dedup_window` bounds the per-link memory (entries per link);
-  /// `tag_wire_bytes` is added to every stamped message's payload when the
-  /// protocol charges the tag on the wire (0 keeps frames untouched).
-  explicit DeliveryGuard(int dedup_window, int tag_wire_bytes = 0);
+  /// `dedup_window` bounds the per-link memory (entries per link).
+  explicit DeliveryGuard(int dedup_window);
 
   /// Starts (or restarts) an attempt: bumps the current attempt id and
   /// forgets all link windows — a new attempt re-sends everything under
@@ -95,7 +92,6 @@ class DeliveryGuard {
   }
 
   int dedup_window_;
-  int tag_wire_bytes_;
   uint32_t attempt_id_ = 0;
   std::unordered_map<uint64_t, LinkState> links_;
   uint64_t duplicates_ = 0;

@@ -216,9 +216,7 @@ StatusOr<ExecutionReport> RunOneShotAttempts(
   // at send time (the omniscient-driver model), so the handler's verdicts
   // drive counters and trace events, never protocol state — which is what
   // keeps fault-free runs bit-identical to the seed.
-  DeliveryGuard guard(
-      config.dedup_window,
-      config.charge_tag_wire_bytes ? config.tag_wire_bytes : 0);
+  DeliveryGuard guard(config.dedup_window);
   const ScopedReceiveHandler handler(
       sim, [&sim, &guard](sim::NodeId receiver, const sim::Message& msg) {
         const DeliveryVerdict verdict = guard.Classify(receiver, msg);

@@ -102,14 +102,6 @@ struct ProtocolConfig {
   // bytes and zero RNG draws — fault-free runs stay bit-identical to the
   // seed.
 
-  /// Charge the tag's wire size on every tagged message (a real deployment
-  /// would pay it; the default keeps frames bit-identical to the seed).
-  bool charge_tag_wire_bytes = false;
-
-  /// Wire size of the delivery tag when charged: a 4-byte attempt/epoch id
-  /// plus a 2-byte per-link sequence number.
-  int tag_wire_bytes = 6;
-
   /// Per-link dedup window: how many recent sequence numbers a receiver
   /// remembers per (src, dst) link. Arrivals older than the window are
   /// conservatively dropped as duplicates.

@@ -69,12 +69,6 @@ StatusOr<QueryId> JoinService::Register(const std::string& sql) {
 
 StatusOr<QueryId> JoinService::Register(const std::string& sql,
                                         join::ProtocolConfig protocol) {
-  // Checked before admission so a rejected query consumes no QueryId.
-  if (protocol.use_treecut &&
-      protocol.dmax_bytes >= sim_.packet_params().max_packet_bytes) {
-    return Status::InvalidArgument(
-        "Dmax must be below the maximum packet size (Sec. IV-E)");
-  }
   return registry_.Register(sql, protocol, next_epoch_);
 }
 
@@ -87,11 +81,7 @@ Status JoinService::Cancel(QueryId id) {
 std::string JoinService::GroupKeyOf(const QueryRecord& record) const {
   const join::ProtocolConfig& p = record.protocol;
   std::string key = record.signature;
-  key += "|tc=";
-  key += p.use_treecut ? "1" : "0";
-  key += ",dmax=";
-  key += std::to_string(p.dmax_bytes);
-  key += ",sff=";
+  key += "|sff=";
   key += p.use_selective_forwarding ? "1" : "0";
   key += ",fmem=";
   key += std::to_string(p.filter_memory_bytes);
@@ -225,8 +215,12 @@ StatusOr<bool> JoinService::RunEpochAttempt(uint64_t epoch,
 
     // Per-member exact joins over the group's candidate pool: each member
     // applies its own predicates and projection, discarding the other
-    // members' false positives.
+    // members' false positives. Members agree on FROM relations and
+    // selections by signature, so the pool is split per table once, by the
+    // group's epoch context.
     const auto join_start = std::chrono::steady_clock::now();
+    const std::vector<std::vector<const data::Tuple*>> per_table =
+        group.engine->context()->PerTableCandidates(final_outcome.candidates);
     for (QueryRecord* m : members) {
       join::ExecutionReport er;
       er.success = true;
@@ -238,12 +232,9 @@ StatusOr<bool> JoinService::RunEpochAttempt(uint64_t epoch,
       er.filter_points = group.filters[m->id].last().filter.size();
       er.delta_changed_nodes = collected.changed_nodes;
       er.delta_resyncs = collected.resyncs + final_outcome.resyncs;
-      er.treecut_exited_nodes = collected.treecut_exited;
       er.final_tuples_shipped = final_outcome.final_tuples_shipped;
       er.candidate_tuples = final_outcome.candidates.size();
-      join::ExecutorContext ctx(data_, m->query, epoch);
-      er.result = join::ComputeExactJoin(
-          m->query, ctx.PerTableCandidates(final_outcome.candidates));
+      er.result = join::ComputeExactJoin(m->query, per_table);
       report->matched_rows += er.result.rows.size();
       staged.emplace(m->id, std::move(er));
     }

@@ -109,6 +109,8 @@ class JoinService {
 
   /// Admits a continuous query with the service's default protocol knobs
   /// (or per-query overrides). It joins execution at the next RunEpoch.
+  /// The delta executor has no Treecut: use_treecut and dmax_bytes are
+  /// ignored.
   StatusOr<QueryId> Register(const std::string& sql);
   StatusOr<QueryId> Register(const std::string& sql,
                              join::ProtocolConfig protocol);
@@ -145,8 +147,9 @@ class JoinService {
     std::map<QueryId, join::IncrementalJoinFilter> filters;
   };
 
-  /// Group key of a query record: sharing signature + protocol knobs (+
-  /// the query id itself when sharing is disabled).
+  /// Group key of a query record: sharing signature + the dissemination
+  /// knobs (use_selective_forwarding, filter_memory_bytes, representation),
+  /// + the query id itself when sharing is disabled.
   std::string GroupKeyOf(const QueryRecord& record) const;
 
   /// Executes the epoch once; false + intact Status when a failure needs a

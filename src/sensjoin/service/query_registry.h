@@ -35,10 +35,11 @@ struct QueryRecord {
   std::string sql;
   query::AnalyzedQuery query;
   /// Collection-sharing signature (query/signature.h); queries with equal
-  /// signatures and equal protocol knobs share phases.
+  /// signatures and equal dissemination knobs share phases.
   std::string signature;
-  /// Per-query protocol configuration — continuous queries are not locked
-  /// out of any snapshot-mode knob (Treecut included).
+  /// Per-query protocol configuration. The service reads only its
+  /// dissemination and hop re-pull knobs (DESIGN.md §6e); the delta
+  /// executor has no Treecut, so use_treecut and dmax_bytes are ignored.
   join::ProtocolConfig protocol;
   QueryState state = QueryState::kAdmitted;
   /// Service epoch at which the query was admitted / cancelled.

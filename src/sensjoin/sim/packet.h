@@ -48,9 +48,8 @@ inline constexpr uint32_t kUntaggedAttempt = 0xFFFFFFFFu;
 /// with the executor attempt that originated it plus a per-(src,dst)-link
 /// sequence number; receive paths use the tag to drop duplicates, reject
 /// stale-attempt traffic and detect reordering. The tag is carried
-/// in-memory: its wire bytes are charged only when the protocol explicitly
-/// enables them (ProtocolConfig::charge_tag_wire_bytes), so tagging alone
-/// leaves frame sizes bit-identical to the seed.
+/// in-memory and never charged on the wire, so tagging leaves frame sizes
+/// bit-identical to the seed.
 struct DeliveryTag {
   uint32_t attempt_id = kUntaggedAttempt;
   uint32_t seq = 0;

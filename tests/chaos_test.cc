@@ -6,9 +6,12 @@
 // determinism regressions: the same chaos sweep must be byte-identical
 // across thread counts and across repeated runs, and a fault-free run with
 // every self-healing feature enabled must be bit-identical to one with the
-// default config. On the first invariant violation the soak prints a
-// minimized reproducer schedule as JSON.
+// default config. The continuous join service runs the same swarm across
+// epochs, with admission churn, against a brute-force per-epoch oracle. On
+// the first invariant violation a soak prints a minimized reproducer
+// schedule as JSON.
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <sstream>
@@ -19,9 +22,11 @@
 
 #include "sensjoin/join/protocol.h"
 #include "sensjoin/obs/trace.h"
+#include "sensjoin/query/expr_eval.h"
 #include "sensjoin/sensjoin.h"
 #include "sensjoin/testbed/chaos.h"
 #include "sensjoin/testbed/parallel.h"
+#include "sensjoin/testbed/service_harness.h"
 
 namespace sensjoin::testbed {
 namespace {
@@ -210,6 +215,232 @@ TEST(ChaosSoakTest, FiftySchedulesSensJoinHoldInvariants) {
 
 TEST(ChaosSoakTest, ExternalJoinHoldsInvariants) {
   SoakExecutor(/*external=*/true, /*num_trials=*/12, /*sweep_seed=*/2027);
+}
+
+// ---- Continuous service under chaos ---------------------------------------
+
+/// The first two queries share one sharing group (same relations, no
+/// selections, same join attributes) and differ in their join predicates;
+/// the third's selection gives it a group of its own.
+constexpr const char* kServiceQueries[] = {
+    kQuery,
+    "SELECT A.temp, B.hum FROM sensors A, sensors B "
+    "WHERE |A.temp - B.temp| < 0.3 "
+    "AND distance(A.x, A.y, B.x, B.y) > 60 ONCE",
+    "SELECT A.hum, B.hum FROM sensors A, sensors B "
+    "WHERE A.hum > 50 AND |A.temp - B.temp| < 0.5 "
+    "AND distance(A.x, A.y, B.x, B.y) > 100 ONCE",
+};
+/// Admitted mid-run into the first group.
+constexpr const char* kServiceLateQuery =
+    "SELECT B.temp, A.hum FROM sensors A, sensors B "
+    "WHERE |A.temp - B.temp| < 0.4 "
+    "AND distance(A.x, A.y, B.x, B.y) > 80 ONCE";
+constexpr uint64_t kServiceEpochs = 6;
+constexpr uint64_t kCancelAtStep = 2;  // cancels kServiceQueries[1]
+constexpr uint64_t kAdmitAtStep = 4;   // admits kServiceLateQuery
+
+/// The six-axis swarm plus corruption, with fault times spread over a
+/// window several epochs long so crashes and outages land across epochs.
+ChaosParams ServiceSwarmParams(uint64_t seed) {
+  ChaosParams params = SwarmParams(seed);
+  params.corruption_rate = 0.01;
+  params.window_s = 0.2;
+  return params;
+}
+
+/// Independent oracle for one service epoch: a brute-force nested loop over
+/// the tuples the in-tree sensor nodes sense for `epoch` (relation
+/// membership, selections, join predicates, projection). Sorted rows.
+std::vector<std::vector<double>> OracleRows(const data::NetworkData& data,
+                                            const net::RoutingTree& tree,
+                                            const query::AnalyzedQuery& q,
+                                            uint64_t epoch) {
+  std::vector<data::Tuple> sensed;
+  for (sim::NodeId u = 0; u < tree.num_nodes(); ++u) {
+    if (tree.InTree(u) && u != tree.root()) {
+      sensed.push_back(data.Sense(u, epoch));
+    }
+  }
+  const int num_tables = q.num_tables();
+  std::vector<std::vector<const data::Tuple*>> per_table(num_tables);
+  for (int t = 0; t < num_tables; ++t) {
+    const query::AnalyzedTable& table = q.table(t);
+    for (const data::Tuple& tuple : sensed) {
+      if (!data.BelongsTo(tuple.node, table.relation)) continue;
+      if (table.selection != nullptr) {
+        std::vector<const data::Tuple*> only(num_tables, nullptr);
+        only[t] = &tuple;
+        const query::TupleContext ctx(std::move(only));
+        if (!query::EvalPredicate(*table.selection, ctx)) continue;
+      }
+      per_table[t].push_back(&tuple);
+    }
+  }
+  std::vector<std::vector<double>> rows;
+  std::vector<const data::Tuple*> assignment(num_tables, nullptr);
+  auto visit = [&](auto&& self, int t) -> void {
+    if (t < num_tables) {
+      for (const data::Tuple* tuple : per_table[t]) {
+        assignment[t] = tuple;
+        self(self, t + 1);
+      }
+      return;
+    }
+    const query::TupleContext ctx(assignment);
+    for (const auto& p : q.join_predicates()) {
+      if (!query::EvalPredicate(*p, ctx)) return;
+    }
+    std::vector<double> row;
+    for (const query::SelectItem& item : q.select()) {
+      row.push_back(query::EvalScalar(*item.expr, ctx));
+    }
+    rows.push_back(std::move(row));
+  };
+  visit(visit, 0);
+  std::sort(rows.begin(), rows.end());
+  return rows;
+}
+
+struct ServiceTrialOutcome {
+  std::vector<std::string> violations;
+  size_t rebuilds = 0;
+  size_t resyncs = 0;
+  size_t failed_epochs = 0;
+  uint64_t duplicate_packets = 0;
+  size_t checked_rows = 0;
+};
+
+/// One service chaos trial: a default-config JoinService on its own small
+/// deployment runs kServiceEpochs epochs under a schedule drawn from
+/// `params`, with one cancel and one admission mid-run. After every
+/// RunEpoch: a successful epoch gives each active query exactly one new
+/// report whose rows equal the oracle; a failed epoch delivers nothing.
+StatusOr<ServiceTrialOutcome> RunServiceChaosTrial(const ChaosParams& params) {
+  auto tb = Testbed::Create(SmallDeployment(params.seed));
+  SENSJOIN_RETURN_IF_ERROR(tb.status());
+  service::JoinService svc = MakeService(**tb);
+  std::vector<service::QueryId> ids;
+  for (const char* sql : kServiceQueries) {
+    SENSJOIN_ASSIGN_OR_RETURN(const service::QueryId id, svc.Register(sql));
+    ids.push_back(id);
+  }
+  ApplyChaos(**tb, MakeChaosSchedule(**tb, params));
+
+  ServiceTrialOutcome outcome;
+  for (uint64_t step = 0; step < kServiceEpochs; ++step) {
+    if (step == kCancelAtStep) SENSJOIN_RETURN_IF_ERROR(svc.Cancel(ids[1]));
+    if (step == kAdmitAtStep) {
+      SENSJOIN_ASSIGN_OR_RETURN(const service::QueryId id,
+                                svc.Register(kServiceLateQuery));
+      ids.push_back(id);
+    }
+    const std::vector<service::QueryId> active = svc.registry().ActiveIds();
+    std::vector<size_t> reports_before;
+    for (service::QueryId id : ids) {
+      reports_before.push_back((*svc.registry().Get(id))->reports.size());
+    }
+
+    const StatusOr<service::ServiceEpochReport> report = svc.RunEpoch();
+    if (!report.ok() &&
+        report.status().code() != StatusCode::kResourceExhausted) {
+      return report.status();
+    }
+    if (report.ok()) {
+      outcome.rebuilds += report->tree_rebuilds;
+      outcome.resyncs += report->delta_resyncs;
+      outcome.duplicate_packets += report->cost.duplicate_packets;
+    } else {
+      ++outcome.failed_epochs;
+    }
+    for (size_t i = 0; i < ids.size(); ++i) {
+      const service::QueryRecord* record = *svc.registry().Get(ids[i]);
+      const bool is_active =
+          std::find(active.begin(), active.end(), ids[i]) != active.end();
+      const size_t expected = report.ok() && is_active ? 1 : 0;
+      const size_t added = record->reports.size() - reports_before[i];
+      const std::string where = "step " + std::to_string(step) + " query " +
+                                std::to_string(ids[i]);
+      if (added != expected) {
+        outcome.violations.push_back(
+            where + ": " + std::to_string(added) + " new reports, expected " +
+            std::to_string(expected));
+        continue;
+      }
+      if (expected == 0) continue;
+      std::vector<std::vector<double>> rows =
+          record->reports.back().result.rows;
+      std::sort(rows.begin(), rows.end());
+      const std::vector<std::vector<double>> oracle =
+          OracleRows((*tb)->data(), svc.tree(), record->query, report->epoch);
+      outcome.checked_rows += oracle.size();
+      if (rows != oracle) {
+        outcome.violations.push_back(
+            where + " epoch " + std::to_string(report->epoch) + ": " +
+            std::to_string(rows.size()) + " rows differ from the oracle's " +
+            std::to_string(oracle.size()));
+      }
+    }
+  }
+  return outcome;
+}
+
+/// Minimizes a violating service schedule and renders the JSON reproducer.
+std::string MinimizedServiceReproducer(const ChaosParams& params) {
+  const auto reproduces = [](const ChaosParams& candidate) {
+    auto o = RunServiceChaosTrial(candidate);
+    return o.ok() && !o->violations.empty();
+  };
+  const ChaosParams minimal = MinimizeChaos(params, reproduces);
+  auto tb = Testbed::Create(SmallDeployment(minimal.seed));
+  if (!tb.ok()) return "(reproducer testbed failed)";
+  return ChaosScheduleToJson(minimal, MakeChaosSchedule(**tb, minimal));
+}
+
+TEST(ServiceChaosSoakTest, EveryEpochMatchesOracleOrDeliversNothing) {
+  constexpr int kTrials = 60;
+  constexpr uint64_t kSweepSeed = 3079;
+  ParallelRunner runner(0);  // flag/env/hardware
+  auto outcomes = runner.Run(kTrials, kSweepSeed, [](const TrialContext& ctx) {
+    auto o = RunServiceChaosTrial(ServiceSwarmParams(ctx.seed));
+    EXPECT_TRUE(o.ok()) << "trial " << ctx.trial << ": " << o.status();
+    return o.ok() ? *o : ServiceTrialOutcome{};
+  });
+  ASSERT_TRUE(outcomes.ok()) << outcomes.status();
+
+  size_t rebuilds = 0;
+  size_t resyncs = 0;
+  size_t failed_epochs = 0;
+  uint64_t duplicate_packets = 0;
+  size_t checked_rows = 0;
+  bool dumped_reproducer = false;
+  for (int i = 0; i < kTrials; ++i) {
+    const ServiceTrialOutcome& o = (*outcomes)[static_cast<size_t>(i)];
+    for (const std::string& v : o.violations) {
+      ADD_FAILURE() << "trial " << i << ": " << v;
+    }
+    if (!o.violations.empty() && !dumped_reproducer) {
+      dumped_reproducer = true;
+      const uint64_t trial_seed =
+          DeriveTrialSeed(kSweepSeed, static_cast<uint64_t>(i));
+      ADD_FAILURE() << "reproducer: "
+                    << MinimizedServiceReproducer(
+                           ServiceSwarmParams(trial_seed));
+    }
+    rebuilds += o.rebuilds;
+    resyncs += o.resyncs;
+    failed_epochs += o.failed_epochs;
+    duplicate_packets += o.duplicate_packets;
+    checked_rows += o.checked_rows;
+  }
+  // Non-vacuity: the sweep must have compared result rows, rebuilt the
+  // tree, re-pulled hops, exhausted an epoch's retries and duplicated
+  // packets.
+  EXPECT_GT(checked_rows, 0u);
+  EXPECT_GT(rebuilds, 0u);
+  EXPECT_GT(resyncs, 0u);
+  EXPECT_GT(failed_epochs, 0u);
+  EXPECT_GT(duplicate_packets, 0u);
 }
 
 /// Renders a chaos sweep the way a bench would: one fingerprint line per

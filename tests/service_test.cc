@@ -156,6 +156,12 @@ TEST(ServiceTest, DifferentSignaturesFormSeparateGroups) {
   auto service = testbed::MakeService(**tb, SharedConfig());
   ASSERT_TRUE(service.Register(FamilyQuery(0)).ok());
   ASSERT_TRUE(service.Register(FamilyQuery(1)).ok());
+  // Treecut knobs are not part of the group key: the delta executor has no
+  // Treecut, so this member shares the family's phases.
+  join::ProtocolConfig treecut_knobs = ServiceProtocol();
+  treecut_knobs.use_treecut = true;
+  treecut_knobs.dmax_bytes = 20;
+  ASSERT_TRUE(service.Register(FamilyQuery(2), treecut_knobs).ok());
   // Different join attribute => different collection signature => its own
   // group and phase set.
   ASSERT_TRUE(service
@@ -164,9 +170,9 @@ TEST(ServiceTest, DifferentSignaturesFormSeparateGroups) {
                   .ok());
   auto report = service.RunEpoch();
   ASSERT_TRUE(report.ok()) << report.status();
-  EXPECT_EQ(report->active_queries, 3u);
+  EXPECT_EQ(report->active_queries, 4u);
   EXPECT_EQ(report->groups, 2u);
-  EXPECT_DOUBLE_EQ(report->sharing_factor, 1.5);
+  EXPECT_DOUBLE_EQ(report->sharing_factor, 2.0);
   EXPECT_EQ(service.last_group_reports().size(), 2u);
 }
 
@@ -216,12 +222,6 @@ TEST(ServiceTest, RegistryRejectsMalformedAndUnknown) {
   EXPECT_FALSE(service.Register("SELECT FROM WHERE").ok());
   EXPECT_FALSE(service.Register("garbage ][;;").ok());
   EXPECT_FALSE(service.Register("SELECT temp FROM sensors ONCE").ok());
-  // Treecut needs Dmax below the maximum packet size (Sec. IV-E).
-  join::ProtocolConfig oversized_dmax = config.protocol;
-  oversized_dmax.use_treecut = true;
-  oversized_dmax.dmax_bytes =
-      (*tb)->simulator().packet_params().max_packet_bytes;
-  EXPECT_FALSE(service.Register(FamilyQuery(0), oversized_dmax).ok());
   EXPECT_FALSE(service.Cancel(99).ok());
 
   auto a = service.Register(FamilyQuery(0));
