@@ -5,7 +5,8 @@
 // finish well within a query's response time.
 //
 // The `evaluated` counters are deterministic: they count predicate
-// evaluations, which the probe windows keep far below the cross product.
+// evaluations, which the probe windows keep far below the cross product. So
+// are the output counts (`filter`, `rows`).
 
 #include <benchmark/benchmark.h>
 
@@ -99,14 +100,10 @@ void BM_ComputeJoinFilter3Way(benchmark::State& state) {
 BENCHMARK(BM_ComputeJoinFilter3Way)->Arg(150)->Arg(600)
     ->Unit(benchmark::kMillisecond);
 
-// The exact join over full tuples: a half-band join (A warmer than B by
-// more than 7.5 degrees) on temperatures uniform in [18, 26], about 0.2 % of
-// the pairs.
-void BM_ComputeExactJoin(benchmark::State& state) {
-  auto q = query::AnalyzedQuery::FromString(
-      "SELECT A.hum, B.hum FROM sensors A, sensors B "
-      "WHERE A.temp - B.temp > 7.5 ONCE",
-      BenchSchema());
+// Runs the exact join of `sql` (a self-join of `sensors`) over
+// state.range(0) random tuples.
+void RunExactJoin(benchmark::State& state, const std::string& sql) {
+  auto q = query::AnalyzedQuery::FromString(sql, BenchSchema());
   SENSJOIN_CHECK(q.ok());
   Rng rng(state.range(0));
   std::vector<data::Tuple> tuples(state.range(0));
@@ -130,7 +127,26 @@ void BM_ComputeExactJoin(benchmark::State& state) {
   state.counters["rows"] = static_cast<double>(rows);
   state.counters["evaluated"] = static_cast<double>(evaluated);
 }
+
+// The exact join over full tuples: a half-band join (A warmer than B by
+// more than 7.5 degrees) on temperatures uniform in [18, 26], about 0.2 % of
+// the pairs.
+void BM_ComputeExactJoin(benchmark::State& state) {
+  RunExactJoin(state,
+               "SELECT A.hum, B.hum FROM sensors A, sensors B "
+               "WHERE A.temp - B.temp > 7.5 ONCE");
+}
 BENCHMARK(BM_ComputeExactJoin)->Arg(1500)->Unit(benchmark::kMillisecond);
+
+// A rows-heavy exact join shaped like one query of a shared service group:
+// six SELECT columns and a half-band of 1.8 degrees, which puts about 30 %
+// of the pairs in the result. Materializing the rows dominates.
+void BM_ComputeExactJoinRows(benchmark::State& state) {
+  RunExactJoin(state,
+               "SELECT A.temp, B.temp, A.hum, B.hum, A.pres, B.pres "
+               "FROM sensors A, sensors B WHERE A.temp - B.temp > 1.8 ONCE");
+}
+BENCHMARK(BM_ComputeExactJoinRows)->Arg(250)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace sensjoin::join

@@ -8,13 +8,14 @@ Base-station join mode (default):
   Reads a google-benchmark JSON file (as written by
   `micro_filterjoin --benchmark_out=...`) and compares it with the
   committed baseline (default BENCH_filterjoin.json). For
-  BM_ComputeJoinFilter/1500, every BM_ComputeJoinFilter3Way/<n> and every
-  BM_ComputeExactJoin/<n> of the baseline, the fresh run's `evaluated`
-  counter (predicate evaluations) must not exceed the baseline's, and its
-  output counter (`filter` or `rows`) must equal it. Both counters are
-  deterministic, so the check is free of timing noise: losing a probe
-  window, as an exhaustive enumeration does, raises the 1500-point filter
-  count from ~0.5M to ~2.46M.
+  BM_ComputeJoinFilter/1500, every BM_ComputeJoinFilter3Way/<n>, every
+  BM_ComputeExactJoin/<n> and every BM_ComputeExactJoinRows/<n> of the
+  baseline, the fresh run's `evaluated` counter (predicate evaluations)
+  must not exceed the baseline's, and its output counter (`filter` or
+  `rows`) must equal it. Both counters are deterministic, so the check is
+  free of timing noise: losing a probe window, as an exhaustive
+  enumeration does, raises the 1500-point filter count from ~0.5M to
+  ~2.46M.
 
 Runtime mode:
     check_bench_speedup.py --runtime <BENCH_runtime.json> [min_ratio]
@@ -69,6 +70,7 @@ JOIN_BENCH_PREFIXES = (
     "BM_ComputeJoinFilter/1500",
     "BM_ComputeJoinFilter3Way/",
     "BM_ComputeExactJoin/",
+    "BM_ComputeExactJoinRows/",
 )
 
 

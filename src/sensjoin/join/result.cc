@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <compare>
 #include <cstdint>
 #include <limits>
 #include <map>
@@ -176,19 +177,35 @@ JoinResult ComputeExactJoin(
 
   JoinResult result;
 
-  // Output columns.
+  // Output columns, each resolved once: an attribute copy (table, attr), or
+  // a scalar expression. Both give the double EvalScalar would.
+  struct Column {
+    int table = -1;
+    int attr = -1;
+    const query::Expr* expr = nullptr;
+  };
+  std::vector<Column> columns;
   if (q.select_star()) {
     for (int t = 0; t < num_tables; ++t) {
       for (int a = 0; a < q.schema().num_attributes(); ++a) {
         result.column_labels.push_back(q.table(t).alias + "." +
                                        q.schema().attribute(a).name);
+        columns.push_back({.table = t, .attr = a});
       }
     }
   } else {
     for (const query::SelectItem& item : q.select()) {
       result.column_labels.push_back(item.label);
+      if (q.has_aggregates()) continue;  // folded by the accumulators
+      const query::Expr& e = *item.expr;
+      if (e.kind == query::ExprKind::kAttrRef) {
+        columns.push_back({.table = e.table_index, .attr = e.attr_index});
+      } else {
+        columns.push_back({.expr = &e});
+      }
     }
   }
+  result.rows = RowTable(result.column_labels.size());
 
   std::vector<Accumulator> accumulators;
   if (q.has_aggregates()) {
@@ -203,6 +220,9 @@ JoinResult ComputeExactJoin(
   std::vector<std::vector<char>> used;
   for (const auto& tuples : per_table_tuples) used.emplace_back(tuples.size());
 
+  // Reused per match, so a row allocates nothing of its own.
+  std::vector<double> row(columns.size());
+  std::vector<sim::NodeId> nodes(num_tables);
   // The exact plan keeps FROM order, so rows[t] is table t's candidate.
   auto emit = [&](const std::vector<uint32_t>& rows) {
     ++result.matched_combinations;
@@ -217,41 +237,73 @@ JoinResult ComputeExactJoin(
       }
       return;
     }
-    std::vector<double> row;
-    row.reserve(result.column_labels.size());
-    std::vector<sim::NodeId> nodes;
+    for (size_t c = 0; c < columns.size(); ++c) {
+      const Column& col = columns[c];
+      row[c] = col.expr != nullptr ? query::EvalScalar(*col.expr, domain)
+                                   : domain.Value(col.table, col.attr);
+    }
+    result.rows.Append(row);
     for (int t = 0; t < num_tables; ++t) {
-      const data::Tuple* tup = per_table_tuples[t][rows[t]];
-      nodes.push_back(tup->node);
-      if (q.select_star()) {
-        row.insert(row.end(), tup->values.begin(), tup->values.end());
-      }
+      nodes[t] = per_table_tuples[t][rows[t]]->node;
     }
-    for (const query::SelectItem& item : q.select()) {  // empty for SELECT *
-      row.push_back(query::EvalScalar(*item.expr, domain));
-    }
-    result.rows.push_back(std::move(row));
-    SortUnique(&nodes);
-    result.row_nodes.push_back(std::move(nodes));
+    std::sort(nodes.begin(), nodes.end());
+    const auto last = std::unique(nodes.begin(), nodes.end());
+    result.row_nodes.Append({nodes.begin(), last});
   };
   EnumerateJoin(JoinPlan::ForExact(q), domain, emit);
 
   if (q.has_aggregates()) {
-    std::vector<double> row;
-    row.reserve(accumulators.size());
+    row.clear();
     for (const Accumulator& acc : accumulators) row.push_back(acc.Finish());
-    result.rows.push_back(std::move(row));
+    result.rows.Append(row);
   }
 
   for (int t = 0; t < num_tables; ++t) {
-    for (size_t row = 0; row < used[t].size(); ++row) {
-      if (used[t][row]) {
-        result.contributing_nodes.push_back(per_table_tuples[t][row]->node);
+    for (size_t r = 0; r < used[t].size(); ++r) {
+      if (used[t][r]) {
+        result.contributing_nodes.push_back(per_table_tuples[t][r]->node);
       }
     }
   }
   SortUnique(&result.contributing_nodes);
   return result;
+}
+
+std::strong_ordering CompareRows(std::span<const double> a,
+                                 std::span<const double> b) {
+  return std::lexicographical_compare_three_way(
+      a.begin(), a.end(), b.begin(), b.end(),
+      [](double x, double y) { return std::strong_order(x, y); });
+}
+
+RowTable SortedRows(const RowTable& rows) {
+  std::vector<size_t> order(rows.size());
+  std::iota(order.begin(), order.end(), size_t{0});
+  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    return CompareRows(rows[a], rows[b]) < 0;
+  });
+  RowTable sorted(rows.width());
+  for (size_t i : order) sorted.Append(rows[i]);
+  return sorted;
+}
+
+size_t CommonRows(const RowTable& a, const RowTable& b) {
+  const RowTable sa = SortedRows(a);
+  const RowTable sb = SortedRows(b);
+  size_t common = 0;
+  for (size_t i = 0, j = 0; i < sa.size() && j < sb.size();) {
+    const std::strong_ordering c = CompareRows(sa[i], sb[j]);
+    if (c < 0) {
+      ++i;
+    } else if (c > 0) {
+      ++j;
+    } else {
+      ++common;
+      ++i;
+      ++j;
+    }
+  }
+  return common;
 }
 
 std::vector<char> JoinParticipants(

@@ -6,6 +6,7 @@
 #include <cstring>
 #include <cstdio>
 #include <functional>
+#include <span>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -40,11 +41,6 @@ std::vector<sim::NodeId> SampleDistinct(std::vector<sim::NodeId> pool, int k,
   }
   pool.resize(take);
   return pool;
-}
-
-/// Lexicographic row order for multiset comparisons.
-bool RowLess(const std::vector<double>& a, const std::vector<double>& b) {
-  return std::lexicographical_compare(a.begin(), a.end(), b.begin(), b.end());
 }
 
 uint64_t BitsOf(double v) {
@@ -246,25 +242,27 @@ std::vector<std::string> CheckInvariants(const join::JoinResult& truth,
   }
 
   if (!aggregate) {
-    std::vector<std::vector<double>> actual = report.result.rows;
-    std::sort(actual.begin(), actual.end(), RowLess);
-
     // 1. No fabrication, exactly-once rows: actual rows are a sub-multiset
     //    of the truth. An over-multiplicity row is a duplicated result row
     //    (a duplicate or replay leaked through the idempotent receive
     //    path); a row absent from the truth entirely is a phantom.
-    std::vector<std::vector<double>> truth_rows = truth.rows;
-    std::sort(truth_rows.begin(), truth_rows.end(), RowLess);
+    const join::RowTable actual = join::SortedRows(report.result.rows);
+    const join::RowTable truth_rows = join::SortedRows(truth.rows);
     {
       size_t ti = 0;
       size_t duplicated = 0;
       size_t phantom = 0;
-      for (const auto& row : actual) {
-        while (ti < truth_rows.size() && RowLess(truth_rows[ti], row)) ++ti;
-        if (ti < truth_rows.size() && truth_rows[ti] == row) {
+      for (std::span<const double> row : actual) {
+        while (ti < truth_rows.size() &&
+               join::CompareRows(truth_rows[ti], row) < 0) {
           ++ti;
-        } else if (std::binary_search(truth_rows.begin(), truth_rows.end(),
-                                      row, RowLess)) {
+        }
+        if (ti < truth_rows.size() &&
+            join::CompareRows(truth_rows[ti], row) == 0) {
+          ++ti;
+        } else if (ti > 0 && join::CompareRows(truth_rows[ti - 1], row) == 0) {
+          // Every truth row equal to `row` sorts before ti, and the last of
+          // them was consumed by an earlier, equal result row.
           ++duplicated;
         } else {
           ++phantom;
@@ -286,8 +284,7 @@ std::vector<std::string> CheckInvariants(const join::JoinResult& truth,
     //    exactly the truth minus rows touching an excluded node.
     if (report.success && report.corrupted_deliveries == 0 &&
         report.cost.undetected_corrupted_packets == 0) {
-      std::vector<std::vector<double>> expected;
-      expected.reserve(truth.rows.size());
+      join::RowTable expected(truth.rows.width());
       for (size_t i = 0; i < truth.rows.size(); ++i) {
         bool keep = true;
         for (sim::NodeId u : truth.row_nodes[i]) {
@@ -296,10 +293,10 @@ std::vector<std::string> CheckInvariants(const join::JoinResult& truth,
             break;
           }
         }
-        if (keep) expected.push_back(truth.rows[i]);
+        if (keep) expected.Append(truth.rows[i]);
       }
-      std::sort(expected.begin(), expected.end(), RowLess);
-      if (actual != expected) {
+      if (actual.size() != expected.size() ||
+          join::CommonRows(actual, expected) != actual.size()) {
         violations.push_back(
             Format("certificate is not exact: result has %zu rows, truth "
                    "minus %zu excluded nodes has %zu",

@@ -1,7 +1,6 @@
 #include "sensjoin/testbed/report.h"
 
 #include <algorithm>
-#include <map>
 #include <sstream>
 
 #include "sensjoin/common/logging.h"
@@ -114,17 +113,8 @@ double ResultCompleteness(const join::JoinResult& truth,
   if (truth.rows.empty()) return 1.0;
   // Multiset match: a degraded run can only lose rows, but duplicates in
   // either result must not inflate the score.
-  std::map<std::vector<double>, size_t> want;
-  for (const std::vector<double>& row : truth.rows) ++want[row];
-  size_t delivered = 0;
-  for (const std::vector<double>& row : actual.rows) {
-    auto it = want.find(row);
-    if (it != want.end() && it->second > 0) {
-      --it->second;
-      ++delivered;
-    }
-  }
-  return static_cast<double>(delivered) / static_cast<double>(truth.rows.size());
+  return static_cast<double>(join::CommonRows(truth.rows, actual.rows)) /
+         static_cast<double>(truth.rows.size());
 }
 
 std::string FaultToleranceSummary(const join::CostReport& cost,

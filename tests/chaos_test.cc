@@ -12,14 +12,17 @@
 // schedule as JSON.
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "sensjoin/common/rng.h"
 #include "sensjoin/join/protocol.h"
 #include "sensjoin/obs/trace.h"
 #include "sensjoin/query/expr_eval.h"
@@ -217,6 +220,36 @@ TEST(ChaosSoakTest, ExternalJoinHoldsInvariants) {
   SoakExecutor(/*external=*/true, /*num_trials=*/12, /*sweep_seed=*/2027);
 }
 
+// A result row holding a NaN must match itself: the multiset checks order
+// rows by IEEE-754 total order and treat bitwise-equal rows as equal.
+TEST(CheckInvariantsTest, RowsHoldingNaNMatchThemselves) {
+  auto q = query::AnalyzedQuery::FromString(
+      "SELECT sqrt(A.temp - B.temp), B.hum FROM s A, s B "
+      "WHERE |A.temp - B.temp| < 3 ONCE",
+      data::Schema({{"temp", 2}, {"hum", 2}}));
+  ASSERT_TRUE(q.ok()) << q.status();
+  Rng rng(11);
+  std::vector<data::Tuple> tuples(40);
+  std::vector<const data::Tuple*> side;
+  for (size_t i = 0; i < tuples.size(); ++i) {
+    tuples[i].node = static_cast<sim::NodeId>(i + 1);
+    tuples[i].values = {rng.UniformDouble(18, 26), rng.UniformDouble(20, 80)};
+    side.push_back(&tuples[i]);
+  }
+  join::ExecutionReport report;
+  report.success = true;
+  report.result = join::ComputeExactJoin(*q, {side, side});
+  const join::JoinResult& truth = report.result;
+  ASSERT_TRUE(std::any_of(truth.rows.begin(), truth.rows.end(),
+                          [](std::span<const double> row) {
+                            return std::isnan(row[0]);
+                          }));
+  for (const std::string& v : CheckInvariants(truth, report)) {
+    ADD_FAILURE() << v;
+  }
+  EXPECT_EQ(ResultCompleteness(truth, report.result), 1.0);
+}
+
 // ---- Continuous service under chaos ---------------------------------------
 
 /// The first two queries share one sharing group (same relations, no
@@ -252,10 +285,9 @@ ChaosParams ServiceSwarmParams(uint64_t seed) {
 /// Independent oracle for one service epoch: a brute-force nested loop over
 /// the tuples the in-tree sensor nodes sense for `epoch` (relation
 /// membership, selections, join predicates, projection). Sorted rows.
-std::vector<std::vector<double>> OracleRows(const data::NetworkData& data,
-                                            const net::RoutingTree& tree,
-                                            const query::AnalyzedQuery& q,
-                                            uint64_t epoch) {
+join::RowTable OracleRows(const data::NetworkData& data,
+                          const net::RoutingTree& tree,
+                          const query::AnalyzedQuery& q, uint64_t epoch) {
   std::vector<data::Tuple> sensed;
   for (sim::NodeId u = 0; u < tree.num_nodes(); ++u) {
     if (tree.InTree(u) && u != tree.root()) {
@@ -277,7 +309,7 @@ std::vector<std::vector<double>> OracleRows(const data::NetworkData& data,
       per_table[t].push_back(&tuple);
     }
   }
-  std::vector<std::vector<double>> rows;
+  join::RowTable rows(q.select().size());
   std::vector<const data::Tuple*> assignment(num_tables, nullptr);
   auto visit = [&](auto&& self, int t) -> void {
     if (t < num_tables) {
@@ -295,11 +327,10 @@ std::vector<std::vector<double>> OracleRows(const data::NetworkData& data,
     for (const query::SelectItem& item : q.select()) {
       row.push_back(query::EvalScalar(*item.expr, ctx));
     }
-    rows.push_back(std::move(row));
+    rows.Append(row);
   };
   visit(visit, 0);
-  std::sort(rows.begin(), rows.end());
-  return rows;
+  return join::SortedRows(rows);
 }
 
 struct ServiceTrialOutcome {
@@ -368,10 +399,9 @@ StatusOr<ServiceTrialOutcome> RunServiceChaosTrial(const ChaosParams& params) {
         continue;
       }
       if (expected == 0) continue;
-      std::vector<std::vector<double>> rows =
-          record->reports.back().result.rows;
-      std::sort(rows.begin(), rows.end());
-      const std::vector<std::vector<double>> oracle =
+      const join::RowTable rows =
+          join::SortedRows(record->reports.back().result.rows);
+      const join::RowTable oracle =
           OracleRows((*tb)->data(), svc.tree(), record->query, report->epoch);
       outcome.checked_rows += oracle.size();
       if (rows != oracle) {

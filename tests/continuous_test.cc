@@ -1,8 +1,6 @@
 // Single-query continuous execution: one query served by a JoinService,
 // checked epoch by epoch against independent snapshot executions.
 
-#include <algorithm>
-
 #include <gtest/gtest.h>
 
 #include "sensjoin/sensjoin.h"
@@ -47,12 +45,6 @@ StatusOr<ExecutionReport> ExecuteEpoch(service::JoinService& svc,
   return record->reports.back();
 }
 
-std::vector<std::vector<double>> SortedRows(const JoinResult& r) {
-  auto rows = r.rows;
-  std::sort(rows.begin(), rows.end());
-  return rows;
-}
-
 class ContinuousSeedTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(ContinuousSeedTest, EveryEpochMatchesSnapshotExecution) {
@@ -68,8 +60,8 @@ TEST_P(ContinuousSeedTest, EveryEpochMatchesSnapshotExecution) {
     ASSERT_TRUE(delta_report.ok()) << delta_report.status();
     auto snapshot_report = (*tb)->MakeSensJoin().Execute(*q, epoch);
     ASSERT_TRUE(snapshot_report.ok());
-    EXPECT_EQ(SortedRows(delta_report->result),
-              SortedRows(snapshot_report->result))
+    EXPECT_EQ(SortedRows(delta_report->result.rows),
+              SortedRows(snapshot_report->result.rows))
         << "epoch " << epoch;
     EXPECT_EQ(delta_report->result.contributing_nodes,
               snapshot_report->result.contributing_nodes);

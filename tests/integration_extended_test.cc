@@ -19,12 +19,6 @@ testbed::TestbedParams SmallParams(uint64_t seed) {
   return params;
 }
 
-std::vector<std::vector<double>> SortedRows(const join::JoinResult& r) {
-  auto rows = r.rows;
-  std::sort(rows.begin(), rows.end());
-  return rows;
-}
-
 TEST(ThreeWayJoinTest, SensJoinMatchesExternalJoin) {
   auto tb = testbed::Testbed::Create(SmallParams(17));
   ASSERT_TRUE(tb.ok());
@@ -38,7 +32,8 @@ TEST(ThreeWayJoinTest, SensJoinMatchesExternalJoin) {
   ASSERT_TRUE(ext.ok() && sens.ok()) << sens.status();
   EXPECT_EQ(ext->result.matched_combinations,
             sens->result.matched_combinations);
-  EXPECT_EQ(SortedRows(ext->result), SortedRows(sens->result));
+  EXPECT_EQ(join::SortedRows(ext->result.rows),
+            join::SortedRows(sens->result.rows));
 }
 
 class PacketSizeTest : public ::testing::TestWithParam<int> {};
@@ -59,7 +54,8 @@ TEST_P(PacketSizeTest, ResultsIndependentOfPacketSize) {
   auto ext = (*tb)->MakeExternalJoin().Execute(*q, 0);
   auto sens = (*tb)->MakeSensJoin(config).Execute(*q, 0);
   ASSERT_TRUE(ext.ok() && sens.ok()) << sens.status();
-  EXPECT_EQ(SortedRows(ext->result), SortedRows(sens->result));
+  EXPECT_EQ(join::SortedRows(ext->result.rows),
+            join::SortedRows(sens->result.rows));
   EXPECT_GT(sens->cost.join_packets, 0u);
 }
 
@@ -77,7 +73,8 @@ TEST(SelectStarTest, AllAttributesArrive) {
   auto ext = (*tb)->MakeExternalJoin().Execute(*q, 0);
   auto sens = (*tb)->MakeSensJoin().Execute(*q, 0);
   ASSERT_TRUE(ext.ok() && sens.ok());
-  EXPECT_EQ(SortedRows(ext->result), SortedRows(sens->result));
+  EXPECT_EQ(join::SortedRows(ext->result.rows),
+            join::SortedRows(sens->result.rows));
   // 2 tables x 6 attributes.
   EXPECT_EQ(sens->result.column_labels.size(), 12u);
   for (const auto& row : sens->result.rows) {

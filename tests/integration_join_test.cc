@@ -4,7 +4,6 @@
 // correctness claim: the lossy pre-computation never loses a result tuple
 // (Sec. V-B, footnote 2).
 
-#include <algorithm>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -21,12 +20,6 @@ testbed::TestbedParams SmallParams(uint64_t seed) {
   params.placement.area_height_m = 400;
   params.seed = seed;
   return params;
-}
-
-std::vector<std::vector<double>> SortedRows(const join::JoinResult& r) {
-  std::vector<std::vector<double>> rows = r.rows;
-  std::sort(rows.begin(), rows.end());
-  return rows;
 }
 
 class JoinEquivalenceTest : public ::testing::TestWithParam<uint64_t> {};
@@ -50,7 +43,8 @@ TEST_P(JoinEquivalenceTest, SimilarityJoinMatchesExternalJoin) {
   auto sens_report = sens.Execute(*q, 0);
   ASSERT_TRUE(sens_report.ok()) << sens_report.status();
 
-  EXPECT_EQ(SortedRows(ext_report->result), SortedRows(sens_report->result));
+  EXPECT_EQ(join::SortedRows(ext_report->result.rows),
+            join::SortedRows(sens_report->result.rows));
   EXPECT_EQ(ext_report->result.matched_combinations,
             sens_report->result.matched_combinations);
   EXPECT_EQ(ext_report->result.contributing_nodes,
@@ -96,7 +90,8 @@ TEST_P(JoinEquivalenceTest, SelectionPredicatesArePushedDown) {
   auto sens_report = (*tb)->MakeSensJoin().Execute(*q, 0);
   ASSERT_TRUE(sens_report.ok()) << sens_report.status();
 
-  EXPECT_EQ(SortedRows(ext_report->result), SortedRows(sens_report->result));
+  EXPECT_EQ(join::SortedRows(ext_report->result.rows),
+            join::SortedRows(sens_report->result.rows));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, JoinEquivalenceTest,

@@ -5,7 +5,6 @@
 // aggregates (Requirements 1 and 2: any number and kind of join
 // conditions, arbitrary tuple placements).
 
-#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -102,12 +101,6 @@ std::string RandomQuery(Rng& rng) {
   return sql;
 }
 
-std::vector<std::vector<double>> SortedRows(const join::JoinResult& r) {
-  auto rows = r.rows;
-  std::sort(rows.begin(), rows.end());
-  return rows;
-}
-
 class QueryFuzzTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(QueryFuzzTest, SensJoinAlwaysMatchesExternalJoin) {
@@ -132,7 +125,8 @@ TEST_P(QueryFuzzTest, SensJoinAlwaysMatchesExternalJoin) {
     ASSERT_TRUE(sens.ok()) << sens.status();
     EXPECT_EQ(ext->result.matched_combinations,
               sens->result.matched_combinations);
-    EXPECT_EQ(SortedRows(ext->result), SortedRows(sens->result));
+    EXPECT_EQ(join::SortedRows(ext->result.rows),
+              join::SortedRows(sens->result.rows));
     EXPECT_EQ(ext->result.contributing_nodes,
               sens->result.contributing_nodes);
     ++executed;

@@ -66,9 +66,10 @@ TEST(ReportTest, CostByDepthSumsToJoinPackets) {
   EXPECT_EQ(sum, r->cost.join_packets);
 }
 
-join::JoinResult MakeResult(std::vector<std::vector<double>> rows) {
+join::JoinResult MakeResult(const std::vector<std::vector<double>>& rows) {
   join::JoinResult r;
-  r.rows = std::move(rows);
+  r.rows = join::RowTable(rows.empty() ? 0 : rows[0].size());
+  for (const std::vector<double>& row : rows) r.rows.Append(row);
   return r;
 }
 

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <compare>
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -32,6 +34,10 @@ query::AnalyzedQuery MustAnalyze(const std::string& sql) {
   auto q = query::AnalyzedQuery::FromString(sql, MakeSchema());
   SENSJOIN_CHECK(q.ok()) << q.status();
   return std::move(q).value();
+}
+
+std::vector<double> Row(const JoinResult& r, size_t i) {
+  return {r.rows[i].begin(), r.rows[i].end()};
 }
 
 TEST(ComputeExactJoinTest, EquiJoinRowsAndContributors) {
@@ -69,7 +75,7 @@ TEST(ComputeExactJoinTest, DifferentCandidateListsPerTable) {
   const data::Tuple cold2 = MakeTuple(3, 40.0, 30);
   const JoinResult r = ComputeExactJoin(q, {{&hot}, {&cold1, &cold2}});
   ASSERT_EQ(r.matched_combinations, 1u);
-  EXPECT_EQ(r.rows[0], (std::vector<double>{10.0, 20.0}));
+  EXPECT_EQ(Row(r, 0), (std::vector<double>{10.0, 20.0}));
 }
 
 TEST(ComputeExactJoinTest, Aggregates) {
@@ -106,7 +112,7 @@ TEST(ComputeExactJoinTest, SelectStarConcatenatesAllAttributes) {
   const data::Tuple t = MakeTuple(1, 20.0, 40);
   const JoinResult r = ComputeExactJoin(q, {{&t}, {&t}});
   ASSERT_EQ(r.rows.size(), 1u);
-  EXPECT_EQ(r.rows[0], (std::vector<double>{20, 40, 20, 40}));
+  EXPECT_EQ(Row(r, 0), (std::vector<double>{20, 40, 20, 40}));
   EXPECT_EQ(r.column_labels,
             (std::vector<std::string>{"A.temp", "A.hum", "B.temp", "B.hum"}));
 }
@@ -121,7 +127,77 @@ TEST(ComputeExactJoinTest, ThreeWayJoin) {
   for (const auto& t : tuples) side.push_back(&t);
   const JoinResult r = ComputeExactJoin(q, {side, side, side});
   ASSERT_EQ(r.matched_combinations, 1u);
-  EXPECT_EQ(r.rows[0], (std::vector<double>{10, 20, 30}));
+  EXPECT_EQ(Row(r, 0), (std::vector<double>{10, 20, 30}));
+}
+
+TEST(RowTableTest, EmptyResultHasNoRowsOrNodeSets) {
+  const auto q = MustAnalyze(
+      "SELECT A.hum, B.hum FROM s A, s B WHERE A.temp - B.temp > 100 ONCE");
+  const data::Tuple t = MakeTuple(1, 20.0, 40);
+  const JoinResult r = ComputeExactJoin(q, {{&t}, {&t}});
+  EXPECT_TRUE(r.rows.empty());
+  EXPECT_EQ(r.rows.size(), 0u);
+  EXPECT_EQ(r.rows.width(), 2u);
+  EXPECT_EQ(r.row_nodes.size(), 0u);
+  EXPECT_EQ(r.rows.begin(), r.rows.end());
+}
+
+TEST(RowTableTest, SelectStarIsTablesTimesSchemaWide) {
+  const auto q = MustAnalyze(
+      "SELECT * FROM s A, s B, s C WHERE A.temp <= B.temp ONCE");
+  const std::vector<data::Tuple> tuples = {MakeTuple(1, 20.0, 40),
+                                           MakeTuple(2, 21.0, 50)};
+  std::vector<const data::Tuple*> side;
+  for (const auto& t : tuples) side.push_back(&t);
+  const JoinResult r = ComputeExactJoin(q, {side, side, side});
+  EXPECT_EQ(r.rows.width(), 3u * 2u);
+  ASSERT_EQ(r.rows.size(), 6u);  // 3 (A, B) pairs times 2 C
+  size_t seen = 0;
+  for (std::span<const double> row : r.rows) {
+    EXPECT_EQ(row.size(), 6u);
+    ++seen;
+  }
+  EXPECT_EQ(seen, r.rows.size());
+  // (A, B, C) = (1, 1, 1) has one contributor; (1, 2, 1) has two.
+  ASSERT_EQ(r.row_nodes.size(), r.rows.size());
+  EXPECT_EQ(std::vector<sim::NodeId>(r.row_nodes[0].begin(),
+                                     r.row_nodes[0].end()),
+            (std::vector<sim::NodeId>{1}));
+  EXPECT_EQ(std::vector<sim::NodeId>(r.row_nodes[2].begin(),
+                                     r.row_nodes[2].end()),
+            (std::vector<sim::NodeId>{1, 2}));
+}
+
+TEST(RowTableTest, AggregateHasOneRowAndNoNodeSets) {
+  const auto q = MustAnalyze(
+      "SELECT COUNT(*), AVG(B.hum) FROM s A, s B WHERE A.temp < B.temp ONCE");
+  const std::vector<data::Tuple> tuples = {MakeTuple(1, 20.0, 40),
+                                           MakeTuple(2, 21.0, 50)};
+  std::vector<const data::Tuple*> side;
+  for (const auto& t : tuples) side.push_back(&t);
+  const JoinResult r = ComputeExactJoin(q, {side, side});
+  EXPECT_EQ(r.rows.size(), 1u);
+  EXPECT_EQ(r.rows.width(), 2u);
+  EXPECT_EQ(r.row_nodes.size(), 0u);
+  EXPECT_EQ(Row(r, 0), (std::vector<double>{1.0, 50.0}));
+}
+
+TEST(RowTableTest, RowOrderIsTotalAndMatchesNaNBitwise) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  RowTable a(2);
+  a.Append(std::vector<double>{2, nan});
+  a.Append(std::vector<double>{1, 5});
+  a.Append(std::vector<double>{2, nan});
+  RowTable b(2);
+  b.Append(std::vector<double>{2, nan});
+  b.Append(std::vector<double>{1, 5});
+  EXPECT_EQ(CompareRows(a[0], a[2]), std::strong_ordering::equal);
+  EXPECT_EQ(CompareRows(a[1], a[0]), std::strong_ordering::less);
+  EXPECT_EQ(CommonRows(a, b), 2u);
+  const RowTable sorted = SortedRows(a);
+  EXPECT_EQ(CompareRows(sorted[0], a[1]), std::strong_ordering::equal);
+  // Element-wise equality keeps IEEE semantics: NaN != NaN.
+  EXPECT_FALSE(a == a);
 }
 
 
@@ -142,6 +218,9 @@ JoinResult BruteForceJoin(
   const int num_tables = q.num_tables();
   const size_t num_items = q.select().size();
   JoinResult out;
+  out.rows = RowTable(q.select_star()
+                          ? num_tables * q.schema().num_attributes()
+                          : num_items);
   std::vector<double> sum(num_items, 0.0);
   std::vector<double> min(num_items, std::numeric_limits<double>::infinity());
   std::vector<double> max(num_items, -std::numeric_limits<double>::infinity());
@@ -188,8 +267,8 @@ JoinResult BruteForceJoin(
         row.push_back(query::EvalScalar(*item.expr, ctx));
       }
     }
-    out.rows.push_back(std::move(row));
-    out.row_nodes.push_back(std::move(nodes));
+    out.rows.Append(row);
+    out.row_nodes.Append(nodes);
   };
   visit(visit, 0);
   if (q.has_aggregates()) {
@@ -209,7 +288,7 @@ JoinResult BruteForceJoin(
         case query::AggregateKind::kNone: ADD_FAILURE(); break;
       }
     }
-    out.rows.push_back(std::move(row));
+    out.rows.Append(row);
   }
   std::sort(contributors.begin(), contributors.end());
   contributors.erase(std::unique(contributors.begin(), contributors.end()),
@@ -228,6 +307,7 @@ void ExpectSameJoin(const JoinResult& want, const JoinResult& got,
                     const std::string& label) {
   EXPECT_EQ(want.matched_combinations, got.matched_combinations) << label;
   ASSERT_EQ(want.rows.size(), got.rows.size()) << label;
+  ASSERT_EQ(want.rows.width(), got.rows.width()) << label;
   for (size_t r = 0; r < want.rows.size(); ++r) {
     ASSERT_EQ(want.rows[r].size(), got.rows[r].size()) << label;
     for (size_t c = 0; c < want.rows[r].size(); ++c) {
@@ -296,6 +376,15 @@ TEST(ExactJoinDifferentialTest, MatchesBruteForceOracle) {
       "SELECT A.hum, B.hum FROM hot A, cold B WHERE A.temp > B.temp + 5",
       "SELECT A.hum, B.hum, C.x FROM hot A, cold B, hot C "
       "WHERE A.temp - B.temp < 1 AND |B.temp - C.temp| < 0.5",
+      // An expression column next to plain columns: both projection paths.
+      "SELECT A.temp - B.temp, B.hum, A.x FROM s A, s B "
+      "WHERE |A.temp - B.temp| < 1.5",
+      // A tuple matches itself on a shared list: node sets of one and two
+      // contributors in one result.
+      "SELECT A.hum, B.x FROM s A, s B WHERE A.temp >= B.temp",
+      // sqrt of a negative difference is NaN; rows compare bitwise.
+      "SELECT sqrt(A.temp - B.temp), B.hum FROM s A, s B "
+      "WHERE |A.temp - B.temp| < 3",
   };
   Rng rng(2024);
   for (const std::string& where : queries) {

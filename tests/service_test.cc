@@ -6,7 +6,6 @@
 
 #include "sensjoin/service/join_service.h"
 
-#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <string>
@@ -59,12 +58,6 @@ std::string FamilyQuery(int i) {
          std::to_string(1.0 + 0.05 * i) + " ONCE";
 }
 
-std::vector<std::vector<double>> SortedRows(const join::JoinResult& r) {
-  auto rows = r.rows;
-  std::sort(rows.begin(), rows.end());
-  return rows;
-}
-
 TEST(ServiceTest, IncrementalExecutionMatchesSnapshotExecutions) {
   auto tb = testbed::Testbed::Create(MediumParams(3));
   ASSERT_TRUE(tb.ok());
@@ -93,7 +86,8 @@ TEST(ServiceTest, IncrementalExecutionMatchesSnapshotExecutions) {
     const join::ExecutionReport& mine = (*record)->reports.at(epoch);
     EXPECT_EQ(mine.collected_points, snapshot->collected_points);
     EXPECT_EQ(mine.filter_points, snapshot->filter_points);
-    EXPECT_EQ(SortedRows(mine.result), SortedRows(snapshot->result))
+    EXPECT_EQ(join::SortedRows(mine.result.rows),
+              join::SortedRows(snapshot->result.rows))
         << "epoch " << epoch;
     EXPECT_EQ(mine.result.contributing_nodes,
               snapshot->result.contributing_nodes);
@@ -133,8 +127,8 @@ TEST(ServiceTest, SixteenQueryGroupMatchesDedicatedExecutions) {
     ASSERT_NE(it, dedicated->query_reports.end());
     ASSERT_EQ(reports.size(), it->second.size());
     for (size_t e = 0; e < reports.size(); ++e) {
-      EXPECT_EQ(SortedRows(reports[e].result),
-                SortedRows(it->second[e].result))
+      EXPECT_EQ(join::SortedRows(reports[e].result.rows),
+                join::SortedRows(it->second[e].result.rows))
           << "query " << id << " epoch " << e;
       EXPECT_EQ(reports[e].shared_group_size, 16u);
       EXPECT_EQ(it->second[e].shared_group_size, 1u);
