@@ -1,9 +1,9 @@
 #include "sensjoin/join/continuous.h"
 
-#include <iterator>
 #include <utility>
 
 #include "sensjoin/common/logging.h"
+#include "sensjoin/join/fault_ladder.h"
 #include "sensjoin/join/representation.h"
 #include "sensjoin/obs/trace.h"
 
@@ -68,47 +68,13 @@ DeltaGroupExecutor::DeltaGroupExecutor(sim::Simulator& sim,
 
 void DeltaGroupExecutor::Reset() {
   bootstrapped_ = false;
-  tree_ = nullptr;
+  view_.reset();
   ctx_.reset();
   codec_.reset();
-  new_key_.clear();
-  new_valid_.clear();
   last_key_.clear();
   last_valid_.clear();
   subtree_counts_.clear();
   base_counts_.clear();
-}
-
-bool DeltaGroupExecutor::SendWithResync(sim::Message msg, size_t* resyncs) {
-  bool corrupted = false;
-  if (sim_.SendUnicast(msg, &corrupted) && !corrupted) return true;
-  if (!config_.enable_phase_recovery) return false;
-  // A lost or garbled hop is re-pulled by the receiver (NACK down the hop,
-  // re-send from stored state), a bounded number of times. Persistent
-  // failures fall through to a full re-collection with tree rebuild — the
-  // base multiset is never left silently stale.
-  for (int r = 0; r < config_.max_recovery_requests; ++r) {
-    if (!sim_.alive(msg.src) || !sim_.alive(msg.dst) ||
-        !sim_.radio().LinkUp(msg.src, msg.dst)) {
-      return false;  // persistent: needs CTP repair
-    }
-    sim::Message rereq;
-    rereq.src = msg.dst;
-    rereq.dst = msg.src;
-    rereq.kind = sim::MessageKind::kControl;
-    rereq.payload_bytes = 4;  // names the missing delta
-    sim_.SendUnicast(rereq);
-    ++*resyncs;
-    if (obs::kTracingCompiledIn && sim_.tracer() != nullptr &&
-        sim_.tracer()->enabled()) {
-      sim_.tracer()->Record(obs::EventKind::kRecoveryRequest, sim_.now(),
-                            msg.dst, msg.src, msg.kind, /*count=*/1,
-                            /*bytes=*/0, /*energy_mj=*/0.0);
-    }
-    corrupted = false;
-    if (sim_.SendUnicast(msg, &corrupted) && !corrupted) return true;
-  }
-  return false;
 }
 
 PointSet DeltaGroupExecutor::CollectedSet() const {
@@ -116,11 +82,13 @@ PointSet DeltaGroupExecutor::CollectedSet() const {
   return SetView(base_counts_, *codec_);
 }
 
-Status DeltaGroupExecutor::Collect(const net::RoutingTree& tree,
-                                   const query::AnalyzedQuery& q,
-                                   uint64_t epoch, CollectOutcome* out) {
+StatusOr<bool> DeltaGroupExecutor::Collect(FaultLadder& ladder,
+                                           const net::RoutingTree& tree,
+                                           const query::AnalyzedQuery& q,
+                                           uint64_t epoch,
+                                           CollectOutcome* out) {
   *out = CollectOutcome{};
-  tree_ = &tree;
+  view_.reset();
   const int n = sim_.num_nodes();
   const sim::NodeId root = tree.root();
   ctx_.emplace(data_, q, epoch);
@@ -139,19 +107,14 @@ Status DeltaGroupExecutor::Collect(const net::RoutingTree& tree,
     out->bootstrap = true;
   }
   const JoinAttrCodec& codec = *codec_;
+  view_.emplace(sim_, tree, *ctx_, codec, config_);
+  view_->EncodeKeys(dims);
 
-  // New keys for this epoch.
-  new_key_.assign(n, 0);
-  new_valid_.assign(n, 0);
-  std::vector<double> dim_values(dims.size());
+  // This epoch's reported keys: in-tree sensor nodes with a tuple.
+  const std::vector<uint64_t>& new_key = view_->key;
+  std::vector<char> new_valid(n, 0);
   for (sim::NodeId u = 0; u < n; ++u) {
-    const ExecutorContext::NodeInfo& info = ctx_->info(u);
-    if (!info.has_tuple || !tree.InTree(u) || u == root) continue;
-    for (size_t d = 0; d < dims.size(); ++d) {
-      dim_values[d] = info.tuple.values[dims[d]];
-    }
-    new_key_[u] = codec.EncodeTuple(dim_values, info.membership);
-    new_valid_[u] = 1;
+    new_valid[u] = ctx_->info(u).has_tuple && tree.InTree(u) && u != root;
   }
 
   obs::ScopedPhase span(sim_.tracer(), sim_.events(),
@@ -181,14 +144,14 @@ Status DeltaGroupExecutor::Collect(const net::RoutingTree& tree,
 
     // This node's own key change: its last reported key leaves, its new
     // key arrives.
-    if (last_valid_[u] != new_valid_[u] ||
-        (new_valid_[u] && last_key_[u] != new_key_[u])) {
+    if (last_valid_[u] != new_valid[u] ||
+        (new_valid[u] && last_key_[u] != new_key[u])) {
       ++out->changed_nodes;
       if (last_valid_[u]) Merge(&delta, Delta{{last_key_[u], -1}});
-      if (new_valid_[u]) Merge(&delta, Delta{{new_key_[u], 1}});
+      if (new_valid[u]) Merge(&delta, Delta{{new_key[u], 1}});
     }
-    last_key_[u] = new_key_[u];
-    last_valid_[u] = new_valid_[u];
+    last_key_[u] = new_key[u];
+    last_valid_[u] = new_valid[u];
 
     if (delta.empty()) continue;
     sim::Message msg;
@@ -196,115 +159,50 @@ Status DeltaGroupExecutor::Collect(const net::RoutingTree& tree,
     msg.dst = tree.parent(u);
     msg.kind = sim::MessageKind::kCollection;
     msg.payload_bytes = DeltaWireBytes(delta, codec, config_.representation);
-    if (!SendWithResync(msg, &out->resyncs)) {
-      out->failed = true;
-      return Status::Ok();
-    }
+    // A garbled delta (CRC trailer off) cannot be applied to the multisets
+    // safely: like a persistently lost one, it fails the attempt, which
+    // re-bootstraps after the tree rebuild.
+    bool corrupted = false;
+    if (!ladder.Send(msg, &corrupted) || corrupted) return false;
     Merge(&pending[msg.dst], delta);
   }
   sim_.events().Run();
 
   bootstrapped_ = true;
-  return Status::Ok();
+  return true;
 }
 
-Status DeltaGroupExecutor::DisseminateAndFinalize(const PointSet& filter,
-                                                  FinalOutcome* out) {
-  *out = FinalOutcome{};
-  SENSJOIN_CHECK(tree_ != nullptr && ctx_.has_value())
-      << "DisseminateAndFinalize without a preceding Collect";
-  const net::RoutingTree& tree = *tree_;
+bool DeltaGroupExecutor::RunFinalPhases(FaultLadder& ladder,
+                                        const PointSet& filter,
+                                        ExecutionReport* report,
+                                        std::vector<data::Tuple>* candidates) {
+  SENSJOIN_CHECK(view_.has_value())
+      << "RunFinalPhases without a preceding Collect";
+  PhaseView& view = *view_;
   const int n = sim_.num_nodes();
-  const sim::NodeId root = tree.root();
-  const JoinAttrCodec& codec = *codec_;
-
-  // ---- Filter dissemination ----------------------------------------------
-  std::vector<PointSet> filter_at(n, codec.EmptySet());
-  std::vector<char> got_filter(n, 0);
-  filter_at[root] = filter;
-  got_filter[root] = 1;
-  {
-    obs::ScopedPhase span(sim_.tracer(), sim_.events(),
-                          obs::Phase::kFilterDissemination);
-    for (sim::NodeId u : tree.dissemination_order()) {
-      if (!got_filter[u]) continue;
-      // A child needs the filter only if its subtree ever reported data.
-      std::vector<sim::NodeId> targets;
-      for (sim::NodeId c : tree.children(u)) {
-        if (!subtree_counts_[c].empty() || last_valid_[c]) {
-          targets.push_back(c);
-        }
-      }
-      if (targets.empty()) continue;
-      const PointSet subtree_view = u == root
-                                        ? SetView(base_counts_, codec)
-                                        : SetView(subtree_counts_[u], codec);
-      PointSet forward = filter_at[u];
-      const bool can_prune =
-          config_.use_selective_forwarding &&
-          (u == root ||
-           StructureWireBytes(subtree_view, codec, config_.representation) <=
-               static_cast<size_t>(config_.filter_memory_bytes));
-      if (can_prune) {
-        // Include the children's own keys, which the subtree multiset of u
-        // already covers (it aggregates everything reported from below).
-        forward = PointSet::Intersect(filter_at[u], subtree_view);
-      }
-      if (forward.empty()) continue;
-      for (sim::NodeId c : targets) {
-        if (!sim_.radio().LinkUp(u, c)) {
-          out->failed = true;
-          return Status::Ok();
-        }
-      }
-      sim::Message msg;
-      msg.src = u;
-      msg.kind = sim::MessageKind::kFilter;
-      msg.payload_bytes =
-          StructureWireBytes(forward, codec, config_.representation);
-      sim_.Broadcast(std::move(msg));
-      for (sim::NodeId c : targets) {
-        filter_at[c] = forward;
-        got_filter[c] = 1;
-      }
-    }
-    sim_.events().Run();
+  // A child needs the filter only if its subtree ever reported data.
+  for (sim::NodeId c = 0; c < n; ++c) {
+    view.sent_attrs[c] = !subtree_counts_[c].empty() || last_valid_[c];
   }
-
-  // ---- Final result computation ------------------------------------------
-  obs::ScopedPhase span(sim_.tracer(), sim_.events(),
-                        obs::Phase::kFinalResult);
-  std::vector<std::vector<data::Tuple>> pending_final(n);
-  for (sim::NodeId u : tree.collection_order()) {
-    std::vector<data::Tuple> contribution = std::move(pending_final[u]);
-    if (u == root) {
-      out->candidates = std::move(contribution);
-      break;  // root is last in collection order
-    }
-    if (got_filter[u] && new_valid_[u] && filter_at[u].Contains(new_key_[u])) {
-      contribution.push_back(ctx_->info(u).tuple);
-      ++out->final_tuples_shipped;
-    }
-    if (contribution.empty()) continue;
-    size_t payload = 0;
-    for (const data::Tuple& t : contribution) {
-      payload += ctx_->info(t.node).full_tuple_bytes;
-    }
-    sim::Message msg;
-    msg.src = u;
-    msg.dst = tree.parent(u);
-    msg.kind = sim::MessageKind::kFinal;
-    msg.payload_bytes = payload;
-    if (!SendWithResync(msg, &out->resyncs)) {
-      out->failed = true;
-      return Status::Ok();
-    }
-    std::vector<data::Tuple>& up = pending_final[msg.dst];
-    up.insert(up.end(), std::make_move_iterator(contribution.begin()),
-              std::make_move_iterator(contribution.end()));
-  }
-  sim_.events().Run();
-  return Status::Ok();
+  // Prune sets are built lazily, only for the nodes the filter reaches. The
+  // root forwards unpruned: the filter is a subset of the collected set, so
+  // intersecting the two would change nothing.
+  const sim::NodeId root = view.tree.root();
+  view.prune_set = [this, root, scratch = codec_->EmptySet()](
+                       sim::NodeId u) mutable -> const PointSet* {
+    if (u == root || !config_.use_selective_forwarding) return nullptr;
+    scratch = SetView(subtree_counts_[u], *codec_);
+    return StructureWireBytes(scratch, *codec_, config_.representation) <=
+                   static_cast<size_t>(config_.filter_memory_bytes)
+               ? &scratch
+               : nullptr;
+  };
+  // A service epoch is exact or delivers nothing: a garbled filter or tuple
+  // hop (CRC trailer off) fails the attempt instead of losing rows.
+  const size_t corrupted = report->corrupted_deliveries;
+  return DisseminateFilter(view, ladder, filter, report) &&
+         ShipFinalTuples(view, ladder, report, candidates) &&
+         report->corrupted_deliveries == corrupted;
 }
 
 }  // namespace sensjoin::join

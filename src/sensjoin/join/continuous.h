@@ -12,6 +12,7 @@
 #include "sensjoin/data/tuple.h"
 #include "sensjoin/join/executor_context.h"
 #include "sensjoin/join/join_attr_codec.h"
+#include "sensjoin/join/phases.h"
 #include "sensjoin/join/point_set.h"
 #include "sensjoin/join/protocol.h"
 #include "sensjoin/join/quantizer.h"
@@ -40,24 +41,24 @@ namespace sensjoin::join {
 /// instance serves a whole *sharing group* of queries with identical
 /// (relations, selections, join attributes) signatures — the service layer
 /// (service/join_service.h) disseminates the union of the group's filters
-/// through DisseminateAndFinalize and splits the resulting candidates per
-/// query at the station.
+/// through RunFinalPhases and splits the resulting candidates per query at
+/// the station.
 ///
-/// Every in-tree node reports its key deltas every epoch; the executor has
-/// no Treecut (ProtocolConfig::use_treecut and dmax_bytes are not read).
-/// Treecut is a one-shot optimisation: kept continuously, its frozen
-/// boundary re-ships drifting complete tuples every epoch, which measured
-/// as a steady-state loss (DESIGN.md §6e). Of the protocol knobs it reads
-/// `representation`, `use_selective_forwarding`, `filter_memory_bytes`,
-/// `enable_phase_recovery` and `max_recovery_requests`.
+/// After the collection, the multisets supply the PhaseView (a child is a
+/// target when its subtree ever reported data; a node prunes by its
+/// descendant multiset within `filter_memory_bytes`) and phases 1b and 2
+/// run through join/phases.h, like one-shot SENS-Join. There is no Treecut
+/// (use_treecut and dmax_bytes are not read): kept continuously, its
+/// frozen boundary re-ships drifting complete tuples every epoch, which
+/// measured as a steady-state loss (DESIGN.md §6e). `config`'s fault knobs
+/// must match the FaultLadder the phases run on.
 ///
-/// Fault handling: a lost or corrupted delta hop is re-pulled by the
-/// receiver (kControl re-request + re-send, bounded by
-/// config.max_recovery_requests; counted as a re-sync). A permanent
-/// failure marks the outcome failed; the caller must rebuild the tree,
-/// Reset() the engine and re-run the epoch, which bootstraps from scratch
-/// (a full collection: every key is an addition). A filter computed from
-/// the maintained multiset is therefore never silently stale.
+/// Fault handling: every hop goes through the attempt's FaultLadder, so a
+/// transiently lost hop is re-pulled in place. A persistent failure, or a
+/// garbled delta, filter or tuple hop (CRC trailer off), fails the call;
+/// the caller must Reset() the engine, rebuild the tree and re-run the
+/// epoch, which bootstraps from scratch (every key is an addition). A
+/// filter computed from the multiset is therefore never silently stale.
 class DeltaGroupExecutor {
  public:
   DeltaGroupExecutor(sim::Simulator& sim, const data::NetworkData& data,
@@ -65,13 +66,9 @@ class DeltaGroupExecutor {
 
   /// Outcome of one epoch's delta collection.
   struct CollectOutcome {
-    /// A hop failed permanently; distributed state is invalid. Rebuild the
-    /// tree, Reset() and retry.
-    bool failed = false;
     /// This epoch ran as a full collection (first call or after Reset).
     bool bootstrap = false;
     size_t changed_nodes = 0;  ///< nodes whose reported key moved
-    size_t resyncs = 0;        ///< lost/corrupted delta hops re-pulled
     /// Set-level delta of the base station's collected key set this epoch:
     /// keys whose multiset count rose from zero / fell to zero.
     std::vector<uint64_t> added;
@@ -79,27 +76,23 @@ class DeltaGroupExecutor {
   };
 
   /// Senses `epoch` and runs the delta Join-Attribute-Collection over
-  /// `tree`. The tree reference must stay valid until the matching
-  /// DisseminateAndFinalize call. `q` defines membership, selections and
+  /// `tree` through `ladder`. The tree reference must stay valid until the
+  /// matching RunFinalPhases call. `q` defines membership, selections and
   /// join attributes; for a sharing group pass the representative query
-  /// (all members agree on these by signature).
-  Status Collect(const net::RoutingTree& tree, const query::AnalyzedQuery& q,
-                 uint64_t epoch, CollectOutcome* out);
+  /// (all members agree on these by signature). False = a hop failed and
+  /// the distributed state is invalid (Reset and retry).
+  StatusOr<bool> Collect(FaultLadder& ladder, const net::RoutingTree& tree,
+                         const query::AnalyzedQuery& q, uint64_t epoch,
+                         CollectOutcome* out);
 
-  /// Outcome of dissemination + final-result collection.
-  struct FinalOutcome {
-    bool failed = false;
-    size_t final_tuples_shipped = 0;
-    size_t resyncs = 0;  ///< lost/corrupted final hops re-pulled
-    /// Complete tuples available at the base station for the exact join.
-    std::vector<data::Tuple> candidates;
-  };
-
-  /// Disseminates `filter` (for a sharing group: the union of the members'
-  /// filters) with Selective Filter Forwarding over the maintained subtree
-  /// structures, then collects the matching complete tuples. Must follow a
-  /// successful Collect of the same epoch.
-  Status DisseminateAndFinalize(const PointSet& filter, FinalOutcome* out);
+  /// Phases 1b and 2 (join/phases.h) over the maintained subtree multisets:
+  /// disseminates `filter` (for a sharing group: the union of the members'
+  /// filters) and appends the complete tuples that reach the base station
+  /// to `candidates`. Must follow a successful Collect of the same epoch.
+  /// False = the attempt failed (Reset and retry).
+  bool RunFinalPhases(FaultLadder& ladder, const PointSet& filter,
+                      ExecutionReport* report,
+                      std::vector<data::Tuple>* candidates);
 
   /// Set view of the maintained base-station multiset.
   PointSet CollectedSet() const;
@@ -116,20 +109,10 @@ class DeltaGroupExecutor {
   void Reset();
 
  private:
-  /// Delivers `msg` with bounded receiver-side re-pull on loss/corruption;
-  /// increments *resyncs per re-pull. False = permanent failure.
-  bool SendWithResync(sim::Message msg, size_t* resyncs);
-
   sim::Simulator& sim_;
   const data::NetworkData& data_;
   QuantizationConfig quantization_;
   ProtocolConfig config_;
-
-  // ---- Epoch-scoped state (set by Collect) ------------------------------
-  const net::RoutingTree* tree_ = nullptr;
-  std::optional<ExecutorContext> ctx_;
-  std::vector<uint64_t> new_key_;
-  std::vector<char> new_valid_;
 
   // ---- Persistent distributed state (valid while bootstrapped_) ---------
   bool bootstrapped_ = false;
@@ -141,6 +124,12 @@ class DeltaGroupExecutor {
   std::vector<std::map<uint64_t, int>> subtree_counts_;
   /// Base station: multiset of all reported keys.
   std::map<uint64_t, int> base_counts_;
+
+  // ---- Epoch-scoped state (set by Collect) ------------------------------
+  std::optional<ExecutorContext> ctx_;
+  /// The epoch's phase view (own keys filled by Collect, the rest by
+  /// RunFinalPhases); references ctx_ and codec_.
+  std::optional<PhaseView> view_;
 };
 
 }  // namespace sensjoin::join

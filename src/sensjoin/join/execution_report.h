@@ -109,8 +109,8 @@ struct ExecutionReport {
   size_t filter_points = 0;     ///< points surviving the filter join
   size_t treecut_exited_nodes = 0;  ///< nodes that finished via Treecut
   size_t delta_changed_nodes = 0;   ///< continuous mode: nodes whose key moved
-  size_t delta_resyncs = 0;  ///< continuous mode: lost/corrupted delta hops
-                             ///< re-pulled instead of going stale
+  size_t delta_resyncs = 0;  ///< continuous mode: lost hops of the group's
+                             ///< phases re-pulled (recovery_requests)
 
   /// Continuous service only: number of co-admitted queries that shared
   /// this execution's collection/dissemination/final phases (including this

@@ -22,7 +22,7 @@ StatusOr<ExecutionReport> ExternalJoinExecutor::Execute(
   // lost hop: its recovery budget is zero. The attempt span encloses the
   // abort-and-drain, so a failed attempt's in-flight tail is attributed to
   // the collection.
-  return RunOneShotAttempts(
+  return RunAttempts(
       sim_, tree_, config_, /*recovery_budget=*/0,
       obs::Phase::kExternalCollection,
       "external join failed after retries (network partitioned?)",

@@ -205,10 +205,11 @@ void FaultLadder::Certify(CompletenessCertificate* out) {
   }
 }
 
-StatusOr<ExecutionReport> RunOneShotAttempts(
+StatusOr<ExecutionReport> RunAttempts(
     sim::Simulator& sim, net::RoutingTree& tree, const ProtocolConfig& config,
     int recovery_budget, std::optional<obs::Phase> attempt_span,
-    const char* exhausted_message, const AttemptBody& body) {
+    const char* exhausted_message, const AttemptBody& body,
+    uint32_t first_attempt_id) {
   const StatsSnapshot execute_snapshot(sim);
   // Exactly-once validation: every unicast of the execution is stamped with
   // an (attempt, per-link sequence) tag, and every queue-level delivery is
@@ -231,7 +232,7 @@ StatusOr<ExecutionReport> RunOneShotAttempts(
 
   ExecutionReport failed_attempts;  // ladder counters of aborted attempts
   for (int attempt = 0; attempt <= config.max_retries; ++attempt) {
-    guard.BeginAttempt(static_cast<uint32_t>(attempt));
+    guard.BeginAttempt(first_attempt_id + static_cast<uint32_t>(attempt));
     // In-flight messages captured from an aborted attempt are re-delivered
     // now; the guard classifies them as stale (their attempt id is old).
     sim.ReleaseReplays();

@@ -1,6 +1,7 @@
 #ifndef SENSJOIN_JOIN_FAULT_LADDER_H_
 #define SENSJOIN_JOIN_FAULT_LADDER_H_
 
+#include <cstdint>
 #include <functional>
 #include <optional>
 #include <set>
@@ -18,8 +19,9 @@
 
 namespace sensjoin::join {
 
-/// The self-healing ladder of one one-shot execution attempt, shared by the
-/// SENS-Join and external-join executors. A persistent hop failure
+/// The self-healing ladder of one execution attempt, shared by the
+/// SENS-Join and external-join executors and the continuous service's
+/// delta executor. A persistent hop failure
 /// escalates in order (each rung opt-in via ProtocolConfig, all inert by
 /// default, which keeps fault-free runs bit-identical to the seed):
 ///
@@ -33,8 +35,8 @@ namespace sensjoin::join {
 ///  4. graceful degradation: the loss is recorded and certified in the
 ///     attempt's CompletenessCertificate.
 ///
-/// When every rung fails the attempt aborts; RunOneShotAttempts then
-/// rebuilds the tree and re-executes (Sec. IV-F).
+/// When every rung fails the attempt aborts; RunAttempts then rebuilds the
+/// tree and re-executes (Sec. IV-F).
 class FaultLadder {
  public:
   /// Extra admission predicate on repair parents (empty = any).
@@ -114,21 +116,26 @@ class FaultLadder {
 using AttemptBody =
     std::function<StatusOr<bool>(FaultLadder& ladder, ExecutionReport* report)>;
 
-/// The attempt driver of the one-shot executors. Installs the exactly-once
-/// DeliveryGuard as the simulator's receive handler for the whole call and
-/// runs `body` on a fresh FaultLadder per attempt. After each attempt it
+/// The attempt driver of SENS-Join, the external join and each continuous
+/// service epoch. Installs the exactly-once DeliveryGuard as the
+/// simulator's receive handler for the whole call and runs `body` on a
+/// fresh FaultLadder per attempt. After each attempt it
 /// drains the event queue (capturing an aborted attempt's in-flight
 /// deliveries for replay first); a successful attempt is certified and
 /// returned with the counters of the failed attempts folded in, `cost`
 /// covering it alone and `total_cost` the whole call. A failed attempt
 /// waits out `config.retry_backoff_s`, rebuilds `tree` (CTP repair) and
 /// re-executes, up to `config.max_retries` times; then the call fails with
-/// ResourceExhausted(`exhausted_message`). When set, `attempt_span` is a
-/// trace span enclosing each attempt including its abort and drain.
-StatusOr<ExecutionReport> RunOneShotAttempts(
+/// ResourceExhausted(`exhausted_message`). A body that keeps state indexed
+/// by the tree must drop it before it returns false. When set,
+/// `attempt_span` is a trace span enclosing each attempt including its
+/// abort and drain. Attempt ids start at `first_attempt_id`: repeated calls
+/// on one simulator pass disjoint ranges so leftover replays stay stale.
+StatusOr<ExecutionReport> RunAttempts(
     sim::Simulator& sim, net::RoutingTree& tree, const ProtocolConfig& config,
     int recovery_budget, std::optional<obs::Phase> attempt_span,
-    const char* exhausted_message, const AttemptBody& body);
+    const char* exhausted_message, const AttemptBody& body,
+    uint32_t first_attempt_id = 0);
 
 }  // namespace sensjoin::join
 

@@ -1,6 +1,6 @@
 #include "sensjoin/join/sens_join.h"
 
-#include <algorithm>
+#include <iterator>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -11,6 +11,7 @@
 #include "sensjoin/join/fault_ladder.h"
 #include "sensjoin/join/join_attr_codec.h"
 #include "sensjoin/join/join_filter.h"
+#include "sensjoin/join/phases.h"
 #include "sensjoin/join/representation.h"
 #include "sensjoin/obs/trace.h"
 
@@ -38,7 +39,7 @@ StatusOr<ExecutionReport> SensJoinExecutor::Execute(
   }
   const int recovery_budget =
       config_.enable_phase_recovery ? config_.max_recovery_requests : 0;
-  return RunOneShotAttempts(
+  return RunAttempts(
       sim_, tree_, config_, recovery_budget, /*attempt_span=*/std::nullopt,
       "SENS-Join failed after retries (network partitioned?)",
       [&](FaultLadder& ladder, ExecutionReport* report) {
@@ -57,78 +58,32 @@ StatusOr<bool> SensJoinExecutor::ExecuteAttempt(const query::AnalyzedQuery& q,
       Quantizer::FromConfig(q.schema(), dims, quantization_));
   const JoinAttrCodec codec(std::move(quantizer), ctx.num_relations());
 
-  // Per-node join-attribute keys.
+  // What phases 1b and 2 read about each node; the collection fills it.
+  PhaseView view(sim_, tree_, ctx, codec, config_);
+  view.EncodeKeys(dims);
+  const std::vector<uint64_t>& node_key = view.key;
   const int n = sim_.num_nodes();
-  std::vector<uint64_t> node_key(n, 0);
-  std::vector<double> dim_values(dims.size());
-  for (sim::NodeId u = 0; u < n; ++u) {
-    const ExecutorContext::NodeInfo& info = ctx.info(u);
-    if (!info.has_tuple) continue;
-    for (size_t d = 0; d < dims.size(); ++d) {
-      dim_values[d] = info.tuple.values[dims[d]];
-    }
-    node_key[u] = codec.EncodeTuple(dim_values, info.membership);
-  }
 
-  // Per-node protocol state (Fig. 1).
+  // Per-node collection state (Fig. 1).
   struct NodeState {
     std::vector<data::Tuple> pending_full;  ///< full tuples from children
     PointSet pending_attrs;                 ///< union of children structures
     bool any_attrs_child = false;
-    bool sent_attrs = false;   ///< sent a join-attribute structure upward
-    bool exited = false;       ///< finished via Treecut
-    std::vector<data::Tuple> proxy_tuples;  ///< stored complete tuples
-    PointSet subtree_attrs;    ///< SubtreeJoinAtts (children only)
-    bool has_subtree_attrs = false;
-    PointSet filter;           ///< received join filter
-    bool got_filter = false;
+    /// SubtreeJoinAtts (children only); none = cannot prune.
+    std::optional<PointSet> subtree_attrs;
 
     explicit NodeState(const JoinAttrCodec& codec)
-        : pending_attrs(codec.EmptySet()),
-          subtree_attrs(codec.EmptySet()),
-          filter(codec.EmptySet()) {}
+        : pending_attrs(codec.EmptySet()) {}
   };
   std::vector<NodeState> states(n, NodeState(codec));
+  view.prune_set = [&states](sim::NodeId u) -> const PointSet* {
+    return states[u].subtree_attrs ? &*states[u].subtree_attrs : nullptr;
+  };
 
   const sim::NodeId root = tree_.root();
   std::vector<data::Tuple> base_candidates;
 
   std::vector<uint64_t> union_scratch;  // recycled across per-node unions
-
-  // A repaired orphan's new parent must still be in the protocol: Treecut
-  // exits left it.
-  const FaultLadder::ParentAcceptable in_protocol =
-      [&states](sim::NodeId cand) { return !states[cand].exited; };
-
-  // With the CRC trailer disabled, a delivery can arrive with a damaged
-  // payload. For the quadtree wire format the damage is materialized on the
-  // actual encoding and run through the hardened decoder: a parseable
-  // result is used as-is (wrong but safe); an unparseable one means the
-  // receiver discards the structure, like a loss the ARQ missed. Other
-  // representations (and full-tuple payloads) have no bit-level wire model,
-  // so there a corrupt delivery always drops the contribution.
-  auto receive_damaged = [this, &codec,
-                          report](const PointSet& sent) -> StatusOr<PointSet> {
-    ++report->corrupted_deliveries;
-    if (config_.representation != JoinAttrRepresentation::kQuadtree) {
-      return Status::InvalidArgument("no wire model for representation");
-    }
-    return PointSet::Decode(codec.layout(), sim_.DamagePayload(sent.Encode()));
-  };
-
-  // Fidelity check (tests): everything handed to the radio must survive an
-  // actual serialize/parse roundtrip through the Fig. 9 wire format.
-  auto verify_wire = [this, &codec,
-                      scratch = BitWriter{}](const PointSet& set) mutable {
-    if (!config_.verify_wire_roundtrip ||
-        config_.representation != JoinAttrRepresentation::kQuadtree) {
-      return;
-    }
-    set.EncodeTo(&scratch);  // one encoding buffer across all nodes
-    auto decoded = PointSet::Decode(codec.layout(), scratch);
-    SENSJOIN_CHECK(decoded.ok()) << decoded.status();
-    SENSJOIN_CHECK(*decoded == set) << "wire roundtrip mismatch";
-  };
 
   // One span per protocol phase on the trace timeline; events recorded
   // while a span is open (sends, acks, recovery requests) are attributed to
@@ -164,7 +119,10 @@ StatusOr<bool> SensJoinExecutor::ExecuteAttempt(const query::AnalyzedQuery& q,
     auto degrade = [&]() -> bool {
       return ladder.Degrade(u, treecut ? tuple_nodes : tree_.SubtreeNodes(u));
     };
-    if (!ladder.Repair(u, obs::Phase::kJoinAttrCollection, in_protocol)) {
+    // A repaired orphan's new parent must still be in the protocol: Treecut
+    // exits left it.
+    if (!ladder.Repair(u, obs::Phase::kJoinAttrCollection,
+                       [&view](sim::NodeId c) { return !view.exited[c]; })) {
       return degrade();
     }
 
@@ -204,23 +162,23 @@ StatusOr<bool> SensJoinExecutor::ExecuteAttempt(const query::AnalyzedQuery& q,
     // Selective-Filter-Forwarding snapshot so step 1b still prunes
     // correctly — until a node whose turn is still to come buffers them.
     if (treecut) {
-      pstate.proxy_tuples.insert(pstate.proxy_tuples.end(),
-                                 std::make_move_iterator(tuples.begin()),
-                                 std::make_move_iterator(tuples.end()));
+      std::vector<data::Tuple>& proxy = view.proxy_tuples[np];
+      proxy.insert(proxy.end(), std::make_move_iterator(tuples.begin()),
+                   std::make_move_iterator(tuples.end()));
     }
     sim::NodeId v = np;
     while (done1a[v] && v != root) {
       NodeState& vs = states[v];
-      if (vs.has_subtree_attrs) {
-        vs.subtree_attrs.UnionInPlace(points, &union_scratch);
+      if (vs.subtree_attrs) {
+        vs.subtree_attrs->UnionInPlace(points, &union_scratch);
         if (config_.use_selective_forwarding &&
-            StructureWireBytes(vs.subtree_attrs, codec,
+            StructureWireBytes(*vs.subtree_attrs, codec,
                                config_.representation) >
                 static_cast<size_t>(config_.filter_memory_bytes)) {
-          vs.has_subtree_attrs = false;  // grew past budget: stop pruning
+          vs.subtree_attrs.reset();  // grew past budget: stop pruning
         }
       }
-      vs.sent_attrs = true;  // v is now part of the upward structure flow
+      view.sent_attrs[v] = 1;  // v is now part of the upward structure flow
       sim::Message relay;
       relay.src = v;
       relay.dst = tree_.parent(v);
@@ -258,7 +216,6 @@ StatusOr<bool> SensJoinExecutor::ExecuteAttempt(const query::AnalyzedQuery& q,
       }
       s.pending_attrs.InsertAll(std::move(base_keys));
       s.subtree_attrs = s.pending_attrs;  // powered node: no memory limit
-      s.has_subtree_attrs = true;
       continue;
     }
 
@@ -274,7 +231,7 @@ StatusOr<bool> SensJoinExecutor::ExecuteAttempt(const query::AnalyzedQuery& q,
       // Hand the complete tuples to the parent and exit the query.
       std::vector<data::Tuple> contribution = std::move(s.pending_full);
       if (info.has_tuple) contribution.push_back(info.tuple);
-      s.exited = true;
+      view.exited[u] = 1;
       ++report->treecut_exited_nodes;
       if (contribution.empty()) continue;
       sim::Message msg;
@@ -312,13 +269,13 @@ StatusOr<bool> SensJoinExecutor::ExecuteAttempt(const query::AnalyzedQuery& q,
 
     // Act as a proxy for received complete tuples; remember the subtree's
     // join-attribute structure for Selective Filter Forwarding.
-    s.proxy_tuples = std::move(s.pending_full);
+    std::vector<data::Tuple>& proxy = view.proxy_tuples[u];
+    proxy = std::move(s.pending_full);
     s.pending_full.clear();
     if (config_.use_selective_forwarding &&
         StructureWireBytes(s.pending_attrs, codec, config_.representation) <=
             static_cast<size_t>(config_.filter_memory_bytes)) {
       s.subtree_attrs = s.pending_attrs;
-      s.has_subtree_attrs = true;
     }
 
     // After this turn u's accumulated structure is only needed as `out`
@@ -326,14 +283,14 @@ StatusOr<bool> SensJoinExecutor::ExecuteAttempt(const query::AnalyzedQuery& q,
     // one), so hand the buffer over instead of cloning.
     PointSet out = std::move(s.pending_attrs);
     std::vector<uint64_t> local_keys;
-    local_keys.reserve(s.proxy_tuples.size() + 1);
-    for (const data::Tuple& t : s.proxy_tuples) {
+    local_keys.reserve(proxy.size() + 1);
+    for (const data::Tuple& t : proxy) {
       local_keys.push_back(node_key[t.node]);
     }
     if (info.has_tuple) local_keys.push_back(node_key[u]);
     out.InsertAll(std::move(local_keys));
     if (out.empty()) continue;  // nothing in this subtree
-    verify_wire(out);
+    view.VerifyWire(out);
 
     sim::Message msg;
     msg.src = u;
@@ -345,12 +302,12 @@ StatusOr<bool> SensJoinExecutor::ExecuteAttempt(const query::AnalyzedQuery& q,
       if (!rescue_collection(u, out, {}, 0)) return false;
       // A degraded rescue leaves u out of the upward structure flow, so its
       // parent must not expect it as a dissemination target in step 1b.
-      if (!ladder.IsExcluded(u)) s.sent_attrs = true;
+      if (!ladder.IsExcluded(u)) view.sent_attrs[u] = 1;
       continue;
     }
-    s.sent_attrs = true;
+    view.sent_attrs[u] = 1;
     if (corrupted) {
-      auto damaged = receive_damaged(out);
+      auto damaged = view.ReceiveDamaged(out, report);
       if (!damaged.ok()) continue;  // parent discards the garbled structure
       out = std::move(*damaged);
     }
@@ -371,162 +328,11 @@ StatusOr<bool> SensJoinExecutor::ExecuteAttempt(const query::AnalyzedQuery& q,
   report->filter_points = filter_result.filter.size();
   span.reset();
 
-  // ---- Phase 1b: Filter-Dissemination (Fig. 3) ---------------------------
-  span.emplace(sim_.tracer(), sim_.events(), obs::Phase::kFilterDissemination);
-  ladder.ArmWatchdog();
-  states[root].filter = filter_result.filter;
-  states[root].got_filter = true;
-  // No in-network repair in this phase: a re-attached child would need its
-  // ancestor-pruned filter widened to the new path's subtree, which cannot
-  // be reconstructed locally without risking silent row loss. A child that
-  // cannot be reached degrades into a certified exclusion instead.
-  for (sim::NodeId u : tree_.dissemination_order()) {
-    NodeState& s = states[u];
-    if (s.exited || !s.got_filter) continue;
-
-    std::vector<sim::NodeId> targets;
-    for (sim::NodeId c : tree_.children(u)) {
-      if (states[c].sent_attrs) targets.push_back(c);
-    }
-    if (targets.empty()) continue;
-
-    PointSet forward = s.has_subtree_attrs
-                           ? PointSet::Intersect(s.filter, s.subtree_attrs)
-                           : s.filter;  // over budget: cannot prune
-    if (forward.empty()) continue;  // subtree holds no result tuples
-    verify_wire(forward);
-
-    sim::Message msg;
-    msg.src = u;
-    msg.kind = sim::MessageKind::kFilter;
-    msg.payload_bytes =
-        StructureWireBytes(forward, codec, config_.representation);
-    std::vector<sim::NodeId> reached;
-    std::vector<sim::NodeId> corrupted_rx;
-    sim_.Broadcast(msg, &reached, &corrupted_rx);
-    for (sim::NodeId c : targets) {
-      bool have = false;
-      PointSet child_filter = forward;
-      if (std::find(reached.begin(), reached.end(), c) != reached.end()) {
-        if (std::find(corrupted_rx.begin(), corrupted_rx.end(), c) !=
-            corrupted_rx.end()) {
-          auto damaged = receive_damaged(forward);
-          if (damaged.ok()) {
-            child_filter = std::move(*damaged);
-            have = true;
-          }
-          // Unparseable filter: as good as a missed broadcast — fall
-          // through to the unicast resend.
-        } else {
-          have = true;
-        }
-      }
-      if (!have) {
-        if (config_.enable_graceful_degradation &&
-            ladder.WatchdogExpired(obs::Phase::kFilterDissemination)) {
-          ladder.Degrade(c, tree_.SubtreeNodes(c));
-          continue;
-        }
-        // Detected subtree loss: the child missed the filter broadcast.
-        // Unicast it the pruned filter kept for exactly this purpose by
-        // Selective Filter Forwarding, instead of restarting the query.
-        sim::Message resend;
-        resend.src = u;
-        resend.dst = c;
-        resend.kind = sim::MessageKind::kFilter;
-        resend.payload_bytes = msg.payload_bytes;
-        bool corrupted = false;
-        if (!config_.enable_phase_recovery ||
-            !ladder.Send(resend, &corrupted)) {
-          // The filter cannot reach c: its subtree ships nothing in the
-          // final phase, so certify the whole branch as excluded.
-          if (ladder.Degrade(c, tree_.SubtreeNodes(c))) continue;
-          return false;
-        }
-        child_filter = forward;
-        if (corrupted) {
-          auto damaged = receive_damaged(forward);
-          // A resend that arrives garbled and unparseable leaves the child
-          // without a filter: its subtree ships nothing in phase 2.
-          if (!damaged.ok()) continue;
-          child_filter = std::move(*damaged);
-        }
-      }
-      states[c].filter = std::move(child_filter);
-      states[c].got_filter = true;
-    }
+  // ---- Phase 1b: Filter-Dissemination (Fig. 3) and phase 2 -------------
+  if (!DisseminateFilter(view, ladder, filter_result.filter, report) ||
+      !ShipFinalTuples(view, ladder, report, &base_candidates)) {
+    return false;
   }
-  sim_.events().Run();
-  sim_.events().ShrinkToFit();
-  span.reset();
-
-  // ---- Phase 2: Final-Result-Computation ---------------------------------
-  span.emplace(sim_.tracer(), sim_.events(), obs::Phase::kFinalResult);
-  ladder.ArmWatchdog();
-  std::vector<std::vector<data::Tuple>> pending_final(n);
-  std::vector<char> done2(n, 0);
-
-  const std::vector<sim::NodeId> order_2 = tree_.collection_order();
-  for (sim::NodeId u : order_2) {
-    done2[u] = 1;
-    NodeState& s = states[u];
-    if (u != root && s.exited) continue;
-
-    std::vector<data::Tuple> contribution = std::move(pending_final[u]);
-    if (u != root && s.got_filter) {
-      const ExecutorContext::NodeInfo& info = ctx.info(u);
-      if (info.has_tuple && s.filter.Contains(node_key[u])) {
-        contribution.push_back(info.tuple);
-        ++report->final_tuples_shipped;
-      }
-      for (const data::Tuple& t : s.proxy_tuples) {
-        if (s.filter.Contains(node_key[t.node])) {
-          contribution.push_back(t);
-          ++report->final_tuples_shipped;
-        }
-      }
-    }
-    if (u == root) {
-      base_candidates.insert(base_candidates.end(),
-                             std::make_move_iterator(contribution.begin()),
-                             std::make_move_iterator(contribution.end()));
-      continue;
-    }
-    if (contribution.empty()) continue;
-
-    size_t payload = 0;
-    for (const data::Tuple& t : contribution) {
-      payload += ctx.info(t.node).full_tuple_bytes;
-    }
-    sim::Message msg;
-    msg.src = u;
-    msg.dst = tree_.parent(u);
-    msg.kind = sim::MessageKind::kFinal;
-    msg.payload_bytes = payload;
-    bool corrupted = false;
-    if (!ladder.Send(msg, &corrupted)) {
-      // Repair and relay the rows through already-processed ancestors (the
-      // relay path cannot contain Treecut-exited nodes: a non-exited node
-      // never has an exited ancestor).
-      if (!ladder.RescueTuples(u, std::move(contribution), payload,
-                               obs::Phase::kFinalResult, done2, pending_final,
-                               in_protocol)) {
-        return false;
-      }
-      continue;
-    }
-    if (corrupted) {
-      // Garbled result rows are discarded upstream.
-      ++report->corrupted_deliveries;
-      continue;
-    }
-    std::vector<data::Tuple>& up = pending_final[tree_.parent(u)];
-    up.insert(up.end(), std::make_move_iterator(contribution.begin()),
-              std::make_move_iterator(contribution.end()));
-  }
-  sim_.events().Run();
-  sim_.events().ShrinkToFit();
-  span.reset();
 
   report->candidate_tuples = base_candidates.size();
   report->result =

@@ -31,28 +31,11 @@ class FaultLadder;
 ///      join-attribute tuple is in the filter ship complete tuples; the
 ///      base station computes the exact result.
 ///
-/// Failure handling escalates in order (each stage opt-in via
-/// ProtocolConfig, all off by default; the ladder is shared with the
-/// external join, see fault_ladder.h):
-///
-///  1. Phase-level recovery: a transient hop failure (packet loss beyond
-///     the ARQ budget) re-requests the missing subtree contribution over
-///     the same hop, using the stored per-child filter state during
-///     Filter-Dissemination.
-///  2. Phase watchdog: each phase gets a sim-time deadline scaled by tree
-///     depth; once overrun, the executor stops repairing and degrades.
-///  3. In-network tree repair (net::TreeMaintenance): an orphaned subtree
-///     re-attaches to the best live neighbor and its buffered upward state
-///     is re-routed through the new parent — except during
-///     Filter-Dissemination, where a locally-pruned filter cannot be
-///     soundly widened for a new path (the branch degrades instead).
-///  4. Graceful degradation: the loss is certified in
-///     ExecutionReport::certificate (exactly which nodes' data is missing)
-///     and the execution finishes over the reachable field.
-///
-/// With everything off, persistent failures (crashes, downed links) abort
-/// the attempt; the tree is rebuilt (CTP repair) and the query re-executed,
-/// as Sec. IV-F prescribes.
+/// Phases 1b and 2 are join/phases.h, shared with the continuous delta
+/// executor. Failures escalate through the FaultLadder (fault_ladder.h):
+/// phase-level recovery, watchdog, in-network repair, graceful degradation,
+/// each switched by ProtocolConfig; a failure past them aborts the attempt,
+/// and the tree is rebuilt and the query re-executed (Sec. IV-F).
 class SensJoinExecutor {
  public:
   /// `sim` and `data` must outlive the executor. `quantization` supplies

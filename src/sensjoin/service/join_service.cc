@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <optional>
 #include <utility>
 
 #include "sensjoin/common/logging.h"
@@ -18,36 +19,13 @@ double SecondsSince(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-/// Folds one group's network cost into the epoch rollup.
-void AccumulateCost(join::CostReport* into, const join::CostReport& from) {
-  into->phases.collection_packets += from.phases.collection_packets;
-  into->phases.filter_packets += from.phases.filter_packets;
-  into->phases.final_packets += from.phases.final_packets;
-  into->join_packets += from.join_packets;
-  into->join_bytes += from.join_bytes;
-  into->energy_mj += from.energy_mj;
-  into->retransmitted_packets += from.retransmitted_packets;
-  into->ack_packets += from.ack_packets;
-  into->retransmit_energy_mj += from.retransmit_energy_mj;
-  into->ack_energy_mj += from.ack_energy_mj;
-  into->corrupted_packets += from.corrupted_packets;
-  into->undetected_corrupted_packets += from.undetected_corrupted_packets;
-  into->crc_bytes_sent += from.crc_bytes_sent;
-  into->integrity_retransmit_energy_mj += from.integrity_retransmit_energy_mj;
-  into->crc_energy_mj += from.crc_energy_mj;
-  into->repair_packets += from.repair_packets;
-  into->repair_bytes_sent += from.repair_bytes_sent;
-  into->repair_energy_mj += from.repair_energy_mj;
-  into->duplicate_packets += from.duplicate_packets;
-  into->replayed_packets += from.replayed_packets;
-  into->duplicate_energy_mj += from.duplicate_energy_mj;
-  into->replay_energy_mj += from.replay_energy_mj;
-  if (into->per_node_packets.size() < from.per_node_packets.size()) {
-    into->per_node_packets.resize(from.per_node_packets.size(), 0);
-  }
-  for (size_t i = 0; i < from.per_node_packets.size(); ++i) {
-    into->per_node_packets[i] += from.per_node_packets[i];
-  }
+/// `config` without tree repair, watchdogs and degradation: a repaired
+/// orphan would corrupt the delta state, a degraded epoch is not exact.
+ServiceConfig WithoutRepairOrDegradation(ServiceConfig config) {
+  config.protocol.enable_tree_repair = false;
+  config.protocol.enable_phase_watchdog = false;
+  config.protocol.enable_graceful_degradation = false;
+  return config;
 }
 
 }  // namespace
@@ -60,7 +38,7 @@ JoinService::JoinService(sim::Simulator& sim, const data::NetworkData& data,
       data_(data),
       tree_(std::move(tree)),
       quantization_(std::move(quantization)),
-      config_(config),
+      config_(WithoutRepairOrDegradation(config)),
       registry_(data.schema(), config.max_queries) {}
 
 StatusOr<QueryId> JoinService::Register(const std::string& sql) {
@@ -73,9 +51,9 @@ StatusOr<QueryId> JoinService::Register(const std::string& sql,
 }
 
 Status JoinService::Cancel(QueryId id) {
-  return registry_.Cancel(id, next_epoch_);
   // Group membership is re-derived at the next RunEpoch; a group whose
   // last member left is dismantled there.
+  return registry_.Cancel(id, next_epoch_);
 }
 
 std::string JoinService::GroupKeyOf(const QueryRecord& record) const {
@@ -97,14 +75,6 @@ std::string JoinService::GroupKeyOf(const QueryRecord& record) const {
   return key;
 }
 
-void JoinService::RepairTopology() {
-  tree_ = net::RoutingTree::Build(sim_, tree_.root());
-  for (auto& [key, group] : groups_) {
-    group.engine->Reset();
-    for (auto& [id, filter] : group.filters) filter.Reset();
-  }
-}
-
 StatusOr<ServiceEpochReport> JoinService::RunEpoch() {
   const uint64_t epoch = next_epoch_;
   const std::vector<QueryId> active = registry_.ActiveIds();
@@ -113,32 +83,65 @@ StatusOr<ServiceEpochReport> JoinService::RunEpoch() {
   }
   obs::ScopedPhase span(sim_.tracer(), sim_.events(),
                         obs::Phase::kServiceEpoch);
-  size_t rebuilds = 0;
-  for (int attempt = 0; attempt <= config_.protocol.max_retries; ++attempt) {
-    ServiceEpochReport report;
-    report.epoch = epoch;
-    report.active_queries = active.size();
-    report.tree_rebuilds = rebuilds;
-    SENSJOIN_ASSIGN_OR_RETURN(const bool ok,
-                              RunEpochAttempt(epoch, active, &report));
-    if (ok) {
-      ++next_epoch_;
-      return report;
-    }
-    // Topology changed under the epoch: repair, reset every group's
-    // distributed state (it indexes the old tree) and re-run the whole
-    // epoch with bootstrap collections. Partial results of the aborted
-    // attempt are discarded, never delivered.
-    RepairTopology();
-    ++rebuilds;
+  // Disjoint attempt ids per call (a failed epoch keeps its number): what
+  // an exhausted call left in flight replays into the next one as stale.
+  const uint32_t first_attempt_id = next_attempt_id_;
+  next_attempt_id_ += static_cast<uint32_t>(config_.protocol.max_retries + 1);
+  EpochAttempt staged;
+  SENSJOIN_ASSIGN_OR_RETURN(
+      const join::ExecutionReport run,
+      join::RunAttempts(
+          sim_, tree_, config_.protocol,
+          config_.protocol.enable_phase_recovery
+              ? config_.protocol.max_recovery_requests
+              : 0,
+          /*attempt_span=*/std::nullopt,
+          "continuous service epoch failed after retries",
+          [&](join::FaultLadder& ladder,
+              join::ExecutionReport* attempt) -> StatusOr<bool> {
+            staged = EpochAttempt{};
+            SENSJOIN_ASSIGN_OR_RETURN(
+                const bool ok,
+                RunEpochAttempt(epoch, active, ladder, attempt, &staged));
+            if (!ok) {
+              // Every group's distributed state indexes the tree the driver
+              // is about to rebuild: the retry bootstraps from scratch.
+              // Partial results of the aborted attempt are never delivered.
+              for (auto& [key, group] : groups_) {
+                group.engine->Reset();
+                for (auto& [id, filter] : group.filters) filter.Reset();
+              }
+            }
+            return ok;
+          },
+          first_attempt_id));
+
+  // The whole epoch succeeded: deliver the staged per-query reports with
+  // what the driver measured over the epoch.
+  staged.report.cost = run.cost;
+  staged.report.tree_rebuilds = static_cast<size_t>(run.attempts - 1);
+  for (auto& [id, er] : staged.reports) {
+    er.attempts = run.attempts;
+    er.certificate = run.certificate;
+    er.duplicate_deliveries = run.duplicate_deliveries;
+    er.stale_messages_dropped = run.stale_messages_dropped;
+    er.reordered_messages = run.reordered_messages;
+    er.response_time_s = run.response_time_s;
+    registry_.GetMutable(id)->reports.push_back(std::move(er));
   }
-  return Status::ResourceExhausted(
-      "continuous service epoch failed after retries");
+  last_group_reports_ = std::move(staged.groups);
+  ++next_epoch_;
+  return std::move(staged.report);
 }
 
 StatusOr<bool> JoinService::RunEpochAttempt(uint64_t epoch,
                                            const std::vector<QueryId>& active,
-                                           ServiceEpochReport* report) {
+                                           join::FaultLadder& ladder,
+                                           join::ExecutionReport* attempt,
+                                           EpochAttempt* out) {
+  ServiceEpochReport* report = &out->report;
+  report->epoch = epoch;
+  report->active_queries = active.size();
   // Re-derive the grouping from the active set (admissions and
   // cancellations since the last epoch take effect here). `active` is
   // ascending, so each group's first member is its representative (lowest
@@ -158,16 +161,20 @@ StatusOr<bool> JoinService::RunEpochAttempt(uint64_t epoch,
   report->sharing_factor = static_cast<double>(active.size()) /
                            static_cast<double>(members_by_key.size());
 
-  std::vector<GroupEpochReport> group_reports;
-  std::map<QueryId, join::ExecutionReport> staged;
-
   for (auto& [key, members] : members_by_key) {
-    Group& group =
-        groups_
-            .try_emplace(key, std::make_unique<join::DeltaGroupExecutor>(
-                                  sim_, data_, quantization_,
-                                  members.front()->protocol))
-            .first->second;
+    const QueryRecord* representative = members.front();
+    Group& group = groups_[key];
+    if (group.engine == nullptr) {
+      // The group key covers the dissemination knobs; every other knob,
+      // the fault knobs included, is the service's.
+      const join::ProtocolConfig& own = representative->protocol;
+      join::ProtocolConfig protocol = config_.protocol;
+      protocol.use_selective_forwarding = own.use_selective_forwarding;
+      protocol.filter_memory_bytes = own.filter_memory_bytes;
+      protocol.representation = own.representation;
+      group.engine = std::make_unique<join::DeltaGroupExecutor>(
+          sim_, data_, quantization_, protocol);
+    }
     // Station-side caches of departed members die with their membership.
     for (auto it = group.filters.begin(); it != group.filters.end();) {
       const QueryId id = it->first;
@@ -178,12 +185,15 @@ StatusOr<bool> JoinService::RunEpochAttempt(uint64_t epoch,
     }
 
     const join::StatsSnapshot before(sim_);
-    const QueryRecord* representative = members.front();
+    const size_t recoveries_before = attempt->recovery_requests;
+    const size_t shipped_before = attempt->final_tuples_shipped;
 
     join::DeltaGroupExecutor::CollectOutcome collected;
-    SENSJOIN_RETURN_IF_ERROR(group.engine->Collect(
-        tree_, representative->query, epoch, &collected));
-    if (collected.failed) return false;
+    SENSJOIN_ASSIGN_OR_RETURN(
+        const bool ok, group.engine->Collect(ladder, tree_,
+                                             representative->query, epoch,
+                                             &collected));
+    if (!ok) return false;
 
     // Base-station computation: per-member incremental filters, then the
     // group filter as their union (conservative for every member).
@@ -207,11 +217,14 @@ StatusOr<bool> JoinService::RunEpochAttempt(uint64_t epoch,
     }
     report->station_cpu_s += SecondsSince(cpu_start);
 
-    join::DeltaGroupExecutor::FinalOutcome final_outcome;
-    SENSJOIN_RETURN_IF_ERROR(
-        group.engine->DisseminateAndFinalize(union_filter, &final_outcome));
-    if (final_outcome.failed) return false;
+    std::vector<data::Tuple> candidates;
+    if (!group.engine->RunFinalPhases(ladder, union_filter, attempt,
+                                      &candidates)) {
+      return false;
+    }
     const join::CostReport group_cost = before.DeltaTo(sim_);
+    const size_t resyncs = attempt->recovery_requests - recoveries_before;
+    const size_t shipped = attempt->final_tuples_shipped - shipped_before;
 
     // Per-member exact joins over the group's candidate pool: each member
     // applies its own predicates and projection, discarding the other
@@ -220,44 +233,32 @@ StatusOr<bool> JoinService::RunEpochAttempt(uint64_t epoch,
     // group's epoch context.
     const auto join_start = std::chrono::steady_clock::now();
     const std::vector<std::vector<const data::Tuple*>> per_table =
-        group.engine->context()->PerTableCandidates(final_outcome.candidates);
+        group.engine->context()->PerTableCandidates(candidates);
     for (QueryRecord* m : members) {
       join::ExecutionReport er;
       er.success = true;
-      er.attempts = static_cast<int>(report->tree_rebuilds) + 1;
       er.shared_group_size = members.size();
       er.cost = group_cost;
       er.total_cost = group_cost;
       er.collected_points = collected_set.size();
       er.filter_points = group.filters[m->id].last().filter.size();
       er.delta_changed_nodes = collected.changed_nodes;
-      er.delta_resyncs = collected.resyncs + final_outcome.resyncs;
-      er.final_tuples_shipped = final_outcome.final_tuples_shipped;
-      er.candidate_tuples = final_outcome.candidates.size();
+      er.delta_resyncs = resyncs;
+      er.final_tuples_shipped = shipped;
+      er.candidate_tuples = candidates.size();
       er.result = join::ComputeExactJoin(m->query, per_table);
       report->matched_rows += er.result.rows.size();
-      staged.emplace(m->id, std::move(er));
+      out->reports.emplace(m->id, std::move(er));
     }
     report->station_cpu_s += SecondsSince(join_start);
 
     if (collected.bootstrap) ++report->bootstraps;
-    report->delta_resyncs += collected.resyncs + final_outcome.resyncs;
+    report->delta_resyncs += resyncs;
     report->changed_nodes += collected.changed_nodes;
-    AccumulateCost(&report->cost, group_cost);
 
-    GroupEpochReport gr;
-    gr.group_key = key;
-    gr.members = members.size();
-    gr.bootstrap = collected.bootstrap;
-    gr.cost = group_cost;
-    group_reports.push_back(std::move(gr));
+    out->groups.push_back(
+        GroupEpochReport{key, members.size(), collected.bootstrap, group_cost});
   }
-
-  // The whole epoch succeeded: deliver the staged per-query reports.
-  for (auto& [id, er] : staged) {
-    registry_.GetMutable(id)->reports.push_back(std::move(er));
-  }
-  last_group_reports_ = std::move(group_reports);
   return true;
 }
 

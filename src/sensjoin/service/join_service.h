@@ -10,6 +10,7 @@
 #include "sensjoin/common/statusor.h"
 #include "sensjoin/data/network_data.h"
 #include "sensjoin/join/continuous.h"
+#include "sensjoin/join/fault_ladder.h"
 #include "sensjoin/join/join_filter.h"
 #include "sensjoin/join/protocol.h"
 #include "sensjoin/join/quantizer.h"
@@ -23,7 +24,9 @@ namespace sensjoin::service {
 
 /// Service-level configuration.
 struct ServiceConfig {
-  /// Default protocol knobs for queries registered without their own.
+  /// Default protocol knobs for queries registered without their own; the
+  /// only source of fault knobs. Tree repair, phase watchdogs and graceful
+  /// degradation are forced off (see JoinService).
   join::ProtocolConfig protocol;
 
   /// Multi-query optimization: group queries whose sharing signature and
@@ -63,7 +66,7 @@ struct ServiceEpochReport {
 
   size_t bootstraps = 0;     ///< groups that ran a full collection
   size_t tree_rebuilds = 0;  ///< topology repairs forced by failures
-  size_t delta_resyncs = 0;  ///< lost/corrupted hops re-pulled (all groups)
+  size_t delta_resyncs = 0;  ///< lost hops re-pulled (all groups)
   size_t changed_nodes = 0;  ///< nodes whose key moved (all groups)
 
   /// Filter-maintenance paths taken across member queries this epoch.
@@ -92,13 +95,15 @@ struct ServiceEpochReport {
 /// (lowest active QueryId) — a documented approximation; the union of the
 /// members' shipped attributes would be the hardware-faithful refinement.
 ///
-/// Fault model: a permanently failed hop in any group's phase aborts the
-/// epoch attempt, rebuilds the routing tree and resets EVERY group (their
-/// distributed state indexes the old tree); the epoch then re-runs with
-/// bootstrap collections. Transient losses are re-pulled in place and
-/// counted as delta_resyncs. A stale filter is therefore impossible: every
-/// filter is computed from a multiset that either applied the epoch's full
-/// delta or was rebuilt from scratch.
+/// Fault model: each epoch runs on join::RunAttempts, the one-shot
+/// executors' attempt driver, with only the ladder's first rung: a lost
+/// hop or missed filter broadcast is re-pulled in place (delta_resyncs). A
+/// persistent failure or an undetected-corrupt hop fails the attempt;
+/// every group is reset (its state indexes the old tree), the driver
+/// rebuilds the tree, and the epoch re-runs with bootstrap collections. A
+/// stale filter is therefore impossible: every filter is computed from a
+/// multiset that applied the epoch's full delta or was rebuilt from
+/// scratch.
 class JoinService {
  public:
   /// References must outlive the service. `tree` is the initial routing
@@ -109,8 +114,10 @@ class JoinService {
 
   /// Admits a continuous query with the service's default protocol knobs
   /// (or per-query overrides). It joins execution at the next RunEpoch.
-  /// The delta executor has no Treecut: use_treecut and dmax_bytes are
-  /// ignored.
+  /// A per-query `protocol` contributes only the group-key dissemination
+  /// knobs (use_selective_forwarding, filter_memory_bytes, representation);
+  /// every fault knob comes from ServiceConfig::protocol, and the delta
+  /// executor has no Treecut (use_treecut and dmax_bytes are ignored).
   StatusOr<QueryId> Register(const std::string& sql);
   StatusOr<QueryId> Register(const std::string& sql,
                              join::ProtocolConfig protocol);
@@ -141,8 +148,6 @@ class JoinService {
   /// distributed state (it survives membership churn); the filters are
   /// per-member station-side caches.
   struct Group {
-    explicit Group(std::unique_ptr<join::DeltaGroupExecutor> engine_in)
-        : engine(std::move(engine_in)) {}
     std::unique_ptr<join::DeltaGroupExecutor> engine;
     std::map<QueryId, join::IncrementalJoinFilter> filters;
   };
@@ -152,22 +157,29 @@ class JoinService {
   /// + the query id itself when sharing is disabled.
   std::string GroupKeyOf(const QueryRecord& record) const;
 
-  /// Executes the epoch once; false + intact Status when a failure needs a
-  /// tree rebuild and a retry.
+  /// What one successful epoch attempt stages for delivery.
+  struct EpochAttempt {
+    ServiceEpochReport report;
+    std::vector<GroupEpochReport> groups;
+    std::map<QueryId, join::ExecutionReport> reports;  ///< per member
+  };
+
+  /// Executes the epoch's groups once through `ladder`; false + intact
+  /// Status when a failure needs a tree rebuild and a retry.
   StatusOr<bool> RunEpochAttempt(uint64_t epoch,
                                  const std::vector<QueryId>& active,
-                                 ServiceEpochReport* report);
-
-  /// Rebuilds the tree and resets every group's distributed state.
-  void RepairTopology();
+                                 join::FaultLadder& ladder,
+                                 join::ExecutionReport* attempt,
+                                 EpochAttempt* out);
 
   sim::Simulator& sim_;
   const data::NetworkData& data_;
   net::RoutingTree tree_;
   join::QuantizationConfig quantization_;
-  ServiceConfig config_;
+  ServiceConfig config_;  ///< as given, repair and degradation forced off
   QueryRegistry registry_;
   uint64_t next_epoch_ = 0;
+  uint32_t next_attempt_id_ = 0;  ///< first DeliveryGuard id of next call
 
   /// Live groups keyed by group key; iteration order (lexicographic) is the
   /// deterministic phase order within an epoch.

@@ -337,20 +337,25 @@ struct ServiceTrialOutcome {
   std::vector<std::string> violations;
   size_t rebuilds = 0;
   size_t resyncs = 0;
+  size_t stale_messages_dropped = 0;
   size_t failed_epochs = 0;
   uint64_t duplicate_packets = 0;
   size_t checked_rows = 0;
 };
 
-/// One service chaos trial: a default-config JoinService on its own small
+/// One service chaos trial: a JoinService (`config`) on its own small
 /// deployment runs kServiceEpochs epochs under a schedule drawn from
 /// `params`, with one cancel and one admission mid-run. After every
 /// RunEpoch: a successful epoch gives each active query exactly one new
-/// report whose rows equal the oracle; a failed epoch delivers nothing.
-StatusOr<ServiceTrialOutcome> RunServiceChaosTrial(const ChaosParams& params) {
+/// report whose rows equal the oracle, whose certificate excludes exactly
+/// the nodes outside the service's tree and whose response time stays
+/// within the liveness bound; a failed epoch delivers nothing.
+StatusOr<ServiceTrialOutcome> RunServiceChaosTrial(
+    const ChaosParams& params,
+    const service::ServiceConfig& config = service::ServiceConfig{}) {
   auto tb = Testbed::Create(SmallDeployment(params.seed));
   SENSJOIN_RETURN_IF_ERROR(tb.status());
-  service::JoinService svc = MakeService(**tb);
+  service::JoinService svc = MakeService(**tb, config);
   std::vector<service::QueryId> ids;
   for (const char* sql : kServiceQueries) {
     SENSJOIN_ASSIGN_OR_RETURN(const service::QueryId id, svc.Register(sql));
@@ -384,6 +389,12 @@ StatusOr<ServiceTrialOutcome> RunServiceChaosTrial(const ChaosParams& params) {
     } else {
       ++outcome.failed_epochs;
     }
+    // The certificate must exclude exactly the nodes the oracle leaves out.
+    std::vector<sim::NodeId> outside;
+    for (sim::NodeId u = 0; u < svc.tree().num_nodes(); ++u) {
+      if (!svc.tree().InTree(u)) outside.push_back(u);
+    }
+    bool counted_epoch = false;
     for (size_t i = 0; i < ids.size(); ++i) {
       const service::QueryRecord* record = *svc.registry().Get(ids[i]);
       const bool is_active =
@@ -399,8 +410,25 @@ StatusOr<ServiceTrialOutcome> RunServiceChaosTrial(const ChaosParams& params) {
         continue;
       }
       if (expected == 0) continue;
-      const join::RowTable rows =
-          join::SortedRows(record->reports.back().result.rows);
+      const join::ExecutionReport& delivered = record->reports.back();
+      // Every member report of an epoch carries the epoch's counters.
+      if (!counted_epoch) {
+        outcome.stale_messages_dropped += delivered.stale_messages_dropped;
+        counted_epoch = true;
+      }
+      if (delivered.certificate.excluded_nodes != outside) {
+        outcome.violations.push_back(
+            where + ": certificate excludes " +
+            std::to_string(delivered.certificate.excluded_nodes.size()) +
+            " nodes, " + std::to_string(outside.size()) +
+            " are outside the tree");
+      }
+      if (delivered.response_time_s > SwarmLiveness().max_total_s) {
+        outcome.violations.push_back(
+            where + ": response time " +
+            std::to_string(delivered.response_time_s) + " s");
+      }
+      const join::RowTable rows = join::SortedRows(delivered.result.rows);
       const join::RowTable oracle =
           OracleRows((*tb)->data(), svc.tree(), record->query, report->epoch);
       outcome.checked_rows += oracle.size();
@@ -440,6 +468,7 @@ TEST(ServiceChaosSoakTest, EveryEpochMatchesOracleOrDeliversNothing) {
 
   size_t rebuilds = 0;
   size_t resyncs = 0;
+  size_t stale_messages_dropped = 0;
   size_t failed_epochs = 0;
   uint64_t duplicate_packets = 0;
   size_t checked_rows = 0;
@@ -459,18 +488,51 @@ TEST(ServiceChaosSoakTest, EveryEpochMatchesOracleOrDeliversNothing) {
     }
     rebuilds += o.rebuilds;
     resyncs += o.resyncs;
+    stale_messages_dropped += o.stale_messages_dropped;
     failed_epochs += o.failed_epochs;
     duplicate_packets += o.duplicate_packets;
     checked_rows += o.checked_rows;
   }
   // Non-vacuity: the sweep must have compared result rows, rebuilt the
-  // tree, re-pulled hops, exhausted an epoch's retries and duplicated
-  // packets.
+  // tree, re-pulled hops, rejected replayed stale-attempt messages,
+  // exhausted an epoch's retries and duplicated packets.
   EXPECT_GT(checked_rows, 0u);
   EXPECT_GT(rebuilds, 0u);
   EXPECT_GT(resyncs, 0u);
+  EXPECT_GT(stale_messages_dropped, 0u);
   EXPECT_GT(failed_epochs, 0u);
   EXPECT_GT(duplicate_packets, 0u);
+}
+
+// Without retries every failed epoch exhausts the attempt driver, and what
+// it left in flight is replayed into the next epoch. There it must be
+// rejected as stale (each RunEpoch call has its own attempt ids), not taken for
+// the next epoch's own traffic or flagged as a never-stamped tag.
+TEST(ServiceChaosSoakTest, LeftoverReplaysOfExhaustedEpochsAreStale) {
+  constexpr int kTrials = 20;
+  service::ServiceConfig config;
+  config.protocol.max_retries = 0;
+  ParallelRunner runner(0);  // flag/env/hardware
+  auto outcomes =
+      runner.Run(kTrials, 4099, [&config](const TrialContext& ctx) {
+        auto o = RunServiceChaosTrial(ServiceSwarmParams(ctx.seed), config);
+        EXPECT_TRUE(o.ok()) << "trial " << ctx.trial << ": " << o.status();
+        return o.ok() ? *o : ServiceTrialOutcome{};
+      });
+  ASSERT_TRUE(outcomes.ok()) << outcomes.status();
+  size_t failed_epochs = 0;
+  size_t stale_messages_dropped = 0;
+  for (int i = 0; i < kTrials; ++i) {
+    const ServiceTrialOutcome& o = (*outcomes)[static_cast<size_t>(i)];
+    for (const std::string& v : o.violations) {
+      ADD_FAILURE() << "trial " << i << ": " << v;
+    }
+    failed_epochs += o.failed_epochs;
+    stale_messages_dropped += o.stale_messages_dropped;
+  }
+  // With one attempt per epoch, every stale drop is a cross-epoch replay.
+  EXPECT_GT(failed_epochs, 0u);
+  EXPECT_GT(stale_messages_dropped, 0u);
 }
 
 /// Renders a chaos sweep the way a bench would: one fingerprint line per

@@ -94,8 +94,8 @@ TEST_P(ContinuousSeedTest, SteadyStateCollectionIsMuchCheaper) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ContinuousSeedTest, ::testing::Values(1, 9));
 
-// JoinService::RepairTopology: a permanently failed hop aborts the epoch,
-// rebuilds the tree, re-bootstraps and re-runs the epoch correctly.
+// A permanently failed hop aborts the epoch attempt; the attempt driver
+// rebuilds the tree and the epoch re-runs, re-bootstrapped, correctly.
 TEST(ContinuousTest, LinkFailureForcesReBootstrap) {
   auto tb = testbed::Testbed::Create(MediumParams(21));
   ASSERT_TRUE(tb.ok());

@@ -8,6 +8,7 @@
 
 #include <array>
 #include <cstdint>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -234,6 +235,99 @@ TEST(ServiceTest, RegistryRejectsMalformedAndUnknown) {
   auto record = service.registry().Get(*a);
   ASSERT_TRUE(record.ok());
   EXPECT_EQ((*record)->state, QueryState::kCancelled);
+}
+
+/// Nodes that received their filter in the last phase-1b span of `tracer`'s
+/// buffer: a complete copy of a kFilter broadcast, or a kFilter unicast
+/// resend that was not dropped. Also counts `missed`: nodes that heard a
+/// filter broadcast of their tree parent incompletely or not at all.
+std::set<sim::NodeId> FilterReceivers(const obs::Tracer& tracer,
+                                      const net::RoutingTree& tree,
+                                      std::set<sim::NodeId>* missed) {
+  std::set<sim::NodeId> received;
+  std::set<sim::NodeId> heard_parent;  // children of the current broadcast
+  sim::NodeId broadcaster = sim::kInvalidNode;
+  uint32_t broadcast_fragments = 0;
+  auto close_broadcast = [&]() {
+    if (broadcaster == sim::kInvalidNode) return;
+    for (sim::NodeId c : tree.children(broadcaster)) {
+      if (heard_parent.count(c) == 0) missed->insert(c);
+    }
+    broadcaster = sim::kInvalidNode;
+    heard_parent.clear();
+  };
+  tracer.buffer().ForEach([&](const obs::TraceEvent& e) {
+    if (e.kind == obs::EventKind::kPhaseBegin &&
+        e.phase == obs::Phase::kFilterDissemination) {
+      received.clear();
+      missed->clear();
+    }
+    if (e.msg_kind != sim::MessageKind::kFilter) return;
+    if (e.kind == obs::EventKind::kFragTx) {
+      close_broadcast();
+      if (e.peer == sim::kInvalidNode) {
+        broadcaster = e.node;
+        broadcast_fragments = e.count;
+      } else {
+        received.insert(e.peer);  // unicast resend, unless dropped below
+      }
+    } else if (e.kind == obs::EventKind::kMessageDrop) {
+      received.erase(e.peer);
+    } else if (e.kind == obs::EventKind::kFragRx &&
+               broadcaster != sim::kInvalidNode &&
+               e.count == broadcast_fragments) {
+      received.insert(e.node);
+      heard_parent.insert(e.node);
+    }
+  });
+  close_broadcast();
+  return received;
+}
+
+// Under per-link loss a child can miss its parent's filter broadcast. It
+// must then get the filter by a unicast resend (paid for) before it ships
+// its tuple in the final phase; a child that never received the filter
+// ships nothing.
+TEST(ServiceTest, OnlyNodesThatReceivedTheFilterShipTuples) {
+  if (!obs::kTracingCompiledIn) GTEST_SKIP() << "built with SENSJOIN_TRACING=0";
+  auto tb = testbed::Testbed::Create(SmallParams(5));
+  ASSERT_TRUE(tb.ok());
+  sim::FaultPlan plan;
+  plan.default_loss_rate = 0.3;
+  plan.arq.enabled = true;
+  sim::ApplyFaultPlan((*tb)->simulator(), plan);
+  obs::Tracer tracer;
+  (*tb)->AttachTracer(&tracer);
+
+  auto service = testbed::MakeService(**tb, SharedConfig());
+  // Every pair matches, so every node with a tuple is in the filter and
+  // contributes to the result.
+  auto id = service.Register(
+      "SELECT A.hum, B.hum FROM sensors A, sensors B "
+      "WHERE A.temp - B.temp < 1000 ONCE");
+  ASSERT_TRUE(id.ok()) << id.status();
+  size_t missed_contributors = 0;
+  for (uint64_t epoch = 0; epoch < 3; ++epoch) {
+    tracer.Clear();
+    auto report = service.RunEpoch();
+    ASSERT_TRUE(report.ok()) << report.status();
+    std::set<sim::NodeId> missed;
+    const std::set<sim::NodeId> received =
+        FilterReceivers(tracer, service.tree(), &missed);
+    auto record = service.registry().Get(*id);
+    ASSERT_TRUE(record.ok());
+    const std::vector<sim::NodeId>& shipped =
+        (*record)->reports.back().result.contributing_nodes;
+    EXPECT_FALSE(shipped.empty());
+    for (sim::NodeId u : shipped) {
+      EXPECT_EQ(received.count(u), 1u)
+          << "epoch " << epoch << ": node " << u
+          << " shipped its tuple without receiving the filter";
+      missed_contributors += missed.count(u);
+    }
+  }
+  // Non-vacuity: some contributor missed its parent's broadcast.
+  EXPECT_GT(missed_contributors, 0u);
 }
 
 TEST(ServiceTest, DeterministicAcrossRunnerThreadCounts) {
