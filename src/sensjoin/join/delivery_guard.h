@@ -28,7 +28,8 @@ enum class DeliveryVerdict {
 const char* DeliveryVerdictName(DeliveryVerdict verdict);
 
 /// The sender+receiver half of exactly-once delivery semantics, shared by
-/// both join executors (and, through callbacks, net::TreeMaintenance).
+/// every join executor through RunAttempts (and, through callbacks,
+/// net::TreeMaintenance).
 ///
 /// Senders Stamp every logical unicast with (attempt id, per-(src,dst)-link
 /// sequence); the receive path feeds every delivery through Classify, which
@@ -43,8 +44,12 @@ const char* DeliveryVerdictName(DeliveryVerdict verdict);
 /// leaves fault-free runs bit-identical to the seed.
 class DeliveryGuard {
  public:
+  /// The executors' dedup window: recent sequence numbers remembered per
+  /// (src, dst) link; older arrivals are dropped as duplicates.
+  static constexpr int kDedupWindow = 64;
+
   /// `dedup_window` bounds the per-link memory (entries per link).
-  explicit DeliveryGuard(int dedup_window);
+  explicit DeliveryGuard(int dedup_window = kDedupWindow);
 
   /// Starts (or restarts) an attempt: bumps the current attempt id and
   /// forgets all link windows — a new attempt re-sends everything under

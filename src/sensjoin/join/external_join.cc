@@ -1,11 +1,11 @@
 #include "sensjoin/join/external_join.h"
 
-#include <iterator>
 #include <utility>
 #include <vector>
 
 #include "sensjoin/join/executor_context.h"
 #include "sensjoin/join/fault_ladder.h"
+#include "sensjoin/join/phases.h"
 #include "sensjoin/obs/trace.h"
 
 namespace sensjoin::join {
@@ -27,69 +27,22 @@ StatusOr<ExecutionReport> ExternalJoinExecutor::Execute(
       obs::Phase::kExternalCollection,
       "external join failed after retries (network partitioned?)",
       [&](FaultLadder& ladder, ExecutionReport* report) -> StatusOr<bool> {
-        return ExecuteAttempt(q, epoch, ladder, report);
+        const ExecutorContext ctx(data_, q, epoch);
+        ladder.ArmWatchdog();
+        std::vector<data::Tuple> base_candidates;
+        if (!ConvergecastTuples(
+                ladder, ctx, obs::Phase::kExternalCollection,
+                [&ctx](sim::NodeId u, std::vector<data::Tuple>* out) {
+                  if (ctx.info(u).has_tuple) out->push_back(ctx.info(u).tuple);
+                },
+                report, &base_candidates)) {
+          return false;
+        }
+        report->candidate_tuples = base_candidates.size();
+        report->result =
+            ComputeExactJoin(q, ctx.PerTableCandidates(base_candidates));
+        return true;
       });
-}
-
-bool ExternalJoinExecutor::ExecuteAttempt(const query::AnalyzedQuery& q,
-                                          uint64_t epoch, FaultLadder& ladder,
-                                          ExecutionReport* report) {
-  const ExecutorContext ctx(data_, q, epoch);
-  const int n = sim_.num_nodes();
-  const sim::NodeId root = tree_.root();
-  // Tuples waiting at each node to be forwarded upward.
-  std::vector<std::vector<data::Tuple>> pending(n);
-  std::vector<data::Tuple> base_candidates;
-  ladder.ArmWatchdog();
-
-  // Collection-turn flags: repairs mutate the tree mid-phase, so the
-  // traversal iterates an order snapshot and rescued contributions are
-  // relayed through already-processed nodes.
-  std::vector<char> done(n, 0);
-
-  const std::vector<sim::NodeId> order = tree_.collection_order();
-  for (sim::NodeId u : order) {
-    done[u] = 1;
-    std::vector<data::Tuple> contribution = std::move(pending[u]);
-    if (ctx.info(u).has_tuple) contribution.push_back(ctx.info(u).tuple);
-    if (u == root) {
-      base_candidates = std::move(contribution);
-      continue;
-    }
-    if (contribution.empty()) continue;
-
-    size_t payload = 0;
-    for (const data::Tuple& t : contribution) {
-      payload += ctx.info(t.node).full_tuple_bytes;
-    }
-    sim::Message msg;
-    msg.src = u;
-    msg.dst = tree_.parent(u);
-    msg.kind = sim::MessageKind::kFinal;
-    msg.payload_bytes = payload;
-    bool corrupted = false;
-    if (!ladder.Send(msg, &corrupted)) {
-      if (!ladder.RescueTuples(u, std::move(contribution), payload,
-                               obs::Phase::kExternalCollection, done,
-                               pending)) {
-        return false;
-      }
-      continue;
-    }
-    if (corrupted) {
-      // With the CRC trailer off, garbled tuples slip through the link
-      // layer but are unusable: the subtree's rows are lost.
-      ++report->corrupted_deliveries;
-      continue;
-    }
-    std::vector<data::Tuple>& up = pending[tree_.parent(u)];
-    up.insert(up.end(), std::make_move_iterator(contribution.begin()),
-              std::make_move_iterator(contribution.end()));
-  }
-
-  report->candidate_tuples = base_candidates.size();
-  report->result = ComputeExactJoin(q, ctx.PerTableCandidates(base_candidates));
-  return true;
 }
 
 }  // namespace sensjoin::join

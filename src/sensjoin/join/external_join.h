@@ -13,8 +13,6 @@
 
 namespace sensjoin::join {
 
-class FaultLadder;
-
 /// The state-of-the-art general-purpose baseline (Sec. I, VI): every node
 /// ships its (projected, selection-filtered) tuple to the base station
 /// along the routing tree, tuples are aggregated into packets as they move
@@ -37,11 +35,6 @@ class ExternalJoinExecutor {
   const net::RoutingTree& tree() const { return tree_; }
 
  private:
-  /// One attempt over `ladder` (fault_ladder.h); false on a persistent
-  /// failure mid-execution that needs a tree rebuild.
-  bool ExecuteAttempt(const query::AnalyzedQuery& q, uint64_t epoch,
-                      FaultLadder& ladder, ExecutionReport* report);
-
   sim::Simulator& sim_;
   net::RoutingTree tree_;
   const data::NetworkData& data_;

@@ -18,8 +18,6 @@ std::optional<net::TreeMaintenance> MakeMaintenance(
   std::optional<net::TreeMaintenance> maintenance;
   if (config.enable_tree_repair) {
     net::TreeMaintenanceConfig mc;
-    mc.max_repair_rounds = config.max_repair_rounds;
-    mc.round_wait_s = config.repair_round_wait_s;
     mc.stamp = [&guard](sim::Message& m) { guard.Stamp(m); };
     mc.retract = [&guard](const sim::Message& m) { guard.Retract(m); };
     maintenance.emplace(sim, tree, mc);
@@ -208,8 +206,7 @@ void FaultLadder::Certify(CompletenessCertificate* out) {
 StatusOr<ExecutionReport> RunAttempts(
     sim::Simulator& sim, net::RoutingTree& tree, const ProtocolConfig& config,
     int recovery_budget, std::optional<obs::Phase> attempt_span,
-    const char* exhausted_message, const AttemptBody& body,
-    uint32_t first_attempt_id) {
+    const char* exhausted_message, const AttemptBody& body) {
   const StatsSnapshot execute_snapshot(sim);
   // Exactly-once validation: every unicast of the execution is stamped with
   // an (attempt, per-link sequence) tag, and every queue-level delivery is
@@ -217,7 +214,7 @@ StatusOr<ExecutionReport> RunAttempts(
   // at send time (the omniscient-driver model), so the handler's verdicts
   // drive counters and trace events, never protocol state — which is what
   // keeps fault-free runs bit-identical to the seed.
-  DeliveryGuard guard(config.dedup_window);
+  DeliveryGuard guard;
   const ScopedReceiveHandler handler(
       sim, [&sim, &guard](sim::NodeId receiver, const sim::Message& msg) {
         const DeliveryVerdict verdict = guard.Classify(receiver, msg);
@@ -231,6 +228,7 @@ StatusOr<ExecutionReport> RunAttempts(
       });
 
   ExecutionReport failed_attempts;  // ladder counters of aborted attempts
+  const uint32_t first_attempt_id = sim.FreshAttemptId();
   for (int attempt = 0; attempt <= config.max_retries; ++attempt) {
     guard.BeginAttempt(first_attempt_id + static_cast<uint32_t>(attempt));
     // In-flight messages captured from an aborted attempt are re-delivered

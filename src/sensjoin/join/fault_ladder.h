@@ -19,11 +19,15 @@
 
 namespace sensjoin::join {
 
-/// The self-healing ladder of one execution attempt, shared by the
-/// SENS-Join and external-join executors and the continuous service's
-/// delta executor. A persistent hop failure
-/// escalates in order (each rung opt-in via ProtocolConfig, all inert by
-/// default, which keeps fault-free runs bit-identical to the seed):
+/// Re-request rounds per failed hop (the recovery budget of the executors
+/// that re-request) before falling back to full re-execution.
+inline constexpr int kMaxRecoveryRequests = 2;
+
+/// The self-healing ladder of one execution attempt, shared by every
+/// executor in join/ and the continuous service's delta executor. A
+/// persistent hop failure escalates in order (rungs 2-4 opt-in via
+/// ProtocolConfig, all inert by default, which keeps fault-free runs
+/// bit-identical to the seed):
 ///
 ///  1. phase-level recovery: the receiver re-requests the missing
 ///     contribution over the same hop, up to `recovery_budget` times;
@@ -74,6 +78,10 @@ class FaultLadder {
 
   bool IsExcluded(sim::NodeId u) const { return excluded_.count(u) != 0; }
 
+  sim::Simulator& sim() const { return sim_; }
+  /// The attempt's tree; repairs mutate it.
+  net::RoutingTree& tree() const { return tree_; }
+
   /// Escalation for a persistent upward failure of complete tuples at `u`
   /// in a tuple-shipping phase: repair, then relay the contribution hop by
   /// hop through ancestors whose turn has passed (`done`) until a node
@@ -116,7 +124,7 @@ class FaultLadder {
 using AttemptBody =
     std::function<StatusOr<bool>(FaultLadder& ladder, ExecutionReport* report)>;
 
-/// The attempt driver of SENS-Join, the external join and each continuous
+/// The attempt driver of every executor in join/ and of each continuous
 /// service epoch. Installs the exactly-once DeliveryGuard as the
 /// simulator's receive handler for the whole call and runs `body` on a
 /// fresh FaultLadder per attempt. After each attempt it
@@ -129,13 +137,13 @@ using AttemptBody =
 /// ResourceExhausted(`exhausted_message`). A body that keeps state indexed
 /// by the tree must drop it before it returns false. When set,
 /// `attempt_span` is a trace span enclosing each attempt including its
-/// abort and drain. Attempt ids start at `first_attempt_id`: repeated calls
-/// on one simulator pass disjoint ranges so leftover replays stay stale.
+/// abort and drain. Attempt ids start above every tag still waiting in the
+/// simulator's replay buffer (Simulator::FreshAttemptId), so what an
+/// earlier exhausted call left in flight replays into this one as stale.
 StatusOr<ExecutionReport> RunAttempts(
     sim::Simulator& sim, net::RoutingTree& tree, const ProtocolConfig& config,
     int recovery_budget, std::optional<obs::Phase> attempt_span,
-    const char* exhausted_message, const AttemptBody& body,
-    uint32_t first_attempt_id = 0);
+    const char* exhausted_message, const AttemptBody& body);
 
 }  // namespace sensjoin::join
 

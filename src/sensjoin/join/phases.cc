@@ -103,8 +103,7 @@ bool DisseminateFilter(PhaseView& view, FaultLadder& ladder,
         resend.kind = sim::MessageKind::kFilter;
         resend.payload_bytes = msg.payload_bytes;
         bool corrupted = false;
-        if (!view.config.enable_phase_recovery ||
-            !ladder.Send(resend, &corrupted)) {
+        if (!ladder.Send(resend, &corrupted)) {
           // The filter cannot reach c: its subtree ships nothing in the
           // final phase, so certify the whole branch as excluded.
           if (ladder.Degrade(c, tree.SubtreeNodes(c))) continue;
@@ -126,45 +125,28 @@ bool DisseminateFilter(PhaseView& view, FaultLadder& ladder,
   return true;
 }
 
-bool ShipFinalTuples(PhaseView& view, FaultLadder& ladder,
-                     ExecutionReport* report,
-                     std::vector<data::Tuple>* candidates) {
-  sim::Simulator& sim = view.sim;
-  const net::RoutingTree& tree = view.tree;
-  const ExecutorContext& ctx = view.ctx;
-  const obs::ScopedPhase span(sim.tracer(), sim.events(),
-                              obs::Phase::kFinalResult);
-  ladder.ArmWatchdog();
-  const int n = sim.num_nodes();
+bool ConvergecastTuples(FaultLadder& ladder, const ExecutorContext& ctx,
+                        obs::Phase phase, const TupleSelection& select,
+                        ExecutionReport* report,
+                        std::vector<data::Tuple>* at_root,
+                        const FaultLadder::ParentAcceptable& parent_ok) {
+  const net::RoutingTree& tree = ladder.tree();
   const sim::NodeId root = tree.root();
-  std::vector<std::vector<data::Tuple>> pending(n);
-  std::vector<char> done(n, 0);
+  std::vector<std::vector<data::Tuple>> pending(ladder.sim().num_nodes());
+  // Collection-turn flags: rescued contributions are relayed through nodes
+  // whose turn has passed.
+  std::vector<char> done(pending.size(), 0);
 
   // Repairs mutate the tree mid-phase: iterate a snapshot of the order.
   const std::vector<sim::NodeId> order = tree.collection_order();
   for (sim::NodeId u : order) {
     done[u] = 1;
-    if (u != root && view.exited[u]) continue;
-
     std::vector<data::Tuple> contribution = std::move(pending[u]);
-    if (u != root && view.filter[u].has_value()) {
-      const PointSet& filter = *view.filter[u];
-      const ExecutorContext::NodeInfo& info = ctx.info(u);
-      if (info.has_tuple && filter.Contains(view.key[u])) {
-        contribution.push_back(info.tuple);
-        ++report->final_tuples_shipped;
-      }
-      for (const data::Tuple& t : view.proxy_tuples[u]) {
-        if (filter.Contains(view.key[t.node])) {
-          contribution.push_back(t);
-          ++report->final_tuples_shipped;
-        }
-      }
-    }
+    select(u, &contribution);
     if (u == root) {
-      candidates->insert(candidates->end(),
-                         std::make_move_iterator(contribution.begin()),
-                         std::make_move_iterator(contribution.end()));
+      at_root->insert(at_root->end(),
+                      std::make_move_iterator(contribution.begin()),
+                      std::make_move_iterator(contribution.end()));
       continue;
     }
     if (contribution.empty()) continue;
@@ -180,25 +162,57 @@ bool ShipFinalTuples(PhaseView& view, FaultLadder& ladder,
     msg.payload_bytes = payload;
     bool corrupted = false;
     if (!ladder.Send(msg, &corrupted)) {
-      // Repair (under a parent still in the protocol) and relay the rows
-      // through already-processed ancestors (the relay path cannot contain
-      // Treecut-exited nodes: a non-exited node never has one above it).
-      if (!ladder.RescueTuples(
-              u, std::move(contribution), payload, obs::Phase::kFinalResult,
-              done, pending,
-              [&view](sim::NodeId c) { return !view.exited[c]; })) {
+      // Repair and relay the rows through already-processed ancestors.
+      if (!ladder.RescueTuples(u, std::move(contribution), payload, phase,
+                               done, pending, parent_ok)) {
         return false;
       }
       continue;
     }
     if (corrupted) {
-      // Garbled result rows are discarded upstream.
+      // With the CRC trailer off, garbled tuples slip through the link
+      // layer but are unusable: the subtree's rows are lost.
       ++report->corrupted_deliveries;
       continue;
     }
     std::vector<data::Tuple>& up = pending[tree.parent(u)];
     up.insert(up.end(), std::make_move_iterator(contribution.begin()),
               std::make_move_iterator(contribution.end()));
+  }
+  return true;
+}
+
+bool ShipFinalTuples(PhaseView& view, FaultLadder& ladder,
+                     ExecutionReport* report,
+                     std::vector<data::Tuple>* candidates) {
+  sim::Simulator& sim = view.sim;
+  const obs::ScopedPhase span(sim.tracer(), sim.events(),
+                              obs::Phase::kFinalResult);
+  ladder.ArmWatchdog();
+  const sim::NodeId root = view.tree.root();
+  const auto select = [&view, report, root](sim::NodeId u,
+                                            std::vector<data::Tuple>* out) {
+    if (u == root || view.exited[u] || !view.filter[u].has_value()) return;
+    const PointSet& filter = *view.filter[u];
+    const ExecutorContext::NodeInfo& info = view.ctx.info(u);
+    if (info.has_tuple && filter.Contains(view.key[u])) {
+      out->push_back(info.tuple);
+      ++report->final_tuples_shipped;
+    }
+    for (const data::Tuple& t : view.proxy_tuples[u]) {
+      if (filter.Contains(view.key[t.node])) {
+        out->push_back(t);
+        ++report->final_tuples_shipped;
+      }
+    }
+  };
+  // A repair parent must still be in the protocol (the relay path above it
+  // cannot contain Treecut-exited nodes: a non-exited node never has one
+  // above it).
+  if (!ConvergecastTuples(
+          ladder, view.ctx, obs::Phase::kFinalResult, select, report,
+          candidates, [&view](sim::NodeId c) { return !view.exited[c]; })) {
+    return false;
   }
   sim.events().Run();
   sim.events().ShrinkToFit();

@@ -11,15 +11,35 @@
 #include "sensjoin/data/tuple.h"
 #include "sensjoin/join/execution_report.h"
 #include "sensjoin/join/executor_context.h"
+#include "sensjoin/join/fault_ladder.h"
 #include "sensjoin/join/join_attr_codec.h"
 #include "sensjoin/join/point_set.h"
 #include "sensjoin/join/protocol.h"
 #include "sensjoin/net/routing_tree.h"
+#include "sensjoin/obs/trace.h"
 #include "sensjoin/sim/simulator.h"
 
 namespace sensjoin::join {
 
-class FaultLadder;
+/// Appends the complete tuples node `u` itself ships in a convergecast (its
+/// own, or its filtered own and proxy tuples) to `out`.
+using TupleSelection =
+    std::function<void(sim::NodeId u, std::vector<data::Tuple>* out)>;
+
+/// The tuple convergecast of every phase that ships complete tuples to the
+/// base station: in the ladder tree's collection order, each node sends
+/// what `select` appends for it, merged with its children's contributions,
+/// to its parent (kFinal, payload = summed `full_tuple_bytes`) through
+/// FaultLadder::Send. A failed hop escalates through RescueTuples (repair
+/// parents must pass `parent_ok`); a garbled hop loses its rows. Appends
+/// what reaches the root to `at_root`. Opens no trace span and does not
+/// drain the event queue: callers keep their phase boundaries. False =
+/// abort.
+bool ConvergecastTuples(FaultLadder& ladder, const ExecutorContext& ctx,
+                        obs::Phase phase, const TupleSelection& select,
+                        ExecutionReport* report,
+                        std::vector<data::Tuple>* at_root,
+                        const FaultLadder::ParentAcceptable& parent_ok = {});
 
 /// What SENS-Join's phases 1b (Filter-Dissemination) and 2
 /// (Final-Result-Computation) know about every node after a collection.
@@ -80,9 +100,8 @@ bool DisseminateFilter(PhaseView& view, FaultLadder& ladder,
                        const PointSet& root_filter, ExecutionReport* report);
 
 /// Phase 2: every node holding a filter ships its own and its proxy tuples
-/// whose keys are in it, merged with its children's, towards the base
-/// station; a failed hop escalates through the ladder's tuple rescue.
-/// Appends what reaches the base station to `candidates`. False = abort.
+/// whose keys are in it, through ConvergecastTuples. Appends what reaches
+/// the base station to `candidates`. False = abort.
 bool ShipFinalTuples(PhaseView& view, FaultLadder& ladder,
                      ExecutionReport* report,
                      std::vector<data::Tuple>* candidates);

@@ -35,19 +35,10 @@ struct ProtocolConfig {
   JoinAttrRepresentation representation = JoinAttrRepresentation::kQuadtree;
 
   /// Re-executions after a link failure breaks an execution (Sec. IV-F).
+  /// SENS-Join and the continuous service first re-request a transiently
+  /// lost hop in place (phase-level recovery, kMaxRecoveryRequests rounds
+  /// per hop; join/fault_ladder.h); re-execution is the fallback.
   int max_retries = 3;
-
-  /// Phase-level recovery (extension beyond Sec. IV-F): when a hop send
-  /// fails but both endpoints are still alive and the link is up (i.e. the
-  /// loss was transient, ARQ budget exhausted), the parent re-requests just
-  /// the missing subtree contribution — for Filter-Dissemination from its
-  /// stored per-child filter state — instead of re-executing the whole
-  /// query. Full re-execution with tree rebuild remains the fallback.
-  bool enable_phase_recovery = true;
-
-  /// Re-request rounds per failed hop before falling back to full
-  /// re-execution.
-  int max_recovery_requests = 2;
 
   /// Simulated wait before a full re-execution (CTP repair time). Advanced
   /// on the event queue, so crash/recover events scheduled in the fault
@@ -68,14 +59,9 @@ struct ProtocolConfig {
   /// persistently (dead parent or dark link past the ARQ budget), the
   /// stranded node re-attaches its subtree under a live neighbor and the
   /// execution continues, instead of escalating straight to a full
-  /// re-execution with a tree rebuild.
+  /// re-execution with a tree rebuild. Rounds and waits are
+  /// net::TreeMaintenanceConfig's defaults.
   bool enable_tree_repair = false;
-
-  /// Repair-request broadcast rounds per orphan; between rounds the orphan
-  /// waits `repair_round_wait_s` of simulated time so scheduled recoveries
-  /// can fire.
-  int max_repair_rounds = 2;
-  double repair_round_wait_s = 0.25;
 
   /// Graceful degradation: when even repair cannot restore connectivity
   /// (and retries are exhausted or the watchdog expired), the execution
@@ -93,19 +79,6 @@ struct ProtocolConfig {
   bool enable_phase_watchdog = false;
   double watchdog_base_s = 1.0;
   double watchdog_per_hop_factor = 64.0;
-
-  // --- Delivery semantics (exactly-once on at-least-once links) ----------
-  // Every logical protocol message carries an (attempt id, per-link
-  // sequence) tag, and the receive path is idempotent: duplicates are
-  // dropped, stale-attempt traffic is rejected, and reordered arrivals are
-  // buffered per link. The tag rides in memory, so tagging costs zero wire
-  // bytes and zero RNG draws — fault-free runs stay bit-identical to the
-  // seed.
-
-  /// Per-link dedup window: how many recent sequence numbers a receiver
-  /// remembers per (src, dst) link. Arrivals older than the window are
-  /// conservatively dropped as duplicates.
-  int dedup_window = 64;
 };
 
 }  // namespace sensjoin::join

@@ -37,10 +37,9 @@ StatusOr<ExecutionReport> SensJoinExecutor::Execute(
     return Status::InvalidArgument(
         "Dmax must be below the maximum packet size (Sec. IV-E)");
   }
-  const int recovery_budget =
-      config_.enable_phase_recovery ? config_.max_recovery_requests : 0;
   return RunAttempts(
-      sim_, tree_, config_, recovery_budget, /*attempt_span=*/std::nullopt,
+      sim_, tree_, config_, kMaxRecoveryRequests,
+      /*attempt_span=*/std::nullopt,
       "SENS-Join failed after retries (network partitioned?)",
       [&](FaultLadder& ladder, ExecutionReport* report) {
         return ExecuteAttempt(q, epoch, ladder, report);

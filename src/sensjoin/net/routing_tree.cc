@@ -45,9 +45,16 @@ RoutingTree RoutingTree::Build(sim::Simulator& sim, sim::NodeId root) {
     sim.Broadcast(std::move(msg));
   };
 
-  auto previous = sim.SetReceiveHandler(
+  // Non-beacon deliveries still in flight when a build runs inside an
+  // execution (replays released into an attempt) go on to the handler
+  // installed before the build, so the exactly-once guard classifies them.
+  sim::Simulator::ReceiveHandler previous;
+  previous = sim.SetReceiveHandler(
       [&](sim::NodeId receiver, const sim::Message& msg) {
-        if (msg.kind != sim::MessageKind::kBeacon) return;
+        if (msg.kind != sim::MessageKind::kBeacon) {
+          if (previous) previous(receiver, msg);
+          return;
+        }
         if (receiver == root) return;  // the root never adopts a parent
         const auto& beacon = std::any_cast<const BeaconPayload&>(msg.content);
         const int candidate_hops = beacon.hops + 1;

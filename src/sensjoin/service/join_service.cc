@@ -83,18 +83,11 @@ StatusOr<ServiceEpochReport> JoinService::RunEpoch() {
   }
   obs::ScopedPhase span(sim_.tracer(), sim_.events(),
                         obs::Phase::kServiceEpoch);
-  // Disjoint attempt ids per call (a failed epoch keeps its number): what
-  // an exhausted call left in flight replays into the next one as stale.
-  const uint32_t first_attempt_id = next_attempt_id_;
-  next_attempt_id_ += static_cast<uint32_t>(config_.protocol.max_retries + 1);
   EpochAttempt staged;
   SENSJOIN_ASSIGN_OR_RETURN(
       const join::ExecutionReport run,
       join::RunAttempts(
-          sim_, tree_, config_.protocol,
-          config_.protocol.enable_phase_recovery
-              ? config_.protocol.max_recovery_requests
-              : 0,
+          sim_, tree_, config_.protocol, join::kMaxRecoveryRequests,
           /*attempt_span=*/std::nullopt,
           "continuous service epoch failed after retries",
           [&](join::FaultLadder& ladder,
@@ -113,8 +106,7 @@ StatusOr<ServiceEpochReport> JoinService::RunEpoch() {
               }
             }
             return ok;
-          },
-          first_attempt_id));
+          }));
 
   // The whole epoch succeeded: deliver the staged per-query reports with
   // what the driver measured over the epoch.

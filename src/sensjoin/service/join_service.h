@@ -179,7 +179,6 @@ class JoinService {
   ServiceConfig config_;  ///< as given, repair and degradation forced off
   QueryRegistry registry_;
   uint64_t next_epoch_ = 0;
-  uint32_t next_attempt_id_ = 0;  ///< first DeliveryGuard id of next call
 
   /// Live groups keyed by group key; iteration order (lexicographic) is the
   /// deterministic phase order within an epoch.

@@ -1,5 +1,6 @@
 #include "sensjoin/sim/simulator.h"
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 #include <utility>
@@ -370,6 +371,14 @@ void Simulator::NotifyAttemptAbort() {
     replay_buffer_.push_back(std::move(pending.msg));
   }
   inflight_.clear();
+}
+
+uint32_t Simulator::FreshAttemptId() const {
+  uint32_t fresh = 0;
+  for (const Message& msg : replay_buffer_) {
+    if (msg.tag.tagged()) fresh = std::max(fresh, msg.tag.attempt_id + 1);
+  }
+  return fresh;
 }
 
 int Simulator::ReleaseReplays() {

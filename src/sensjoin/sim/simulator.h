@@ -168,6 +168,11 @@ class Simulator {
   /// Deliveries currently buffered for replay (testing / diagnostics).
   size_t pending_replays() const { return replay_buffer_.size(); }
 
+  /// The lowest attempt id above every tagged delivery buffered for replay
+  /// (0 when none is). An attempt driver starting there sees what an
+  /// earlier exhausted call left in flight as stale.
+  uint32_t FreshAttemptId() const;
+
   /// Schedules a node crash / reboot through the event queue. A crashed
   /// node neither sends nor receives until a recovery event fires.
   void ScheduleCrash(NodeId id, SimTime at);

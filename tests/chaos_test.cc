@@ -23,6 +23,7 @@
 #include <gtest/gtest.h>
 
 #include "sensjoin/common/rng.h"
+#include "sensjoin/join/alt_baselines.h"
 #include "sensjoin/join/protocol.h"
 #include "sensjoin/obs/trace.h"
 #include "sensjoin/query/expr_eval.h"
@@ -50,7 +51,6 @@ TestbedParams SmallDeployment(uint64_t seed) {
 
 join::ProtocolConfig SelfHealingConfig() {
   join::ProtocolConfig config;
-  config.enable_phase_recovery = true;
   config.enable_tree_repair = true;
   config.enable_graceful_degradation = true;
   config.enable_phase_watchdog = true;
@@ -533,6 +533,90 @@ TEST(ServiceChaosSoakTest, LeftoverReplaysOfExhaustedEpochsAreStale) {
   // With one attempt per epoch, every stale drop is a cross-epoch replay.
   EXPECT_GT(failed_epochs, 0u);
   EXPECT_GT(stale_messages_dropped, 0u);
+}
+
+// Without retries a call that loses a hop exhausts the attempt driver, and
+// what it left in flight is replayed into the next call on the same
+// simulator. There it must be rejected as stale (each call starts above
+// the leftovers' attempt ids), not taken for the call's own traffic or
+// flagged as a never-stamped tag (which aborts the process).
+TEST(ChaosSoakTest, LeftoverReplaysOfExhaustedCallsAreStale) {
+  join::ProtocolConfig config;
+  config.max_retries = 0;
+  const LivenessBounds liveness = SwarmLiveness();
+  size_t exhausted = 0;
+  size_t stale_messages_dropped = 0;
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    auto tb = Testbed::Create(SmallDeployment(seed));
+    ASSERT_TRUE(tb.ok()) << tb.status();
+    auto q = (*tb)->ParseQuery(kQuery);
+    ASSERT_TRUE(q.ok()) << q.status();
+    (*tb)->DisseminateQuery(*q);
+    ApplyChaos(**tb, MakeChaosSchedule(**tb, SwarmParams(seed)));
+    const join::JoinResult truth = ComputeGroundTruth(**tb, *q, 0);
+    for (int call = 0; call < 6; ++call) {
+      auto report = (*tb)->MakeSensJoin(config).Execute(*q, 0);
+      if (!report.ok()) {
+        EXPECT_EQ(report.status().code(), StatusCode::kResourceExhausted)
+            << "seed " << seed << " call " << call << ": "
+            << report.status();
+        ++exhausted;
+        continue;
+      }
+      stale_messages_dropped += report->stale_messages_dropped;
+      for (const std::string& v :
+           CheckInvariants(truth, *report, nullptr, &liveness)) {
+        ADD_FAILURE() << "seed " << seed << " call " << call << ": " << v;
+      }
+    }
+  }
+  EXPECT_GT(exhausted, 0u);
+  EXPECT_GT(stale_messages_dropped, 0u);
+}
+
+// The Sec. II baselines run on the one attempt driver: under the swarm's
+// schedules with the default config, a call either gives up with
+// ResourceExhausted or returns a certified result that matches the ground
+// truth, a lost hop is survived by a tree rebuild and re-execution, and
+// the aborted attempt's replays are rejected as stale.
+TEST(ChaosSoakTest, SecIIBaselinesRetryOrFailCleanly) {
+  const LivenessBounds liveness = SwarmLiveness();
+  for (const bool mediated : {false, true}) {
+    const char* name = mediated ? "mediated" : "semi-join";
+    size_t retried_successes = 0;
+    size_t stale_messages_dropped = 0;
+    for (uint64_t seed = 1; seed <= 30; ++seed) {
+      auto tb = Testbed::Create(SmallDeployment(seed));
+      ASSERT_TRUE(tb.ok()) << tb.status();
+      auto q = (*tb)->ParseQuery(kQuery);
+      ASSERT_TRUE(q.ok()) << q.status();
+      (*tb)->DisseminateQuery(*q);
+      ApplyChaos(**tb, MakeChaosSchedule(**tb, SwarmParams(seed)));
+
+      join::SemiJoinExecutor semi((*tb)->simulator(), (*tb)->tree(),
+                                  (*tb)->data());
+      join::MediatedJoinExecutor med((*tb)->simulator(), (*tb)->tree(),
+                                     (*tb)->data());
+      obs::Tracer tracer;
+      (*tb)->AttachTracer(&tracer);
+      auto report = mediated ? med.Execute(*q, 0) : semi.Execute(*q, 0);
+      (*tb)->AttachTracer(nullptr);
+      if (!report.ok()) {
+        EXPECT_EQ(report.status().code(), StatusCode::kResourceExhausted)
+            << name << " seed " << seed << ": " << report.status();
+        continue;
+      }
+      const join::JoinResult truth = ComputeGroundTruth(**tb, *q, 0);
+      for (const std::string& v :
+           CheckInvariants(truth, *report, &tracer, &liveness)) {
+        ADD_FAILURE() << name << " seed " << seed << ": " << v;
+      }
+      if (report->attempts > 1) ++retried_successes;
+      stale_messages_dropped += report->stale_messages_dropped;
+    }
+    EXPECT_GT(retried_successes, 0u) << name;
+    EXPECT_GT(stale_messages_dropped, 0u) << name;
+  }
 }
 
 /// Renders a chaos sweep the way a bench would: one fingerprint line per

@@ -115,7 +115,7 @@ TEST(DeliverySemanticsTest, DuplicatedDeliveriesAreIdempotent) {
 /// (and tolerated), the straggler then lands as a normal first delivery,
 /// and every re-delivery after that is a duplicate.
 TEST(DeliverySemanticsTest, ReorderVerdictsFollowLinkSequence) {
-  join::DeliveryGuard guard(/*dedup_window=*/64);
+  join::DeliveryGuard guard;
   guard.BeginAttempt(0);
   sim::Message first;
   first.src = 1;
@@ -179,7 +179,6 @@ TEST(DeliverySemanticsTest, ComposedFaultsReorderObservably) {
   testbed::ApplyChaos(**tb, schedule);
 
   join::ProtocolConfig config;
-  config.enable_phase_recovery = true;
   config.enable_tree_repair = true;
   config.enable_graceful_degradation = true;
   config.enable_phase_watchdog = true;
