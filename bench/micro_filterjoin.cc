@@ -1,8 +1,9 @@
 // Microbenchmark for the base station's two joins: the pre-computation join
 // (ComputeJoinFilter), a conservative interval-arithmetic join over quantized
 // join-attribute tuples, and the exact join over full tuples
-// (ComputeExactJoin). The base station is powered, but both must still
-// finish well within a query's response time.
+// (ComputeExactJoin, and ComputeExactJoins for a sharing group's members).
+// The base station is powered, but both must still finish well within a
+// query's response time.
 //
 // The `evaluated` counters are deterministic: they count predicate
 // evaluations, which the probe windows keep far below the cross product. So
@@ -100,32 +101,55 @@ void BM_ComputeJoinFilter3Way(benchmark::State& state) {
 BENCHMARK(BM_ComputeJoinFilter3Way)->Arg(150)->Arg(600)
     ->Unit(benchmark::kMillisecond);
 
-// Runs the exact join of `sql` (a self-join of `sensors`) over
-// state.range(0) random tuples.
-void RunExactJoin(benchmark::State& state, const std::string& sql) {
-  auto q = query::AnalyzedQuery::FromString(sql, BenchSchema());
-  SENSJOIN_CHECK(q.ok());
-  Rng rng(state.range(0));
-  std::vector<data::Tuple> tuples(state.range(0));
-  std::vector<const data::Tuple*> candidates;
+// `n` random tuples of `sensors`, node i holding tuple i.
+std::vector<data::Tuple> RandomTuples(int n) {
+  Rng rng(n);
+  std::vector<data::Tuple> tuples(n);
   for (size_t i = 0; i < tuples.size(); ++i) {
     tuples[i].node = static_cast<sim::NodeId>(i);
     tuples[i].values = {rng.UniformDouble(0, 1050), rng.UniformDouble(0, 1050),
                         rng.UniformDouble(18, 26), rng.UniformDouble(20, 80),
                         rng.UniformDouble(990, 1030)};
-    candidates.push_back(&tuples[i]);
   }
+  return tuples;
+}
+
+// Runs the exact joins of `sqls` (self-joins of `sensors`, one sharing
+// group) over state.range(0) random tuples in one ComputeExactJoins call;
+// the counters sum over the members.
+void RunExactJoins(benchmark::State& state,
+                   const std::vector<std::string>& sqls) {
+  std::vector<query::AnalyzedQuery> queries;
+  for (const std::string& sql : sqls) {
+    auto q = query::AnalyzedQuery::FromString(sql, BenchSchema());
+    SENSJOIN_CHECK(q.ok());
+    queries.push_back(std::move(q).value());
+  }
+  std::vector<const query::AnalyzedQuery*> members;
+  for (const query::AnalyzedQuery& q : queries) members.push_back(&q);
+  const std::vector<data::Tuple> tuples = RandomTuples(state.range(0));
+  std::vector<const data::Tuple*> candidates;
+  for (const data::Tuple& t : tuples) candidates.push_back(&t);
   size_t rows = 0;
   size_t evaluated = 0;
   for (auto _ : state) {
-    const JoinResult r = ComputeExactJoin(*q, {candidates, candidates});
-    rows = r.rows.size();
-    evaluated = r.combinations_evaluated;
+    const std::vector<JoinResult> results =
+        ComputeExactJoins(members, {candidates, candidates});
+    rows = 0;
+    evaluated = 0;
+    for (const JoinResult& r : results) {
+      rows += r.rows.size();
+      evaluated += r.combinations_evaluated;
+    }
     benchmark::DoNotOptimize(rows);
   }
   state.counters["candidates"] = static_cast<double>(candidates.size());
   state.counters["rows"] = static_cast<double>(rows);
   state.counters["evaluated"] = static_cast<double>(evaluated);
+}
+
+void RunExactJoin(benchmark::State& state, const std::string& sql) {
+  RunExactJoins(state, {sql});
 }
 
 // The exact join over full tuples: a half-band join (A warmer than B by
@@ -147,6 +171,35 @@ void BM_ComputeExactJoinRows(benchmark::State& state) {
                "FROM sensors A, sensors B WHERE A.temp - B.temp > 1.8 ONCE");
 }
 BENCHMARK(BM_ComputeExactJoinRows)->Arg(250)->Unit(benchmark::kMillisecond);
+
+// The 16 members of a sharing group, each BM_ComputeExactJoinRows's query
+// with its own half-band threshold.
+std::vector<std::string> GroupQueries(double (*threshold)(int)) {
+  std::vector<std::string> sqls;
+  for (int i = 0; i < 16; ++i) {
+    sqls.push_back(
+        "SELECT A.temp, B.temp, A.hum, B.hum, A.pres, B.pres "
+        "FROM sensors A, sensors B WHERE A.temp - B.temp > " +
+        std::to_string(threshold(i)) + " ONCE");
+  }
+  return sqls;
+}
+
+// svc_service's 16-query group: thresholds 1.0 + 0.05 (i % 8), so each of
+// eight distinct members is admitted twice and computed once.
+void BM_ComputeExactJoinGroup(benchmark::State& state) {
+  RunExactJoins(state,
+                GroupQueries([](int i) { return 1.0 + 0.05 * (i % 8); }));
+}
+BENCHMARK(BM_ComputeExactJoinGroup)->Arg(250)->Unit(benchmark::kMillisecond);
+
+// Sixteen distinct members over the same threshold range: none is computed
+// twice, so the call costs sixteen solo joins.
+void BM_ComputeExactJoinGroupDistinct(benchmark::State& state) {
+  RunExactJoins(state, GroupQueries([](int i) { return 1.0 + 0.025 * i; }));
+}
+BENCHMARK(BM_ComputeExactJoinGroupDistinct)->Arg(250)
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace sensjoin::join

@@ -9,10 +9,11 @@ Base-station join mode (default):
   `micro_filterjoin --benchmark_out=...`) and compares it with the
   committed baseline (default BENCH_filterjoin.json). For
   BM_ComputeJoinFilter/1500, every BM_ComputeJoinFilter3Way/<n>, every
-  BM_ComputeExactJoin/<n> and every BM_ComputeExactJoinRows/<n> of the
-  baseline, the fresh run's `evaluated` counter (predicate evaluations)
-  must not exceed the baseline's, and its output counter (`filter` or
-  `rows`) must equal it. Both counters are deterministic, so the check is
+  BM_ComputeExactJoin/<n>, every BM_ComputeExactJoinRows/<n> and every
+  BM_ComputeExactJoinGroup*/<n> (a sharing group's exact joins in one
+  call, counters summed over its members) of the baseline, the fresh
+  run's `evaluated` counter (predicate evaluations) must not exceed the
+  baseline's, and its output counter (`filter` or `rows`) must equal it. Both counters are deterministic, so the check is
   free of timing noise: losing a probe window, as an exhaustive
   enumeration does, raises the 1500-point filter count from ~0.5M to
   ~2.46M.
@@ -71,6 +72,7 @@ JOIN_BENCH_PREFIXES = (
     "BM_ComputeJoinFilter3Way/",
     "BM_ComputeExactJoin/",
     "BM_ComputeExactJoinRows/",
+    "BM_ComputeExactJoinGroup",
 )
 
 

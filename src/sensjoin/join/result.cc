@@ -269,6 +269,54 @@ JoinResult ComputeExactJoin(
   return result;
 }
 
+bool SameExactJoin(const query::AnalyzedQuery& a,
+                   const query::AnalyzedQuery& b) {
+  auto same_preds = [](const auto& x, const auto& y) {
+    return std::ranges::equal(x, y, [](const auto& p, const auto& r) {
+      return query::SameExpr(*p, *r);
+    });
+  };
+  auto same_items = [](const query::SelectItem& x,
+                       const query::SelectItem& y) {
+    return x.aggregate == y.aggregate && x.label == y.label &&
+           (x.expr == nullptr
+                ? y.expr == nullptr
+                : y.expr != nullptr && query::SameExpr(*x.expr, *y.expr));
+  };
+  // SELECT * labels its columns with the schema's attribute names.
+  auto same_star = [&] {
+    return a.select_star() == b.select_star() &&
+           (!a.select_star() ||
+            std::ranges::equal(a.schema().attributes(),
+                               b.schema().attributes(), {},
+                               &data::AttributeDef::name,
+                               &data::AttributeDef::name));
+  };
+  return std::ranges::equal(a.tables(), b.tables(), {},
+                            &query::AnalyzedTable::alias,
+                            &query::AnalyzedTable::alias) &&
+         same_star() && a.has_aggregates() == b.has_aggregates() &&
+         same_preds(a.join_predicates(), b.join_predicates()) &&
+         std::ranges::equal(a.select(), b.select(), same_items);
+}
+
+std::vector<JoinResult> ComputeExactJoins(
+    std::span<const query::AnalyzedQuery* const> members,
+    const std::vector<std::vector<const data::Tuple*>>& per_table_tuples) {
+  // Result i is a copy of the result of the first member equal to member i;
+  // copies share the row buffers (PodBuffer).
+  std::vector<JoinResult> results;
+  results.reserve(members.size());
+  for (size_t i = 0; i < members.size(); ++i) {
+    size_t first = 0;
+    while (first < i && !SameExactJoin(*members[first], *members[i])) ++first;
+    results.push_back(first < i
+                          ? results[first]
+                          : ComputeExactJoin(*members[i], per_table_tuples));
+  }
+  return results;
+}
+
 std::strong_ordering CompareRows(std::span<const double> a,
                                  std::span<const double> b) {
   return std::lexicographical_compare_three_way(

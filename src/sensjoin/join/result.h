@@ -2,6 +2,7 @@
 #define SENSJOIN_JOIN_RESULT_H_
 
 #include <algorithm>
+#include <atomic>
 #include <compare>
 #include <cstddef>
 #include <cstdlib>
@@ -25,30 +26,42 @@ namespace sensjoin::join {
 /// copies into a fresh buffer and new slots are never zero-filled. On a
 /// rows-heavy exact join (BM_ComputeExactJoinRows) it is ~2.5x faster than
 /// std::vector growth.
+///
+/// Copies share the block, counted by a reference count in front of it, so
+/// a copy costs O(1) whatever the size; an Append to a shared block first
+/// clones the block for the appending side alone. The count is atomic:
+/// copies of one buffer may live on different threads.
 template <class T>
 class PodBuffer {
   static_assert(std::is_trivially_copyable_v<T>);
 
  public:
   PodBuffer() = default;
-  PodBuffer(const PodBuffer& o) { Append({o.data(), o.size()}); }
+  PodBuffer(const PodBuffer& o) noexcept
+      : block_(o.block_), size_(o.size_), capacity_(o.capacity_) {
+    if (block_ != nullptr) Refs(block_).fetch_add(1, std::memory_order_relaxed);
+  }
   PodBuffer(PodBuffer&& o) noexcept
-      : data_(std::move(o.data_)),
+      : block_(std::exchange(o.block_, nullptr)),
         size_(std::exchange(o.size_, 0)),
         capacity_(std::exchange(o.capacity_, 0)) {}
   PodBuffer& operator=(PodBuffer o) noexcept {
-    std::swap(data_, o.data_);
+    std::swap(block_, o.block_);
     std::swap(size_, o.size_);
     std::swap(capacity_, o.capacity_);
     return *this;
   }
+  ~PodBuffer() { Release(block_); }
 
   size_t size() const { return size_; }
-  const T* data() const { return data_.get(); }
+  const T* data() const { return block_ != nullptr ? Items(block_) : nullptr; }
 
   void Append(std::span<const T> items) {
-    if (capacity_ - size_ < items.size()) Grow(size_ + items.size());
-    std::copy(items.begin(), items.end(), data_.get() + size_);
+    if (items.empty()) return;
+    if (capacity_ - size_ < items.size() || !Unique()) {
+      Grow(std::max({size_ + items.size(), 2 * capacity_, size_t{16}}));
+    }
+    std::copy(items.begin(), items.end(), Items(block_) + size_);
     size_ += items.size();
   }
 
@@ -59,22 +72,52 @@ class PodBuffer {
   }
 
  private:
-  struct Free {
-    void operator()(T* p) const { std::free(p); }
+  /// The block: a Header, then the items.
+  struct alignas(std::max_align_t) Header {
+    size_t refs;  ///< buffers sharing the block; accessed atomically
   };
+  static_assert(alignof(T) <= alignof(Header));
 
-  void Grow(size_t need) {
-    const size_t capacity = std::max({need, 2 * capacity_, size_t{16}});
-    T* grown = static_cast<T*>(std::realloc(data_.get(), capacity * sizeof(T)));
-    SENSJOIN_CHECK(grown != nullptr) << "out of memory";
-    (void)data_.release();  // realloc freed or kept it
-    data_.reset(grown);
+  static std::atomic_ref<size_t> Refs(void* block) {
+    return std::atomic_ref<size_t>(static_cast<Header*>(block)->refs);
+  }
+  static T* Items(void* block) {
+    return reinterpret_cast<T*>(static_cast<char*>(block) + sizeof(Header));
+  }
+  static void Release(void* block) {
+    if (block != nullptr &&
+        Refs(block).fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      std::free(block);
+    }
+  }
+
+  /// True if no other buffer shares the block (vacuously without one).
+  bool Unique() const {
+    return block_ == nullptr ||
+           Refs(block_).load(std::memory_order_acquire) == 1;
+  }
+
+  /// Makes the block this buffer's own, holding `capacity` >= size_ items.
+  void Grow(size_t capacity) {
+    const size_t bytes = sizeof(Header) + capacity * sizeof(T);
+    void* grown;
+    if (Unique()) {
+      grown = std::realloc(block_, bytes);  // frees or keeps the old block
+      SENSJOIN_CHECK(grown != nullptr) << "out of memory";
+    } else {
+      grown = std::malloc(bytes);
+      SENSJOIN_CHECK(grown != nullptr) << "out of memory";
+      std::copy(Items(block_), Items(block_) + size_, Items(grown));
+      Release(block_);
+    }
+    static_cast<Header*>(grown)->refs = 1;
+    block_ = grown;
     capacity_ = capacity;
   }
 
-  std::unique_ptr<T, Free> data_;
+  void* block_ = nullptr;
   size_t size_ = 0;
-  size_t capacity_ = 0;
+  size_t capacity_ = 0;  ///< items the block holds
 };
 
 /// Read-only iteration over a table whose `operator[](i)` returns row i.
@@ -213,6 +256,21 @@ size_t CommonRows(const RowTable& a, const RowTable& b);
 JoinResult ComputeExactJoin(
     const query::AnalyzedQuery& q,
     const std::vector<std::vector<const data::Tuple*>>& per_table_tuples);
+
+/// ComputeExactJoin for each of `members` over one candidate pool: result
+/// i equals ComputeExactJoin(*members[i], per_table_tuples). Members that
+/// SameExactJoin calls equal are computed once, and their results share
+/// the row buffers.
+std::vector<JoinResult> ComputeExactJoins(
+    std::span<const query::AnalyzedQuery* const> members,
+    const std::vector<std::vector<const data::Tuple*>>& per_table_tuples);
+
+/// True if `a` and `b` give equal exact joins over every candidate pool:
+/// the same FROM aliases, join predicates and SELECT list (labels and
+/// aggregates included), expressions compared by SameExpr, so literals
+/// by their bits.
+bool SameExactJoin(const query::AnalyzedQuery& a,
+                   const query::AnalyzedQuery& b);
 
 /// Flags the candidates of FROM entry `table` (per_table_tuples[table], in
 /// list order) that take part in at least one combination satisfying every

@@ -1,5 +1,8 @@
 #include "sensjoin/query/ast.h"
 
+#include <bit>
+#include <charconv>
+#include <cstdint>
 #include <sstream>
 #include <utility>
 
@@ -113,11 +116,18 @@ std::unique_ptr<Expr> Expr::Clone() const {
   return e;
 }
 
-std::string Expr::ToString() const {
+std::string Expr::ToString(bool exact_literals) const {
   std::ostringstream os;
   switch (kind) {
     case ExprKind::kLiteral:
-      os << literal;
+      if (exact_literals) {
+        char buf[32];
+        const auto [end, ec] = std::to_chars(buf, buf + sizeof buf, literal);
+        SENSJOIN_CHECK(ec == std::errc());
+        os.write(buf, end - buf);
+      } else {
+        os << literal;
+      }
       break;
     case ExprKind::kAttrRef:
       if (!table.empty()) os << table << ".";
@@ -125,25 +135,53 @@ std::string Expr::ToString() const {
       break;
     case ExprKind::kUnary:
       if (unary_op == UnaryOp::kNot) {
-        os << "NOT (" << args[0]->ToString() << ")";
+        os << "NOT (" << args[0]->ToString(exact_literals) << ")";
       } else {
-        os << "-(" << args[0]->ToString() << ")";
+        os << "-(" << args[0]->ToString(exact_literals) << ")";
       }
       break;
     case ExprKind::kBinary:
-      os << "(" << args[0]->ToString() << " " << BinaryOpSymbol(binary_op)
-         << " " << args[1]->ToString() << ")";
+      os << "(" << args[0]->ToString(exact_literals) << " "
+         << BinaryOpSymbol(binary_op) << " "
+         << args[1]->ToString(exact_literals) << ")";
       break;
     case ExprKind::kFunc:
       os << func << "(";
       for (size_t i = 0; i < args.size(); ++i) {
         if (i > 0) os << ", ";
-        os << args[i]->ToString();
+        os << args[i]->ToString(exact_literals);
       }
       os << ")";
       break;
   }
   return os.str();
+}
+
+bool SameExpr(const Expr& a, const Expr& b) {
+  if (a.kind != b.kind || a.args.size() != b.args.size()) return false;
+  switch (a.kind) {
+    case ExprKind::kLiteral:
+      return std::bit_cast<uint64_t>(a.literal) ==
+             std::bit_cast<uint64_t>(b.literal);
+    case ExprKind::kAttrRef:
+      if (a.table_index < 0 || b.table_index < 0) {
+        return a.table == b.table && a.attr == b.attr;
+      }
+      return a.table_index == b.table_index && a.attr_index == b.attr_index;
+    case ExprKind::kUnary:
+      if (a.unary_op != b.unary_op) return false;
+      break;
+    case ExprKind::kBinary:
+      if (a.binary_op != b.binary_op) return false;
+      break;
+    case ExprKind::kFunc:
+      if (a.func != b.func) return false;
+      break;
+  }
+  for (size_t i = 0; i < a.args.size(); ++i) {
+    if (!SameExpr(*a.args[i], *b.args[i])) return false;
+  }
+  return true;
 }
 
 void Expr::CollectTableIndices(std::set<int>* out) const {

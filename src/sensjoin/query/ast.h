@@ -76,12 +76,20 @@ struct Expr {
   std::unique_ptr<Expr> Clone() const;
 
   /// Unparses the expression (canonical form, fully parenthesized).
-  std::string ToString() const;
+  /// Literals print to 6 significant digits, as in SELECT labels; with
+  /// `exact_literals`, in the shortest form that reads back to the same
+  /// double, so distinct literals print distinctly.
+  std::string ToString(bool exact_literals = false) const;
 
   /// Inserts the resolved table indices of every attribute reference in this
   /// subtree into `out`. Requires prior resolution by Analyze().
   void CollectTableIndices(std::set<int>* out) const;
 };
+
+/// True if `a` and `b` are the same tree: kinds, operators and functions
+/// equal, attribute references to the same resolved (table, attribute) —
+/// or, unresolved, the same names — and literals bit for bit.
+bool SameExpr(const Expr& a, const Expr& b);
 
 /// Aggregate applied to a SELECT item (Q1 uses MIN; Sec. III).
 enum class AggregateKind { kNone, kMin, kMax, kSum, kAvg, kCount };

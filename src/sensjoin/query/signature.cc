@@ -9,7 +9,9 @@ std::string SharingSignatureOf(const AnalyzedQuery& q) {
     sig += "from(";
     sig += table.relation;
     sig += ";";
-    if (table.selection != nullptr) sig += table.selection->ToString();
+    if (table.selection != nullptr) {
+      sig += table.selection->ToString(/*exact_literals=*/true);
+    }
     sig += ")";
   }
   sig += "dims(";

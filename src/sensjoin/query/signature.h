@@ -15,7 +15,9 @@ namespace sensjoin::query {
 /// The signature covers what the *collection* semantics depend on:
 ///  - the FROM entries in order, each as (relation, canonical selection
 ///    text) — relations determine membership flags, selections determine
-///    which nodes report at all;
+///    which nodes report at all. Selection literals print exactly
+///    (Expr::ToString with exact_literals), so selections that differ in
+///    any digit never share a collection;
 ///  - the union of join-attribute indices over all entries — these are the
 ///    quantizer dimensions encoded into each key.
 ///

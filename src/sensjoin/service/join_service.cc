@@ -220,13 +220,18 @@ StatusOr<bool> JoinService::RunEpochAttempt(uint64_t epoch,
 
     // Per-member exact joins over the group's candidate pool: each member
     // applies its own predicates and projection, discarding the other
-    // members' false positives. Members agree on FROM relations and
-    // selections by signature, so the pool is split per table once, by the
-    // group's epoch context.
+    // members' false positives, and identical members share one result.
+    // Members agree on FROM relations and selections by signature, so the
+    // pool is split per table once, by the group's epoch context.
     const auto join_start = std::chrono::steady_clock::now();
     const std::vector<std::vector<const data::Tuple*>> per_table =
         group.engine->context()->PerTableCandidates(candidates);
-    for (QueryRecord* m : members) {
+    std::vector<const query::AnalyzedQuery*> queries;
+    for (const QueryRecord* m : members) queries.push_back(&m->query);
+    std::vector<join::JoinResult> results =
+        join::ComputeExactJoins(queries, per_table);
+    for (size_t i = 0; i < members.size(); ++i) {
+      const QueryRecord* m = members[i];
       join::ExecutionReport er;
       er.success = true;
       er.shared_group_size = members.size();
@@ -238,7 +243,7 @@ StatusOr<bool> JoinService::RunEpochAttempt(uint64_t epoch,
       er.delta_resyncs = resyncs;
       er.final_tuples_shipped = shipped;
       er.candidate_tuples = candidates.size();
-      er.result = join::ComputeExactJoin(m->query, per_table);
+      er.result = std::move(results[i]);
       report->matched_rows += er.result.rows.size();
       out->reports.emplace(m->id, std::move(er));
     }

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <compare>
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <limits>
 #include <span>
@@ -14,6 +15,7 @@
 
 #include "sensjoin/common/rng.h"
 #include "sensjoin/data/schema.h"
+#include "sensjoin/join/join_plan.h"
 #include "sensjoin/query/expr_eval.h"
 #include "sensjoin/query/query.h"
 
@@ -200,6 +202,89 @@ TEST(RowTableTest, RowOrderIsTotalAndMatchesNaNBitwise) {
   EXPECT_FALSE(a == a);
 }
 
+std::vector<int> Items(const PodBuffer<int>& b) {
+  return {b.data(), b.data() + b.size()};
+}
+
+TEST(PodBufferTest, CopiesShareUntilEitherSideAppends) {
+  PodBuffer<int> a;
+  a.Append(std::vector<int>{1, 2, 3});
+  PodBuffer<int> b = a;
+  EXPECT_EQ(a.data(), b.data());  // one block
+  EXPECT_EQ(a, b);
+  b.Append(std::vector<int>{4});
+  EXPECT_NE(a.data(), b.data());
+  EXPECT_EQ(Items(a), (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(Items(b), (std::vector<int>{1, 2, 3, 4}));
+  EXPECT_FALSE(a == b);
+
+  // The source side appending leaves the copy alone too, and the copy, now
+  // the block's only holder, appends in place.
+  PodBuffer<int> c = a;
+  a.Append(std::vector<int>{5, 6});
+  EXPECT_EQ(Items(a), (std::vector<int>{1, 2, 3, 5, 6}));
+  EXPECT_EQ(Items(c), (std::vector<int>{1, 2, 3}));
+  const int* before = c.data();
+  c.Append(std::vector<int>{7});
+  EXPECT_EQ(Items(c), (std::vector<int>{1, 2, 3, 7}));
+  EXPECT_EQ(c.data(), before);
+
+  // Copy assignment shares as well; the old block is released.
+  c = b;
+  EXPECT_EQ(c.data(), b.data());
+  c.Append(std::vector<int>{8});
+  EXPECT_EQ(Items(b), (std::vector<int>{1, 2, 3, 4}));
+  EXPECT_EQ(Items(c), (std::vector<int>{1, 2, 3, 4, 8}));
+}
+
+TEST(PodBufferTest, MovedFromAndSelfAssignedBuffers) {
+  PodBuffer<double> a;
+  a.Append(std::vector<double>{1.5, 2.5});
+  PodBuffer<double> shared = a;
+  PodBuffer<double> moved = std::move(a);
+  EXPECT_EQ(a.size(), 0u);  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(a.data(), nullptr);
+  EXPECT_EQ(moved, shared);
+  // A moved-from buffer is empty and usable.
+  a.Append(std::vector<double>{9.0});
+  EXPECT_EQ(a.size(), 1u);
+  EXPECT_EQ(a.data()[0], 9.0);
+  EXPECT_EQ(moved.size(), 2u);
+
+  PodBuffer<double>& alias = moved;
+  moved = alias;
+  EXPECT_EQ(moved, shared);
+  moved = std::move(alias);
+  EXPECT_EQ(moved, shared);
+  moved.Append(std::vector<double>{3.5});
+  EXPECT_EQ(shared.size(), 2u);
+  EXPECT_EQ(moved.size(), 3u);
+
+  // Equality is element-wise: equal contents in distinct blocks are equal,
+  // and empty buffers equal each other whatever their history.
+  PodBuffer<double> rebuilt;
+  rebuilt.Append(std::vector<double>{1.5, 2.5});
+  EXPECT_EQ(rebuilt, shared);
+  EXPECT_EQ(PodBuffer<double>(), PodBuffer<double>(PodBuffer<double>()));
+}
+
+TEST(PodBufferTest, CopiedResultsKeepTheirOwnRows) {
+  RowTable rows(2);
+  rows.Append(std::vector<double>{1, 2});
+  NodeSets nodes;
+  nodes.Append(std::vector<sim::NodeId>{4, 7});
+  RowTable rows_copy = rows;
+  NodeSets nodes_copy = nodes;
+  rows_copy.Append(std::vector<double>{3, 4});
+  nodes.Append(std::vector<sim::NodeId>{9});
+  EXPECT_EQ(rows.size(), 1u);
+  EXPECT_EQ(rows_copy.size(), 2u);
+  EXPECT_EQ(nodes.size(), 2u);
+  ASSERT_EQ(nodes_copy.size(), 1u);
+  EXPECT_EQ(std::vector<sim::NodeId>(nodes_copy[0].begin(),
+                                     nodes_copy[0].end()),
+            (std::vector<sim::NodeId>{4, 7}));
+}
 
 // ---- Differential test against a brute-force oracle ----------------------
 
@@ -427,6 +512,234 @@ TEST(ExactJoinDifferentialTest, MatchesBruteForceOracle) {
                      ComputeExactJoin(q, per_table), label);
     }
   }
+}
+
+// ---- Group joins: identical members are computed once ---------------------
+
+// One join predicate between tables `a` and `b`: a band, a half-band, a
+// distance, an OR (no probe) or a != (no probe), with threshold `d`.
+struct PredSpec {
+  int kind = 0;
+  char a = 'A';
+  char b = 'B';
+  double d = 0.0;
+};
+
+// A member: a SELECT list (index into the arity's list) and its predicates.
+struct MemberSpec {
+  int select = 0;
+  std::vector<PredSpec> preds;
+};
+
+// Prints `v` so that it reads back to the same double.
+std::string Exact(double v) {
+  char buf[40];
+  std::snprintf(buf, sizeof buf, "%.17g", v);
+  return buf;
+}
+
+std::string PredSql(const PredSpec& p) {
+  const std::string a(1, p.a);
+  const std::string b(1, p.b);
+  switch (p.kind) {
+    case 0:
+      return "|" + a + ".temp - " + b + ".temp| < " + Exact(p.d);
+    case 1:
+      return a + ".temp - " + b + ".temp > " + Exact(p.d);
+    case 2:
+      return "distance(" + a + ".x, " + a + ".y, " + b + ".x, " + b +
+             ".y) < " + Exact(p.d);
+    case 3:
+      return "(" + a + ".temp < " + b + ".temp - " + Exact(p.d) + " OR " +
+             a + ".hum = " + b + ".hum)";
+    default:
+      return a + ".hum <> " + b + ".hum + " + Exact(p.d);
+  }
+}
+
+const std::vector<std::string>& SelectLists(int num_tables) {
+  static const std::vector<std::string> two = {
+      "A.hum, B.hum",
+      "A.temp - B.temp, B.x",
+      "*",
+      "sqrt(A.temp - B.temp), A.y",
+      "COUNT(*), SUM(A.temp - B.temp), MIN(B.hum), AVG(A.x)",
+      "MAX(A.hum + B.hum), COUNT(*)",
+  };
+  static const std::vector<std::string> three = {
+      "A.hum, B.hum, C.hum",
+      "*",
+      "A.x - C.x, B.temp",
+      "COUNT(*), SUM(C.temp), MIN(A.hum - B.hum)",
+  };
+  return num_tables == 3 ? three : two;
+}
+
+std::string MemberSql(const MemberSpec& m, int num_tables) {
+  std::string sql = "SELECT " + SelectLists(num_tables)[m.select] + " FROM " +
+                    (num_tables == 3 ? "s A, s B, s C" : "s A, s B") +
+                    " WHERE ";
+  for (size_t i = 0; i < m.preds.size(); ++i) {
+    if (i > 0) sql += " AND ";
+    sql += PredSql(m.preds[i]);
+  }
+  return sql + " ONCE";
+}
+
+PredSpec RandomPred(char a, char b, Rng* rng) {
+  PredSpec p;
+  p.kind = static_cast<int>(rng->UniformInt(0, 4));
+  p.a = a;
+  p.b = b;
+  // Thresholds on the tuples' grids tie with values; off-grid ones do not.
+  const bool grid = rng->NextBool(0.5);
+  switch (p.kind) {
+    case 0:  // narrow bands hold few hits per row, wide ones many
+      p.d = grid ? 0.25 * static_cast<double>(rng->UniformInt(0, 12))
+                 : rng->UniformDouble(0.05, 3);
+      break;
+    case 1:
+      p.d = grid ? 0.25 * static_cast<double>(rng->UniformInt(-8, 48))
+                 : rng->UniformDouble(-2, 12);
+      break;
+    case 2:
+      p.d = grid ? 2.5 * static_cast<double>(rng->UniformInt(0, 12))
+                 : rng->UniformDouble(2, 40);
+      break;
+    default:
+      p.d = grid ? 0.25 * static_cast<double>(rng->UniformInt(0, 16))
+                 : rng->UniformDouble(0, 4);
+      break;
+  }
+  return p;
+}
+
+MemberSpec RandomMember(int num_tables, Rng* rng) {
+  MemberSpec m;
+  m.select = static_cast<int>(
+      rng->UniformInt(0, std::ssize(SelectLists(num_tables)) - 1));
+  m.preds.push_back(RandomPred('A', 'B', rng));
+  if (num_tables == 3) {
+    m.preds.push_back(RandomPred(rng->NextBool(0.5) ? 'A' : 'B', 'C', rng));
+  } else if (rng->NextBool(0.3)) {
+    m.preds.push_back(RandomPred('A', 'B', rng));
+  }
+  return m;
+}
+
+TEST(ExactJoinGroupDifferentialTest, EveryMemberMatchesItsSoloJoinAndOracle) {
+  Rng rng(77);
+  size_t duplicates = 0;
+  size_t near_duplicates = 0;
+  for (int group = 0; group < 90; ++group) {
+    const int num_tables = group % 4 == 3 ? 3 : 2;
+    const int sizes_2way[] = {0, 6, 70, 260};
+    const int sizes_3way[] = {0, 5, 24, 40};
+    const int n = num_tables == 3 ? sizes_3way[rng.UniformInt(0, 3)]
+                                  : sizes_2way[rng.UniformInt(0, 3)];
+    const bool with_nan = rng.NextBool(0.3);
+
+    // The members: fresh ones, exact duplicates, and near duplicates whose
+    // first literal moves by one ulp (the same text at 6 digits).
+    const int size = static_cast<int>(rng.UniformInt(1, 8));
+    std::vector<MemberSpec> specs;
+    for (int i = 0; i < size; ++i) {
+      if (!specs.empty() && rng.NextBool(0.25)) {
+        specs.push_back(specs[rng.UniformInt(0, std::ssize(specs) - 1)]);
+        ++duplicates;
+      } else if (!specs.empty() && rng.NextBool(0.1)) {
+        MemberSpec m = specs[rng.UniformInt(0, std::ssize(specs) - 1)];
+        m.preds[0].d = std::nextafter(m.preds[0].d, 1e9);
+        specs.push_back(m);
+        ++near_duplicates;
+      } else {
+        specs.push_back(RandomMember(num_tables, &rng));
+      }
+    }
+    std::vector<query::AnalyzedQuery> queries;
+    std::vector<std::string> sqls;
+    for (const MemberSpec& m : specs) {
+      sqls.push_back(MemberSql(m, num_tables));
+      auto q = query::AnalyzedQuery::FromString(sqls.back(), MakeWideSchema());
+      ASSERT_TRUE(q.ok()) << q.status() << " for " << sqls.back();
+      queries.push_back(std::move(q).value());
+    }
+    std::vector<const query::AnalyzedQuery*> members;
+    for (const query::AnalyzedQuery& q : queries) members.push_back(&q);
+
+    std::vector<data::Tuple> first = GridTuples(n, 1, &rng);
+    std::vector<data::Tuple> second = GridTuples(n, 1000, &rng);
+    if (with_nan) {
+      for (std::vector<data::Tuple>* side : {&first, &second}) {
+        for (data::Tuple& t : *side) {
+          if (rng.NextBool(0.1)) {
+            t.values[rng.UniformInt(0, 3)] =
+                std::numeric_limits<double>::quiet_NaN();
+          }
+        }
+      }
+    }
+    const std::vector<const data::Tuple*> a = Pointers(first);
+    const std::vector<const data::Tuple*> b = Pointers(second);
+    std::vector<std::vector<const data::Tuple*>> per_table = {a, a};
+    if (group % 2 == 1) per_table[1] = b;
+    if (num_tables == 3) per_table.push_back(group % 3 == 0 ? b : a);
+
+    const std::vector<JoinResult> got = ComputeExactJoins(members, per_table);
+    ASSERT_EQ(got.size(), members.size());
+    for (size_t i = 0; i < members.size(); ++i) {
+      const std::string label = "group " + std::to_string(group) +
+                                " member " + std::to_string(i) + ": " +
+                                sqls[i];
+      const JoinResult solo = ComputeExactJoin(*members[i], per_table);
+      ExpectSameJoin(BruteForceJoin(*members[i], per_table), got[i], label);
+      ExpectSameJoin(solo, got[i], label);
+      EXPECT_EQ(solo.column_labels, got[i].column_labels) << label;
+      EXPECT_EQ(got[i].combinations_evaluated, solo.combinations_evaluated)
+          << label;
+    }
+  }
+  EXPECT_GT(duplicates, 0u);
+  EXPECT_GT(near_duplicates, 0u);
+}
+
+TEST(ExactJoinGroupTest, IdenticalMembersShareOneResult) {
+  const auto q1 = MustAnalyze(
+      "SELECT A.hum, B.hum FROM s A, s B WHERE A.temp - B.temp > 0.5 ONCE");
+  const auto q2 = MustAnalyze(
+      "SELECT A.hum, B.hum FROM s A, s B WHERE A.temp - B.temp > 0.5 ONCE");
+  // One ulp apart: the same text at 6 significant digits.
+  const auto q3 = MustAnalyze(
+      "SELECT A.hum, B.hum FROM s A, s B "
+      "WHERE A.temp - B.temp > 0.50000000000000011 ONCE");
+  const auto relabeled = MustAnalyze(
+      "SELECT A.hum AS h, B.hum FROM s A, s B WHERE A.temp - B.temp > 0.5 "
+      "ONCE");
+  EXPECT_TRUE(SameExactJoin(q1, q2));
+  EXPECT_FALSE(SameExactJoin(q1, q3));
+  EXPECT_EQ(q1.join_predicates()[0]->ToString(),
+            q3.join_predicates()[0]->ToString());
+  EXPECT_FALSE(SameExactJoin(q1, relabeled));
+
+  const std::vector<data::Tuple> tuples = {MakeTuple(1, 20.0, 40),
+                                           MakeTuple(2, 20.5, 50),
+                                           MakeTuple(3, 22.0, 60)};
+  std::vector<const data::Tuple*> side;
+  for (const auto& t : tuples) side.push_back(&t);
+  const std::vector<const query::AnalyzedQuery*> members = {&q1, &q2, &q3,
+                                                            &relabeled};
+  const std::vector<JoinResult> got = ComputeExactJoins(members, {side, side});
+  ASSERT_EQ(got.size(), 4u);
+  // (2, 1) differs by exactly 0.5, which passes neither threshold.
+  EXPECT_EQ(got[0].matched_combinations, 2u);
+  EXPECT_EQ(got[1].matched_combinations, 2u);
+  EXPECT_EQ(got[2].matched_combinations, 2u);
+  EXPECT_EQ(got[3].column_labels, (std::vector<std::string>{"h", "B.hum"}));
+  // The duplicate holds its own copy: appending to it leaves the first.
+  JoinResult copy = got[1];
+  copy.rows.Append(std::vector<double>{0, 0});
+  EXPECT_EQ(got[0].rows.size(), 2u);
+  EXPECT_EQ(got[1].rows.size(), 2u);
 }
 
 }  // namespace

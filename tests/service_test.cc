@@ -145,6 +145,43 @@ TEST(ServiceTest, SixteenQueryGroupMatchesDedicatedExecutions) {
   }
 }
 
+TEST(ServiceTest, SelectionsDifferingPastSixDigitsMatchDedicatedRuns) {
+  // The two selections print alike to 6 significant digits; sharing one
+  // collection would serve the second query the first one's tuples.
+  const std::string hi_cut =
+      "SELECT A.hum, B.hum FROM sensors A, sensors B "
+      "WHERE A.hum + 1000000 > 1000050.3 AND A.temp - B.temp > 1.0 ONCE";
+  const std::string lo_cut =
+      "SELECT A.hum, B.hum FROM sensors A, sensors B "
+      "WHERE A.hum + 1000000 > 1000049.7 AND A.temp - B.temp > 1.0 ONCE";
+  auto shared_tb = testbed::Testbed::Create(SmallParams(7));
+  auto dedicated_tb = testbed::Testbed::Create(SmallParams(7));
+  ASSERT_TRUE(shared_tb.ok());
+  ASSERT_TRUE(dedicated_tb.ok());
+  testbed::ServiceRunParams params;
+  params.epochs = 2;
+  params.config = SharedConfig();
+  params.initial_queries = {hi_cut, lo_cut};
+  auto shared = testbed::RunService(**shared_tb, params);
+  ASSERT_TRUE(shared.ok()) << shared.status();
+  params.config.share_phases = false;
+  auto dedicated = testbed::RunService(**dedicated_tb, params);
+  ASSERT_TRUE(dedicated.ok()) << dedicated.status();
+
+  EXPECT_EQ(shared->epochs.back().groups, 2u);
+  for (const auto& [id, reports] : shared->query_reports) {
+    const std::vector<join::ExecutionReport>& own =
+        dedicated->query_reports.at(id);
+    ASSERT_EQ(reports.size(), own.size());
+    for (size_t e = 0; e < reports.size(); ++e) {
+      EXPECT_GT(own[e].result.rows.size(), 0u);
+      EXPECT_EQ(join::SortedRows(reports[e].result.rows),
+                join::SortedRows(own[e].result.rows))
+          << "query " << id << " epoch " << e;
+    }
+  }
+}
+
 TEST(ServiceTest, DifferentSignaturesFormSeparateGroups) {
   auto tb = testbed::Testbed::Create(SmallParams(17));
   ASSERT_TRUE(tb.ok());
