@@ -34,9 +34,9 @@ void WriteSeed(const std::filesystem::path& dir, const std::string& name,
             static_cast<std::streamsize>(bytes.size()));
 }
 
-/// Frames an encoding the way point_set_decode_fuzz (and, reusing the same
-/// two prefix bytes, encoded_ops_fuzz) derives its layout: byte 0 packs the
-/// flag bits and the trailing-bit shave, byte 1 the level count and width.
+/// Frames an encoding the way point_set_decode_fuzz derives its layout:
+/// byte 0 packs the flag bits and the trailing-bit shave, byte 1 the level
+/// count and width.
 std::vector<uint8_t> FrameEncoding(int flag_bits, int num_levels,
                                    int level_width, const BitWriter& enc) {
   const int shave = static_cast<int>(enc.size_bytes() * 8 - enc.size_bits());
@@ -70,9 +70,9 @@ int main(int argc, char** argv) {
   const std::filesystem::path root = argv[1];
   Rng rng(0xC0FFEE);
 
-  // --- point_set_decode_fuzz & encoded_ops_fuzz ---------------------------
-  for (const char* target : {"point_set_decode_fuzz", "encoded_ops_fuzz"}) {
-    const std::filesystem::path dir = root / target;
+  // --- point_set_decode_fuzz ---------------------------------------------
+  {
+    const std::filesystem::path dir = root / "point_set_decode_fuzz";
     std::filesystem::create_directories(dir);
     int n = 0;
     for (int flag_bits : {0, 2}) {

@@ -73,11 +73,6 @@ void BitWriter::Truncate(size_t bits) {
   if (used != 0) bytes_.back() &= static_cast<uint8_t>(0xffu << (8 - used));
 }
 
-bool BitWriter::BitAt(size_t index) const {
-  SENSJOIN_DCHECK(index < size_bits_);
-  return (bytes_[index / 8] >> (7 - index % 8)) & 1;
-}
-
 uint64_t BitReader::ReadBits(int count) {
   SENSJOIN_DCHECK(count >= 0 && count <= 64);
   SENSJOIN_CHECK(RemainingBits() >= static_cast<size_t>(count))

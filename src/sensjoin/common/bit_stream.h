@@ -48,9 +48,6 @@ class BitWriter {
   /// The backing bytes; the final byte is zero-padded in the low bits.
   const std::vector<uint8_t>& bytes() const { return bytes_; }
 
-  /// Reads bit `index` (0-based from the start of the stream).
-  bool BitAt(size_t index) const;
-
   void Clear() {
     bytes_.clear();
     size_bits_ = 0;
@@ -84,14 +81,6 @@ class BitReader {
   /// count outside [0, 64]) returns OutOfRange and leaves the position and
   /// `*out` untouched instead of aborting.
   Status TryReadBits(int count, uint64_t* out);
-
-  /// Bounds-checked single-bit read.
-  Status TryReadBit(bool* out) {
-    uint64_t v = 0;
-    SENSJOIN_RETURN_IF_ERROR(TryReadBits(1, &v));
-    *out = v != 0;
-    return Status::Ok();
-  }
 
   size_t position_bits() const { return pos_; }
   size_t RemainingBits() const { return size_bits_ - pos_; }

@@ -1,7 +1,5 @@
 #include "sensjoin/common/rng.h"
 
-#include <cmath>
-
 #include "sensjoin/common/logging.h"
 
 namespace sensjoin {
@@ -56,23 +54,6 @@ int64_t Rng::UniformInt(int64_t lo, int64_t hi) {
     v = NextUint64();
   } while (v >= limit);
   return lo + static_cast<int64_t>(v % span);
-}
-
-double Rng::NextGaussian() {
-  if (have_cached_gaussian_) {
-    have_cached_gaussian_ = false;
-    return cached_gaussian_;
-  }
-  double u1;
-  do {
-    u1 = NextDouble();
-  } while (u1 <= 0.0);
-  const double u2 = NextDouble();
-  const double r = std::sqrt(-2.0 * std::log(u1));
-  const double theta = 2.0 * M_PI * u2;
-  cached_gaussian_ = r * std::sin(theta);
-  have_cached_gaussian_ = true;
-  return r * std::cos(theta);
 }
 
 bool Rng::NextBool(double p) { return NextDouble() < p; }

@@ -25,9 +25,6 @@ class Rng {
   /// Uniform integer in [lo, hi] (inclusive). Requires lo <= hi.
   int64_t UniformInt(int64_t lo, int64_t hi);
 
-  /// Standard normal deviate (Box-Muller).
-  double NextGaussian();
-
   /// Bernoulli trial with success probability p.
   bool NextBool(double p);
 
@@ -37,8 +34,6 @@ class Rng {
 
  private:
   uint64_t state_[4];
-  bool have_cached_gaussian_ = false;
-  double cached_gaussian_ = 0.0;
 };
 
 }  // namespace sensjoin

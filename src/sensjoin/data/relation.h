@@ -30,11 +30,6 @@ class Relation {
   const Tuple& tuple(size_t i) const { return tuples_[i]; }
   const std::vector<Tuple>& tuples() const { return tuples_; }
 
-  /// Total wire bytes of all tuples under this schema.
-  size_t TotalWireBytes() const {
-    return tuples_.size() * static_cast<size_t>(schema_.TupleWireBytes());
-  }
-
  private:
   std::string name_;
   Schema schema_;

@@ -20,12 +20,6 @@ int Schema::IndexOf(const std::string& name) const {
   return -1;
 }
 
-int Schema::TupleWireBytes() const {
-  int total = 0;
-  for (const AttributeDef& a : attributes_) total += a.wire_bytes;
-  return total;
-}
-
 int Schema::ProjectionWireBytes(const std::vector<int>& indices) const {
   int total = 0;
   for (int i : indices) {

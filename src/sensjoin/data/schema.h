@@ -29,9 +29,6 @@ class Schema {
 
   bool Contains(const std::string& name) const { return IndexOf(name) >= 0; }
 
-  /// Wire size of a complete tuple under this schema.
-  int TupleWireBytes() const;
-
   /// Wire size of a projection onto the attribute indices in `indices`.
   int ProjectionWireBytes(const std::vector<int>& indices) const;
 

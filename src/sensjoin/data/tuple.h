@@ -19,16 +19,6 @@ struct Tuple {
   }
 };
 
-/// Projects `t` onto the attribute indices in `indices` (Definition 1:
-/// a join-attribute tuple is a projection onto the join attributes).
-inline Tuple ProjectTuple(const Tuple& t, const std::vector<int>& indices) {
-  Tuple out;
-  out.node = t.node;
-  out.values.reserve(indices.size());
-  for (int i : indices) out.values.push_back(t.values[i]);
-  return out;
-}
-
 }  // namespace sensjoin::data
 
 #endif  // SENSJOIN_DATA_TUPLE_H_

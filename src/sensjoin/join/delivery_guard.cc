@@ -6,24 +6,6 @@
 
 namespace sensjoin::join {
 
-const char* DeliveryVerdictName(DeliveryVerdict verdict) {
-  switch (verdict) {
-    case DeliveryVerdict::kFirstDelivery:
-      return "first_delivery";
-    case DeliveryVerdict::kReordered:
-      return "reordered";
-    case DeliveryVerdict::kDuplicate:
-      return "duplicate";
-    case DeliveryVerdict::kStale:
-      return "stale";
-    case DeliveryVerdict::kUntagged:
-      return "untagged";
-    case DeliveryVerdict::kPhantom:
-      return "phantom";
-  }
-  return "unknown";
-}
-
 DeliveryGuard::DeliveryGuard(int dedup_window)
     : dedup_window_(std::max(1, dedup_window)) {}
 

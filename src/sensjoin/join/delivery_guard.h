@@ -25,8 +25,6 @@ enum class DeliveryVerdict {
                    ///< non-zero phantom count means a protocol bug
 };
 
-const char* DeliveryVerdictName(DeliveryVerdict verdict);
-
 /// The sender+receiver half of exactly-once delivery semantics, shared by
 /// every join executor through RunAttempts (and, through callbacks,
 /// net::TreeMaintenance).

@@ -38,13 +38,4 @@ std::vector<query::Interval> JoinAttrCodec::KeyIntervals(uint64_t key) const {
   return out;
 }
 
-std::vector<double> JoinAttrCodec::KeyCenters(uint64_t key) const {
-  const std::vector<uint32_t> coords = KeyCoordinates(key);
-  std::vector<double> out(coords.size());
-  for (int i = 0; i < quantizer_.num_dims(); ++i) {
-    out[i] = quantizer_.CellCenter(i, coords[i]);
-  }
-  return out;
-}
-
 }  // namespace sensjoin::join

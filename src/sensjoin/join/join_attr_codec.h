@@ -52,9 +52,6 @@ class JoinAttrCodec {
   /// input to conservative predicate evaluation.
   std::vector<query::Interval> KeyIntervals(uint64_t key) const;
 
-  /// Representative raw values (cell centers) of `key`.
-  std::vector<double> KeyCenters(uint64_t key) const;
-
  private:
   Quantizer quantizer_;
   ZOrder zorder_;

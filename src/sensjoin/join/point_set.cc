@@ -24,11 +24,7 @@ PointSetLayout::PointSetLayout(int flag_bits, std::vector<int> z_level_widths)
     level_widths_.push_back(w);
   }
   SENSJOIN_CHECK(!level_widths_.empty());
-  suffix_bits_.assign(level_widths_.size() + 1, 0);
-  for (int l = static_cast<int>(level_widths_.size()) - 1; l >= 0; --l) {
-    suffix_bits_[l] = suffix_bits_[l + 1] + level_widths_[l];
-  }
-  total_key_bits_ = suffix_bits_[0];
+  for (int w : level_widths_) total_key_bits_ += w;
   SENSJOIN_CHECK_LE(total_key_bits_, 64);
 }
 

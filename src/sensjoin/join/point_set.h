@@ -25,10 +25,6 @@ class PointSetLayout {
   const std::vector<int>& level_widths() const { return level_widths_; }
   int total_key_bits() const { return total_key_bits_; }
 
-  /// Bits remaining below level `l` (suffix length of a point listed at a
-  /// node of that level). SuffixBits(0) == total_key_bits().
-  int SuffixBits(int l) const { return suffix_bits_[l]; }
-
   uint64_t MakeKey(uint8_t flags, uint64_t z) const;
   uint8_t FlagsOfKey(uint64_t key) const;
   uint64_t ZOfKey(uint64_t key) const;
@@ -40,7 +36,6 @@ class PointSetLayout {
  private:
   int flag_bits_;
   std::vector<int> level_widths_;  ///< flags digit (if any) + z levels
-  std::vector<int> suffix_bits_;   ///< suffix_bits_[l], plus trailing 0
   int total_key_bits_ = 0;
 };
 
@@ -67,9 +62,6 @@ class PointSet {
                            std::vector<uint64_t> keys);
 
   const PointSetLayout& layout() const { return *layout_; }
-  const std::shared_ptr<const PointSetLayout>& layout_ptr() const {
-    return layout_;
-  }
 
   size_t size() const { return keys_.size(); }
   bool empty() const { return keys_.empty(); }

@@ -107,15 +107,4 @@ query::Interval Quantizer::CellInterval(int i, uint32_t c) const {
   return {lo, hi};
 }
 
-double Quantizer::CellCenter(int i, uint32_t c) const {
-  const DimensionSpec& d = dims_[i];
-  const double hi = d.min_val + static_cast<double>(c) * d.resolution;
-  if (c == 0) return d.min_val;
-  if (c == size_of_dim_[i] - 1 &&
-      hi > d.max_val) {
-    return d.max_val;
-  }
-  return hi - d.resolution / 2.0;
-}
-
 }  // namespace sensjoin::join

@@ -76,10 +76,6 @@ class Quantizer {
   /// clamp onto them.
   query::Interval CellInterval(int i, uint32_t c) const;
 
-  /// A representative raw value for cell `c` (its center, clamped bounds
-  /// for boundary cells).
-  double CellCenter(int i, uint32_t c) const;
-
  private:
   explicit Quantizer(std::vector<DimensionSpec> dims);
 

@@ -64,19 +64,6 @@ Interval Max(const Interval& a, const Interval& b) {
   return {std::max(a.lo, b.lo), std::max(a.hi, b.hi)};
 }
 
-Interval Hull(const Interval& a, const Interval& b) {
-  return {std::min(a.lo, b.lo), std::max(a.hi, b.hi)};
-}
-
-const char* TriName(Tri t) {
-  switch (t) {
-    case Tri::kFalse: return "false";
-    case Tri::kMaybe: return "maybe";
-    case Tri::kTrue: return "true";
-  }
-  return "?";
-}
-
 Tri Lt(const Interval& a, const Interval& b) {
   if (a.hi < b.lo) return Tri::kTrue;
   if (a.lo >= b.hi) return Tri::kFalse;

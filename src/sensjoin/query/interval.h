@@ -45,14 +45,10 @@ Interval Square(const Interval& a);
 Interval Sqrt(const Interval& a);
 Interval Min(const Interval& a, const Interval& b);
 Interval Max(const Interval& a, const Interval& b);
-/// Smallest interval containing both.
-Interval Hull(const Interval& a, const Interval& b);
 
 /// Three-valued truth for predicates over intervals: certainly false,
 /// possibly true, certainly true.
 enum class Tri : uint8_t { kFalse, kMaybe, kTrue };
-
-const char* TriName(Tri t);
 
 Tri Lt(const Interval& a, const Interval& b);
 Tri Le(const Interval& a, const Interval& b);
@@ -64,9 +60,6 @@ Tri Ne(const Interval& a, const Interval& b);
 Tri And(Tri a, Tri b);
 Tri Or(Tri a, Tri b);
 Tri Not(Tri a);
-
-/// Conservative acceptance: keep everything that is not certainly false.
-inline bool MaybeTrue(Tri t) { return t != Tri::kFalse; }
 
 }  // namespace sensjoin::query
 

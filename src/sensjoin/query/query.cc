@@ -199,14 +199,6 @@ StatusOr<AnalyzedQuery> AnalyzedQuery::FromString(const std::string& sql,
   return Analyze(std::move(parsed), schema);
 }
 
-bool AnalyzedQuery::IsSelfJoin() const {
-  std::set<std::string> names;
-  for (const AnalyzedTable& t : tables_) {
-    if (!names.insert(t.relation).second) return true;
-  }
-  return false;
-}
-
 int AnalyzedQuery::JoinAttrTupleBytes(int i) const {
   return schema_.ProjectionWireBytes(tables_[i].join_attr_indices);
 }
@@ -233,16 +225,6 @@ std::vector<int> AnalyzedQuery::JoinAttrIndices() const {
   return SortedVector(attrs);
 }
 
-std::vector<int> AnalyzedQuery::UnionJoinAttrIndices(
-    const std::string& relation_name) const {
-  std::set<int> attrs;
-  for (int t : TablesOfRelation(relation_name)) {
-    attrs.insert(tables_[t].join_attr_indices.begin(),
-                 tables_[t].join_attr_indices.end());
-  }
-  return SortedVector(attrs);
-}
-
 std::vector<int> AnalyzedQuery::UnionQueriedAttrIndices(
     const std::string& relation_name) const {
   std::set<int> attrs;
@@ -251,53 +233,6 @@ std::vector<int> AnalyzedQuery::UnionQueriedAttrIndices(
                  tables_[t].queried_attr_indices.end());
   }
   return SortedVector(attrs);
-}
-
-std::string AnalyzedQuery::DebugString() const {
-  std::string out = "AnalyzedQuery {\n";
-  out += "  select:";
-  if (select_star_) {
-    out += " *";
-  } else {
-    for (const SelectItem& item : select_) {
-      out += " ";
-      if (item.aggregate != AggregateKind::kNone) {
-        out += AggregateKindName(item.aggregate);
-        out += "(";
-        out += item.expr != nullptr ? item.expr->ToString() : "*";
-        out += ")";
-      } else {
-        out += item.expr->ToString();
-      }
-    }
-  }
-  out += "\n";
-  for (const AnalyzedTable& t : tables_) {
-    out += "  table " + t.alias + " = " + t.relation;
-    if (t.selection != nullptr) {
-      out += "  selection: " + t.selection->ToString();
-    }
-    out += "  join-attrs: [";
-    for (size_t i = 0; i < t.join_attr_indices.size(); ++i) {
-      if (i > 0) out += ", ";
-      out += schema_.attribute(t.join_attr_indices[i]).name;
-    }
-    out += "]  shipped: [";
-    for (size_t i = 0; i < t.queried_attr_indices.size(); ++i) {
-      if (i > 0) out += ", ";
-      out += schema_.attribute(t.queried_attr_indices[i]).name;
-    }
-    out += "]\n";
-  }
-  for (const auto& p : join_predicates_) {
-    out += "  join-predicate: " + p->ToString() + "\n";
-  }
-  out += mode_ == ParsedQuery::Mode::kOnce
-             ? "  mode: ONCE\n"
-             : "  mode: SAMPLE PERIOD " + std::to_string(sample_period_s_) +
-                   "\n";
-  out += "}";
-  return out;
 }
 
 std::vector<std::string> AnalyzedQuery::RelationNames() const {

@@ -70,9 +70,6 @@ class AnalyzedQuery {
 
   const data::Schema& schema() const { return schema_; }
 
-  /// True if two FROM entries name the same relation.
-  bool IsSelfJoin() const;
-
   /// Wire size of the join-attribute tuple of table `i`.
   int JoinAttrTupleBytes(int i) const;
   /// Wire size of the attributes shipped for table `i` in the final phase.
@@ -87,11 +84,6 @@ class AnalyzedQuery {
   /// Sec. IV-B).
   std::vector<int> JoinAttrIndices() const;
 
-  /// Union of join-attribute indices over all FROM entries of
-  /// `relation_name` (a self-joined node sends one join-attribute tuple
-  /// covering both aliases; Sec. IV-B).
-  std::vector<int> UnionJoinAttrIndices(const std::string& relation_name) const;
-
   /// Union of shipped attribute indices over all FROM entries of
   /// `relation_name`.
   std::vector<int> UnionQueriedAttrIndices(
@@ -102,10 +94,6 @@ class AnalyzedQuery {
 
   /// Approximate wire size of the query message for dissemination.
   size_t QueryWireBytes() const { return query_wire_bytes_; }
-
-  /// Multi-line EXPLAIN-style description: tables with their selections,
-  /// join predicates, join/shipped attributes, mode.
-  std::string DebugString() const;
 
  private:
   AnalyzedQuery() = default;

@@ -139,7 +139,6 @@ class JoinService {
 
   const QueryRegistry& registry() const { return registry_; }
   QueryRegistry& registry() { return registry_; }
-  uint64_t next_epoch() const { return next_epoch_; }
   const net::RoutingTree& tree() const { return tree_; }
   const ServiceConfig& config() const { return config_; }
 

@@ -4,18 +4,6 @@
 
 namespace sensjoin::service {
 
-const char* QueryStateName(QueryState state) {
-  switch (state) {
-    case QueryState::kAdmitted:
-      return "admitted";
-    case QueryState::kRunning:
-      return "running";
-    case QueryState::kCancelled:
-      return "cancelled";
-  }
-  return "unknown";
-}
-
 QueryRegistry::QueryRegistry(data::Schema schema, size_t max_queries)
     : schema_(std::move(schema)), max_queries_(max_queries) {}
 

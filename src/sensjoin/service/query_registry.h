@@ -26,8 +26,6 @@ using QueryId = uint64_t;
 /// keep their report stream but leave the execution set immediately.
 enum class QueryState { kAdmitted, kRunning, kCancelled };
 
-const char* QueryStateName(QueryState state);
-
 /// One registered query: the analyzed form the executors run, its sharing
 /// signature, per-query protocol knobs, and the per-epoch report stream.
 struct QueryRecord {
@@ -88,7 +86,6 @@ class QueryRegistry {
   /// Ids of non-cancelled queries, ascending.
   std::vector<QueryId> ActiveIds() const;
   size_t active_count() const { return active_count_; }
-  size_t total_registered() const { return records_.size(); }
 
  private:
   data::Schema schema_;

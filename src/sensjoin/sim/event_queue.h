@@ -47,9 +47,6 @@ class EventQueue {
   /// True if no events are pending.
   bool Empty() const { return pending_count_ == 0; }
 
-  /// Number of pending (non-canceled) events.
-  size_t PendingCount() const { return pending_count_; }
-
   /// Fires the next event. Returns false if the queue is empty.
   bool RunOne();
 
@@ -72,7 +69,6 @@ class EventQueue {
 
   /// Pool introspection (diagnostics / tests).
   size_t slot_count() const { return slots_.size(); }
-  size_t slot_capacity() const { return slots_.capacity(); }
   size_t free_slot_count() const { return free_slots_.size(); }
 
   // Lifetime statistics, captured into metrics dumps by

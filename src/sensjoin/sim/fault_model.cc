@@ -13,14 +13,6 @@ bool FaultPlan::HasCorruption() const {
   return false;
 }
 
-bool FaultPlan::HasDuplication() const {
-  if (default_duplication_rate > 0.0) return true;
-  for (const LinkDuplicationOverride& link : duplication_overrides) {
-    if (link.duplication_rate > 0.0) return true;
-  }
-  return false;
-}
-
 void ApplyFaultPlan(Simulator& sim, const FaultPlan& plan) {
   Radio& radio = sim.radio();
   radio.set_default_loss_rate(plan.default_loss_rate);

@@ -69,7 +69,8 @@ struct DelayParams {
 };
 
 /// The per-fragment integrity layer: every data fragment carries a CRC-16
-/// trailer (the 802.15.4 FCS analog; common/crc16.h), so a receiver detects
+/// trailer (the 802.15.4 FCS analog). The trailer is charged but no checksum
+/// is computed: detection is modeled as perfect, so a receiver detects
 /// a corrupted payload and silently drops the fragment — from the sender's
 /// point of view, a detected corruption is exactly a loss, and it feeds the
 /// same ARQ retransmissions and phase-level recovery. The trailer bytes and
@@ -175,9 +176,6 @@ struct FaultPlan {
 
   /// True when any corruption rate (default or override) is non-zero.
   bool HasCorruption() const;
-
-  /// True when any duplication rate (default or override) is non-zero.
-  bool HasDuplication() const;
 };
 
 /// Installs `plan` on `sim`: sets loss rates on the radio, the ARQ policy

@@ -126,11 +126,6 @@ void Radio::SetLinkLossRate(NodeId a, NodeId b, double p) {
   link_loss_[LinkKey(a, b)] = std::clamp(p, 0.0, 1.0);
 }
 
-void Radio::ClearLossRates() {
-  default_loss_rate_ = 0.0;
-  link_loss_.clear();
-}
-
 double Radio::LossRate(NodeId a, NodeId b) const {
   if (!ValidLink(a, b)) return 0.0;
   auto it = link_loss_.find(LinkKey(a, b));
@@ -146,11 +141,6 @@ void Radio::SetLinkCorruptionRate(NodeId a, NodeId b, double p) {
   link_corruption_[LinkKey(a, b)] = std::clamp(p, 0.0, 1.0);
 }
 
-void Radio::ClearCorruptionRates() {
-  default_corruption_rate_ = 0.0;
-  link_corruption_.clear();
-}
-
 double Radio::CorruptionRate(NodeId a, NodeId b) const {
   if (!ValidLink(a, b)) return 0.0;
   auto it = link_corruption_.find(LinkKey(a, b));
@@ -164,11 +154,6 @@ void Radio::set_default_duplication_rate(double p) {
 void Radio::SetLinkDuplicationRate(NodeId a, NodeId b, double p) {
   if (!ValidLink(a, b)) return;
   link_duplication_[LinkKey(a, b)] = std::clamp(p, 0.0, 1.0);
-}
-
-void Radio::ClearDuplicationRates() {
-  default_duplication_rate_ = 0.0;
-  link_duplication_.clear();
 }
 
 double Radio::DuplicationRate(NodeId a, NodeId b) const {

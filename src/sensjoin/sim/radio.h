@@ -70,7 +70,6 @@ class Radio {
   /// Out-of-range node ids and self-links (a == b) are ignored.
   void FailLink(NodeId a, NodeId b);
   void RestoreLink(NodeId a, NodeId b);
-  void RestoreAllLinks() { failed_links_.clear(); }
   size_t num_failed_links() const { return failed_links_.size(); }
 
   /// Called after every effective FailLink (`up == false`) / RestoreLink
@@ -98,8 +97,6 @@ class Radio {
   /// True while the link a-b is inside a scheduled outage window.
   bool OutageActive(NodeId a, NodeId b) const;
 
-  void ClearOutages() { outage_links_.clear(); }
-
   // --- Probabilistic per-link packet loss --------------------------------
   // A loss rate is the probability that one link-layer fragment is dropped
   // on its way over the link; the simulator rolls the dice (seeded) per
@@ -114,9 +111,6 @@ class Radio {
   /// Sets the loss rate of the (bidirectional) link a-b, overriding the
   /// default. Invalid ids and self-links are ignored.
   void SetLinkLossRate(NodeId a, NodeId b, double p);
-
-  /// Drops all per-link overrides and resets the default rate to 0.
-  void ClearLossRates();
 
   /// Effective loss rate of the link a-b (override if set, else default);
   /// 0 for invalid links.
@@ -138,9 +132,6 @@ class Radio {
   /// the default. Invalid ids and self-links are ignored.
   void SetLinkCorruptionRate(NodeId a, NodeId b, double p);
 
-  /// Drops all per-link overrides and resets the default rate to 0.
-  void ClearCorruptionRates();
-
   /// Effective corruption rate of the link a-b (override if set, else
   /// default); 0 for invalid links.
   double CorruptionRate(NodeId a, NodeId b) const;
@@ -160,9 +151,6 @@ class Radio {
   /// Sets the duplication rate of the (bidirectional) link a-b, overriding
   /// the default. Invalid ids and self-links are ignored.
   void SetLinkDuplicationRate(NodeId a, NodeId b, double p);
-
-  /// Drops all per-link overrides and resets the default rate to 0.
-  void ClearDuplicationRates();
 
   /// Effective duplication rate of the link a-b (override if set, else
   /// default); 0 for invalid links.

@@ -65,7 +65,6 @@ class Simulator {
   Radio& radio() { return radio_; }
   const Radio& radio() const { return radio_; }
   const PacketizationParams& packet_params() const { return packet_params_; }
-  const EnergyModel& energy_model() const { return energy_model_; }
 
   int num_nodes() const { return radio_.num_nodes(); }
 
@@ -119,7 +118,6 @@ class Simulator {
   void set_integrity_params(const IntegrityParams& p) {
     integrity_params_ = p;
   }
-  const IntegrityParams& integrity_params() const { return integrity_params_; }
 
   /// Materializes one undetected-corruption event on a payload bitstring:
   /// truncation or a small burst of bit flips, drawn from the seeded fault
@@ -141,7 +139,6 @@ class Simulator {
   /// Per-message delivery jitter (reordering); disabled by default so no
   /// extra randomness is drawn and delivery order matches the seed.
   void set_delay_params(const DelayParams& p) { delay_params_ = p; }
-  const DelayParams& delay_params() const { return delay_params_; }
 
   /// Cross-attempt replay: with `enabled`, loss-eligible unicast deliveries
   /// are tracked in flight; NotifyAttemptAbort captures the pending ones
@@ -151,7 +148,6 @@ class Simulator {
     replay_enabled_ = enabled;
     replay_stagger_s_ = stagger_s;
   }
-  bool replay_enabled() const { return replay_enabled_; }
 
   /// Captures every in-flight loss-eligible delivery (canceling its
   /// delivery event) into the replay buffer. Executors call this when an
@@ -164,9 +160,6 @@ class Simulator {
   /// (itemized as replayed packets). Executors call this at the start of
   /// the next attempt. Returns the number of messages released.
   int ReleaseReplays();
-
-  /// Deliveries currently buffered for replay (testing / diagnostics).
-  size_t pending_replays() const { return replay_buffer_.size(); }
 
   /// The lowest attempt id above every tagged delivery buffered for replay
   /// (0 when none is). An attempt driver starting there sees what an
@@ -265,13 +258,6 @@ class Simulator {
   /// record nothing; compile with SENSJOIN_TRACING=0 to remove them.
   void set_tracer(obs::Tracer* tracer);
   obs::Tracer* tracer() const { return tracer_; }
-
-  // --- Delivery-slot memory ----------------------------------------------
-
-  /// Bytes the delivery arena has reserved (diagnostics / benches).
-  size_t delivery_arena_reserved_bytes() const {
-    return delivery_arena_.bytes_reserved();
-  }
 
  private:
   /// Charges tx costs at `sender` for `fragments` packets carrying

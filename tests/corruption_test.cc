@@ -1,14 +1,13 @@
-// Tests of the payload-integrity layer: the CRC-16 trailer, the seeded
-// per-fragment corruption model, its loss-equivalence under CRC (detected
-// corruption feeds the ARQ exactly like a drop), and the end-to-end
-// guarantee that a corrupted channel with CRC + ARQ still converges to the
-// fault-free result.
+// Tests of the payload-integrity layer: the seeded per-fragment corruption
+// model under a charged CRC-16 trailer, its loss-equivalence under CRC
+// (detected corruption feeds the ARQ exactly like a drop), and the
+// end-to-end guarantee that a corrupted channel with CRC + ARQ still
+// converges to the fault-free result.
 
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "sensjoin/common/crc16.h"
 #include "sensjoin/common/geometry.h"
 #include "sensjoin/sensjoin.h"
 #include "sensjoin/sim/fault_model.h"
@@ -16,28 +15,6 @@
 
 namespace sensjoin {
 namespace {
-
-TEST(Crc16Test, KnownCheckValue) {
-  // CRC-16/CCITT-FALSE check value from the Rocksoft catalogue.
-  const std::string s = "123456789";
-  EXPECT_EQ(Crc16(reinterpret_cast<const uint8_t*>(s.data()), s.size()),
-            0x29B1);
-  EXPECT_EQ(Crc16(nullptr, 0), 0xFFFF);
-}
-
-TEST(Crc16Test, AppendAndVerifyRoundtrip) {
-  std::vector<uint8_t> frame = {0xDE, 0xAD, 0xBE, 0xEF};
-  AppendCrc16(&frame);
-  ASSERT_EQ(frame.size(), 6u);
-  EXPECT_TRUE(VerifyCrc16(frame));
-  // Any single-bit flip (payload or trailer) must be caught.
-  for (size_t bit = 0; bit < frame.size() * 8; ++bit) {
-    std::vector<uint8_t> damaged = frame;
-    damaged[bit / 8] ^= static_cast<uint8_t>(0x80u >> (bit % 8));
-    EXPECT_FALSE(VerifyCrc16(damaged)) << "flip at bit " << bit;
-  }
-  EXPECT_FALSE(VerifyCrc16({0x29}));  // shorter than the trailer
-}
 
 sim::Simulator MakeChain() {
   // 0 - 1 - 2 chain, range 50.

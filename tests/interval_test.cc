@@ -43,10 +43,9 @@ TEST(IntervalTest, SqrtClampsNegative) {
   EXPECT_EQ(Sqrt({-4, -1}), (Interval{0, 0}));
 }
 
-TEST(IntervalTest, MinMaxHull) {
+TEST(IntervalTest, MinMax) {
   EXPECT_EQ(Min({1, 5}, {2, 3}), (Interval{1, 3}));
   EXPECT_EQ(Max({1, 5}, {2, 3}), (Interval{2, 5}));
-  EXPECT_EQ(Hull({1, 2}, {5, 6}), (Interval{1, 6}));
 }
 
 TEST(TriLogicTest, Comparisons) {
@@ -72,9 +71,6 @@ TEST(TriLogicTest, AndOrNotTables) {
   EXPECT_EQ(Not(Tri::kTrue), Tri::kFalse);
   EXPECT_EQ(Not(Tri::kFalse), Tri::kTrue);
   EXPECT_EQ(Not(Tri::kMaybe), Tri::kMaybe);
-  EXPECT_TRUE(MaybeTrue(Tri::kMaybe));
-  EXPECT_TRUE(MaybeTrue(Tri::kTrue));
-  EXPECT_FALSE(MaybeTrue(Tri::kFalse));
 }
 
 /// Property: for random intervals and random points inside them, the result

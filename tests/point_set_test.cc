@@ -16,14 +16,11 @@ std::shared_ptr<const PointSetLayout> SmallLayout() {
   return std::make_shared<const PointSetLayout>(2, std::vector<int>{2, 2, 2});
 }
 
-TEST(PointSetLayoutTest, LevelAndSuffixStructure) {
+TEST(PointSetLayoutTest, LevelStructure) {
   auto layout = SmallLayout();
   EXPECT_EQ(layout->num_levels(), 4);
   EXPECT_EQ(layout->level_widths(), (std::vector<int>{2, 2, 2, 2}));
   EXPECT_EQ(layout->total_key_bits(), 8);
-  EXPECT_EQ(layout->SuffixBits(0), 8);
-  EXPECT_EQ(layout->SuffixBits(1), 6);
-  EXPECT_EQ(layout->SuffixBits(4), 0);
 }
 
 TEST(PointSetLayoutTest, KeyPackingPutsFlagsOnTop) {

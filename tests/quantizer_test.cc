@@ -69,14 +69,6 @@ TEST(QuantizerTest, BoundaryCellsAreUnbounded) {
   EXPECT_FALSE(std::isinf(q->CellInterval(0, 5).lo));
 }
 
-TEST(QuantizerTest, CellCenterMapsBackToSameCell) {
-  auto q = Quantizer::Create({TempDim()});
-  ASSERT_TRUE(q.ok());
-  for (uint32_t c = 0; c < 512; c += 17) {
-    EXPECT_EQ(q->Coordinate(0, q->CellCenter(0, c)), c) << "cell " << c;
-  }
-}
-
 TEST(QuantizerTest, FromConfigLooksUpByName) {
   data::Schema schema({{"x", 2}, {"temp", 2}});
   QuantizationConfig config;

@@ -54,27 +54,24 @@ TEST(AnalyzeTest, SelectionOnlyAttributesStayLocal) {
   EXPECT_EQ(q->table(0).queried_attr_indices, (std::vector<int>{2, 3}));
 }
 
-TEST(AnalyzeTest, SelfJoinDetectionAndUnions) {
+TEST(AnalyzeTest, SelfJoinTablesAndUnions) {
   auto q = AnalyzedQuery::FromString(
       "SELECT A.hum, B.pres FROM sensors A, sensors B "
       "WHERE A.temp = B.temp ONCE",
       MakeSchema());
   ASSERT_TRUE(q.ok()) << q.status();
-  EXPECT_TRUE(q->IsSelfJoin());
   EXPECT_EQ(q->RelationNames(), (std::vector<std::string>{"sensors"}));
   EXPECT_EQ(q->TablesOfRelation("sensors"), (std::vector<int>{0, 1}));
-  EXPECT_EQ(q->UnionJoinAttrIndices("sensors"), (std::vector<int>{2}));
   // hum from A, pres from B, temp join attr from both.
   EXPECT_EQ(q->UnionQueriedAttrIndices("sensors"),
             (std::vector<int>{2, 3, 4}));
 }
 
-TEST(AnalyzeTest, HeterogeneousJoinIsNotSelfJoin) {
+TEST(AnalyzeTest, HeterogeneousJoinNamesBothRelations) {
   auto q = AnalyzedQuery::FromString(
       "SELECT A.hum, B.hum FROM hot A, cold B WHERE A.temp = B.temp ONCE",
       MakeSchema());
   ASSERT_TRUE(q.ok()) << q.status();
-  EXPECT_FALSE(q->IsSelfJoin());
   EXPECT_EQ(q->RelationNames(),
             (std::vector<std::string>{"hot", "cold"}));
 }
@@ -95,21 +92,6 @@ TEST(AnalyzeTest, ThreeWayJoin) {
   ASSERT_TRUE(q.ok()) << q.status();
   EXPECT_EQ(q->num_tables(), 3);
   EXPECT_EQ(q->join_predicates().size(), 2u);
-}
-
-TEST(AnalyzeTest, DebugStringCoversTheAnalysis) {
-  auto q = AnalyzedQuery::FromString(
-      "SELECT A.hum, B.hum FROM sensors A, sensors B "
-      "WHERE |A.temp - B.temp| < 0.3 AND A.pres > 1000 ONCE",
-      MakeSchema());
-  ASSERT_TRUE(q.ok());
-  const std::string s = q->DebugString();
-  EXPECT_NE(s.find("table A = sensors"), std::string::npos);
-  EXPECT_NE(s.find("selection: (A.pres > 1000)"), std::string::npos);
-  EXPECT_NE(s.find("join-predicate: (abs((A.temp - B.temp)) < 0.3)"),
-            std::string::npos);
-  EXPECT_NE(s.find("join-attrs: [temp]"), std::string::npos);
-  EXPECT_NE(s.find("mode: ONCE"), std::string::npos);
 }
 
 TEST(AnalyzeTest, Errors) {

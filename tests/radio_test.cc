@@ -81,7 +81,7 @@ TEST(RadioTest, FailedLinkNeverUpEvenInRange) {
   radio.FailLink(0, 1);
   EXPECT_TRUE(radio.InRange(0, 1));
   EXPECT_FALSE(radio.LinkUp(0, 1));
-  radio.RestoreAllLinks();
+  radio.RestoreLink(0, 1);
   EXPECT_TRUE(radio.LinkUp(0, 1));
 }
 
@@ -121,9 +121,6 @@ TEST(RadioTest, LossRatesDefaultOverrideAndClamp) {
   radio.SetLinkLossRate(-1, 5, 0.9);
   EXPECT_DOUBLE_EQ(radio.LossRate(-1, 5), 0.0);
   EXPECT_DOUBLE_EQ(radio.LossRate(1, 1), 0.0);
-  radio.ClearLossRates();
-  EXPECT_DOUBLE_EQ(radio.LossRate(1, 2), 0.0);
-  EXPECT_DOUBLE_EQ(radio.LossRate(0, 1), 0.0);
 }
 
 TEST(RadioTest, ConnectivityDetection) {

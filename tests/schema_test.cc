@@ -24,7 +24,6 @@ TEST(SchemaTest, LookupByName) {
 
 TEST(SchemaTest, WireBytes) {
   const Schema s = MakeSchema();
-  EXPECT_EQ(s.TupleWireBytes(), 10);
   EXPECT_EQ(s.ProjectionWireBytes({0, 2}), 4);
   EXPECT_EQ(s.ProjectionWireBytes({3}), 4);
   EXPECT_EQ(s.ProjectionWireBytes({}), 0);
@@ -38,15 +37,6 @@ TEST(SchemaTest, Project) {
   EXPECT_EQ(p.attribute(1).name, "x");
 }
 
-TEST(TupleTest, ProjectTupleKeepsNodeAndOrder) {
-  Tuple t;
-  t.node = 7;
-  t.values = {1.0, 2.0, 3.0, 4.0};
-  const Tuple p = ProjectTuple(t, {3, 1});
-  EXPECT_EQ(p.node, 7);
-  EXPECT_EQ(p.values, (std::vector<double>{4.0, 2.0}));
-}
-
 TEST(RelationTest, AddAndTotals) {
   Relation r("sensors", MakeSchema());
   EXPECT_TRUE(r.empty());
@@ -57,7 +47,6 @@ TEST(RelationTest, AddAndTotals) {
   t.node = 2;
   r.Add(t);
   EXPECT_EQ(r.size(), 2u);
-  EXPECT_EQ(r.TotalWireBytes(), 20u);
   EXPECT_EQ(r.tuple(0).node, 1);
   EXPECT_EQ(r.name(), "sensors");
 }
