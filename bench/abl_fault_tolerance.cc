@@ -493,7 +493,8 @@ void Main(uint64_t seed, int num_nodes, int threads,
         cell.repair_energy_mj = repair.report.total_cost.energy_mj;
         cell.repair_completeness =
             testbed::ResultCompleteness(truth->result, repair.report.result);
-        cell.repair_packets = repair.report.cost.repair_packets;
+        cell.repair_packets =
+            repair.report.cost.packets(sim::MessageKind::kRepair);
         cell.repairs_succeeded = repair.report.repairs_succeeded;
         cell.excluded_nodes =
             repair.report.certificate.excluded_nodes.size();

@@ -58,7 +58,7 @@ void Main(uint64_t seed, int threads) {
     config.use_treecut = false;
     auto r = tb->MakeSensJoin(config).Execute(*q, 0);
     SENSJOIN_CHECK(r.ok()) << r.status();
-    return Cost{r->cost.phases.collection_packets, r->cost.join_bytes};
+    return Cost{r->cost.phases.collection_packets, r->cost.bytes_sent};
   });
   SENSJOIN_CHECK(costs.ok()) << costs.status();
 

@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "sensjoin/data/schema.h"
-#include "sensjoin/join/protocol.h"
 #include "sensjoin/service/query_registry.h"
 
 namespace {
@@ -35,7 +34,6 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   if (size < 2) return 0;
   const size_t max_queries = static_cast<size_t>(data[0] % 8) + 1;
   sensjoin::service::QueryRegistry registry(FuzzSchema(), max_queries);
-  const sensjoin::join::ProtocolConfig protocol;
 
   // Query texts: the NUL-separated tail of the input, in order.
   std::vector<std::string> texts;
@@ -61,7 +59,7 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
         const std::string& sql =
             texts.empty() ? std::string()
                           : texts[next_text++ % texts.size()];
-        auto id = registry.Register(sql, protocol, epoch);
+        auto id = registry.Register(sql, epoch);
         if (id.ok()) ids.push_back(*id);
         break;
       }

@@ -287,9 +287,9 @@ def cross_check(summary: dict, cross: dict) -> int:
         expect("join_packets",
                tx_of("collection") + tx_of("filter") + tx_of("final"),
                report["join_packets"])
-        # join_bytes is the total_bytes_sent delta: every transmitted
+        # join_bytes is the ledger's bytes_sent delta: every transmitted
         # frame of every message kind (acks are itemized separately by the
-        # simulator and never enter total_bytes_sent).
+        # simulator and never enter bytes_sent).
         expect("join_bytes", sum(p["tx_bytes"] for p in in_group),
                report["join_bytes"])
         expect("duplicate_packets", sum(p["duplicates"] for p in in_group),

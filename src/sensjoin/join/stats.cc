@@ -24,28 +24,7 @@ uint64_t CostReport::max_node_packets() const {
 }
 
 StatsSnapshot::StatsSnapshot(const sim::Simulator& sim)
-    : collection_(
-          sim.packets_sent_by_kind(sim::MessageKind::kCollection)),
-      filter_(sim.packets_sent_by_kind(sim::MessageKind::kFilter)),
-      final_(sim.packets_sent_by_kind(sim::MessageKind::kFinal)),
-      bytes_(sim.total_bytes_sent()),
-      energy_(sim.total_energy_mj()),
-      retransmitted_(sim.total_packets_retransmitted()),
-      acks_(sim.total_ack_packets()),
-      retransmit_energy_(sim.retransmit_energy_mj()),
-      ack_energy_(sim.ack_energy_mj()),
-      corrupted_(sim.total_corrupted_packets()),
-      undetected_corrupted_(sim.total_undetected_corrupted_packets()),
-      crc_bytes_(sim.crc_bytes_sent()),
-      integrity_retransmit_energy_(sim.integrity_retransmit_energy_mj()),
-      crc_energy_(sim.crc_energy_mj()),
-      repair_packets_(sim.repair_packets_sent()),
-      repair_bytes_(sim.repair_bytes_sent()),
-      repair_energy_(sim.repair_energy_mj()),
-      duplicates_(sim.total_duplicate_packets()),
-      replays_(sim.total_replayed_packets()),
-      duplicate_energy_(sim.duplicate_energy_mj()),
-      replay_energy_(sim.replay_energy_mj()) {
+    : totals_(sim.totals()) {
   per_node_join_packets_.resize(sim.num_nodes());
   for (int i = 0; i < sim.num_nodes(); ++i) {
     per_node_join_packets_[i] = JoinPacketsOfNode(sim.stats(i));
@@ -54,34 +33,12 @@ StatsSnapshot::StatsSnapshot(const sim::Simulator& sim)
 
 CostReport StatsSnapshot::DeltaTo(const sim::Simulator& sim) const {
   CostReport report;
-  report.phases.collection_packets =
-      sim.packets_sent_by_kind(sim::MessageKind::kCollection) - collection_;
-  report.phases.filter_packets =
-      sim.packets_sent_by_kind(sim::MessageKind::kFilter) - filter_;
-  report.phases.final_packets =
-      sim.packets_sent_by_kind(sim::MessageKind::kFinal) - final_;
+  static_cast<sim::Ledger&>(report) = sim.totals() - totals_;
+  report.phases = {
+      .collection_packets = report.packets(sim::MessageKind::kCollection),
+      .filter_packets = report.packets(sim::MessageKind::kFilter),
+      .final_packets = report.packets(sim::MessageKind::kFinal)};
   report.join_packets = report.phases.total();
-  report.join_bytes = sim.total_bytes_sent() - bytes_;
-  report.energy_mj = sim.total_energy_mj() - energy_;
-  report.retransmitted_packets =
-      sim.total_packets_retransmitted() - retransmitted_;
-  report.ack_packets = sim.total_ack_packets() - acks_;
-  report.retransmit_energy_mj = sim.retransmit_energy_mj() - retransmit_energy_;
-  report.ack_energy_mj = sim.ack_energy_mj() - ack_energy_;
-  report.corrupted_packets = sim.total_corrupted_packets() - corrupted_;
-  report.undetected_corrupted_packets =
-      sim.total_undetected_corrupted_packets() - undetected_corrupted_;
-  report.crc_bytes_sent = sim.crc_bytes_sent() - crc_bytes_;
-  report.integrity_retransmit_energy_mj =
-      sim.integrity_retransmit_energy_mj() - integrity_retransmit_energy_;
-  report.crc_energy_mj = sim.crc_energy_mj() - crc_energy_;
-  report.repair_packets = sim.repair_packets_sent() - repair_packets_;
-  report.repair_bytes_sent = sim.repair_bytes_sent() - repair_bytes_;
-  report.repair_energy_mj = sim.repair_energy_mj() - repair_energy_;
-  report.duplicate_packets = sim.total_duplicate_packets() - duplicates_;
-  report.replayed_packets = sim.total_replayed_packets() - replays_;
-  report.duplicate_energy_mj = sim.duplicate_energy_mj() - duplicate_energy_;
-  report.replay_energy_mj = sim.replay_energy_mj() - replay_energy_;
   SENSJOIN_CHECK_EQ(static_cast<int>(per_node_join_packets_.size()),
                     sim.num_nodes());
   report.per_node_packets.resize(sim.num_nodes());

@@ -18,63 +18,28 @@ struct PhaseCosts {
   uint64_t total() const {
     return collection_packets + filter_packets + final_packets;
   }
+
+  bool operator==(const PhaseCosts&) const = default;
 };
 
-/// Communication costs of one query execution, derived from simulator
-/// counter deltas. `per_node_packets` counts join-processing transmissions
-/// per node (the paper's per-node metric, Fig. 11).
-struct CostReport {
+/// Communication costs of one query execution: the simulator ledger's
+/// difference over the execution (packets, bytes and energy of all
+/// traffic, beacons and query floods included, with every fault overhead
+/// itemized; sim::Ledger) plus the join-specific views. `per_node_packets`
+/// counts join-processing transmissions per node (the paper's per-node
+/// metric, Fig. 11).
+struct CostReport : sim::Ledger {
   PhaseCosts phases;
   uint64_t join_packets = 0;  ///< == phases.total()
-  uint64_t join_bytes = 0;    ///< frame bytes of join-processing traffic
-  double energy_mj = 0.0;     ///< tx+rx energy over the execution
   std::vector<uint64_t> per_node_packets;
 
-  /// ARQ fault-tolerance overhead over the execution. Retransmitted data
-  /// fragments are included in the packet totals above and itemized here;
-  /// ack frames are energy-only (outside the paper's packet metric).
-  uint64_t retransmitted_packets = 0;
-  uint64_t ack_packets = 0;
-  double retransmit_energy_mj = 0.0;  ///< energy of retransmitted frames
-  double ack_energy_mj = 0.0;         ///< tx+rx energy of ack frames
-
-  /// Integrity-layer overhead (zero unless a corruption model is active).
-  /// Detected corruptions are fragments the receiver's CRC rejected;
-  /// undetected ones were accepted with a damaged payload (CRC disabled).
-  /// Integrity retransmissions are the ARQ subset triggered by CRC
-  /// rejections; their energy is inside retransmit_energy_mj and itemized
-  /// here. CRC trailer bytes are inside join_bytes and itemized here.
-  uint64_t corrupted_packets = 0;
-  uint64_t undetected_corrupted_packets = 0;
-  uint64_t crc_bytes_sent = 0;
-  double integrity_retransmit_energy_mj = 0.0;
-  double crc_energy_mj = 0.0;
-
-  /// In-network tree-repair overhead (zero unless repair ran). Repair
-  /// packets ride MessageKind::kRepair: outside the paper's join-packet
-  /// metric (like beacons) but inside the energy totals, and itemized here
-  /// so the repair-vs-re-execution tradeoff is visible in reports.
-  uint64_t repair_packets = 0;
-  uint64_t repair_bytes_sent = 0;
-  double repair_energy_mj = 0.0;
-
-  /// Delivery-fault overhead (zero unless a fault plan enables the axes).
-  /// Duplicate packets are fragments receivers heard more than once — ARQ
-  /// retransmissions whose ack was lost plus the fragments of duplicated
-  /// logical deliveries; replayed packets are fragments re-heard when an
-  /// aborted attempt's in-flight messages were re-delivered. Both are
-  /// inside the rx/energy totals and itemized here.
-  uint64_t duplicate_packets = 0;
-  uint64_t replayed_packets = 0;
-  double duplicate_energy_mj = 0.0;
-  double replay_energy_mj = 0.0;
-
   uint64_t max_node_packets() const;
+
+  bool operator==(const CostReport&) const = default;
 };
 
 /// Captures simulator counters so that a later delta isolates one
-/// execution's costs (beacons and query floods are excluded from
-/// join_packets but included in energy).
+/// execution's costs.
 class StatsSnapshot {
  public:
   explicit StatsSnapshot(const sim::Simulator& sim);
@@ -83,27 +48,7 @@ class StatsSnapshot {
   CostReport DeltaTo(const sim::Simulator& sim) const;
 
  private:
-  uint64_t collection_;
-  uint64_t filter_;
-  uint64_t final_;
-  uint64_t bytes_;
-  double energy_;
-  uint64_t retransmitted_;
-  uint64_t acks_;
-  double retransmit_energy_;
-  double ack_energy_;
-  uint64_t corrupted_;
-  uint64_t undetected_corrupted_;
-  uint64_t crc_bytes_;
-  double integrity_retransmit_energy_;
-  double crc_energy_;
-  uint64_t repair_packets_;
-  uint64_t repair_bytes_;
-  double repair_energy_;
-  uint64_t duplicates_;
-  uint64_t replays_;
-  double duplicate_energy_;
-  double replay_energy_;
+  sim::Ledger totals_;
   std::vector<uint64_t> per_node_join_packets_;
 };
 

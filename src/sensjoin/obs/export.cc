@@ -5,6 +5,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "sensjoin/sim/simulator.h"
@@ -352,30 +353,9 @@ void CaptureSimulatorMetrics(const sim::Simulator& sim,
   auto gauge = [registry](const std::string& name, double v) {
     registry->GetGauge(name).Set(v);
   };
-  gauge("sim.total_packets_sent",
-        static_cast<double>(sim.total_packets_sent()));
-  gauge("sim.total_bytes_sent", static_cast<double>(sim.total_bytes_sent()));
-  gauge("sim.total_energy_mj", sim.total_energy_mj());
-  gauge("sim.total_packets_retransmitted",
-        static_cast<double>(sim.total_packets_retransmitted()));
-  gauge("sim.total_ack_packets",
-        static_cast<double>(sim.total_ack_packets()));
-  gauge("sim.retransmit_energy_mj", sim.retransmit_energy_mj());
-  gauge("sim.ack_energy_mj", sim.ack_energy_mj());
-  gauge("sim.total_corrupted_packets",
-        static_cast<double>(sim.total_corrupted_packets()));
-  gauge("sim.total_undetected_corrupted_packets",
-        static_cast<double>(sim.total_undetected_corrupted_packets()));
-  gauge("sim.crc_bytes_sent", static_cast<double>(sim.crc_bytes_sent()));
-  gauge("sim.integrity_retransmit_energy_mj",
-        sim.integrity_retransmit_energy_mj());
-  gauge("sim.crc_energy_mj", sim.crc_energy_mj());
-  for (size_t k = 0; k < static_cast<size_t>(sim::MessageKind::kNumKinds);
-       ++k) {
-    const auto kind = static_cast<sim::MessageKind>(k);
-    gauge(std::string("sim.packets.") + sim::MessageKindName(kind),
-          static_cast<double>(sim.packets_sent_by_kind(kind)));
-  }
+  sim::ForEachCounter(sim.totals(), [&](std::string_view name, auto v) {
+    gauge("sim." + std::string(name), static_cast<double>(v));
+  });
   const sim::EventQueue& events = sim.events();
   gauge("sim.event_queue.scheduled",
         static_cast<double>(events.total_scheduled()));

@@ -44,10 +44,11 @@ Status WriteChromeTraceFile(const Tracer& tracer, const std::string& path,
 std::string MetricsJson(const MetricsSnapshot& snapshot);
 std::string MetricsCsv(const MetricsSnapshot& snapshot);
 
-/// Captures the simulator's global counters (packets, bytes, energy,
-/// per-kind totals) and the event-queue statistics (scheduled / fired /
-/// canceled / peak-pending) as gauges in `registry`, so a metrics dump
-/// carries the whole-run aggregates next to the traced distributions.
+/// Captures every counter of the simulator's ledger as a gauge named
+/// "sim.<counter>" (sim::ForEachCounter) and the event-queue statistics
+/// (scheduled / fired / canceled / peak-pending) as "sim.event_queue.*"
+/// gauges in `registry`, so a metrics dump carries the whole-run
+/// aggregates next to the traced distributions.
 void CaptureSimulatorMetrics(const sim::Simulator& sim,
                              MetricsRegistry* registry);
 

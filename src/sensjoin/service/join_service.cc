@@ -42,12 +42,7 @@ JoinService::JoinService(sim::Simulator& sim, const data::NetworkData& data,
       registry_(data.schema(), config.max_queries) {}
 
 StatusOr<QueryId> JoinService::Register(const std::string& sql) {
-  return Register(sql, config_.protocol);
-}
-
-StatusOr<QueryId> JoinService::Register(const std::string& sql,
-                                        join::ProtocolConfig protocol) {
-  return registry_.Register(sql, protocol, next_epoch_);
+  return registry_.Register(sql, next_epoch_);
 }
 
 Status JoinService::Cancel(QueryId id) {
@@ -57,14 +52,7 @@ Status JoinService::Cancel(QueryId id) {
 }
 
 std::string JoinService::GroupKeyOf(const QueryRecord& record) const {
-  const join::ProtocolConfig& p = record.protocol;
   std::string key = record.signature;
-  key += "|sff=";
-  key += p.use_selective_forwarding ? "1" : "0";
-  key += ",fmem=";
-  key += std::to_string(p.filter_memory_bytes);
-  key += ",rep=";
-  key += std::to_string(static_cast<int>(p.representation));
   if (!config_.share_phases) {
     // Dedicated baseline: every query is its own group on the same
     // deployment, so shared-vs-dedicated cost attribution is apples to
@@ -157,15 +145,8 @@ StatusOr<bool> JoinService::RunEpochAttempt(uint64_t epoch,
     const QueryRecord* representative = members.front();
     Group& group = groups_[key];
     if (group.engine == nullptr) {
-      // The group key covers the dissemination knobs; every other knob,
-      // the fault knobs included, is the service's.
-      const join::ProtocolConfig& own = representative->protocol;
-      join::ProtocolConfig protocol = config_.protocol;
-      protocol.use_selective_forwarding = own.use_selective_forwarding;
-      protocol.filter_memory_bytes = own.filter_memory_bytes;
-      protocol.representation = own.representation;
       group.engine = std::make_unique<join::DeltaGroupExecutor>(
-          sim_, data_, quantization_, protocol);
+          sim_, data_, quantization_, config_.protocol);
     }
     // Station-side caches of departed members die with their membership.
     for (auto it = group.filters.begin(); it != group.filters.end();) {

@@ -24,16 +24,16 @@ namespace sensjoin::service {
 
 /// Service-level configuration.
 struct ServiceConfig {
-  /// Default protocol knobs for queries registered without their own; the
-  /// only source of fault knobs. Tree repair, phase watchdogs and graceful
-  /// degradation are forced off (see JoinService).
+  /// Protocol knobs of every query and group. Tree repair, phase
+  /// watchdogs and graceful degradation are forced off (see JoinService);
+  /// the delta executor has no Treecut, so use_treecut and dmax_bytes are
+  /// ignored.
   join::ProtocolConfig protocol;
 
-  /// Multi-query optimization: group queries whose sharing signature and
-  /// protocol knobs agree, so one collection + one dissemination + one
-  /// final phase serves the whole group. false = every query runs its own
-  /// phases (the dedicated baseline on the same deployment, for cost
-  /// attribution).
+  /// Multi-query optimization: group queries whose sharing signatures
+  /// agree, so one collection + one dissemination + one final phase serves
+  /// the whole group. false = every query runs its own phases (the
+  /// dedicated baseline on the same deployment, for cost attribution).
   bool share_phases = true;
 
   /// Admission cap (QueryRegistry).
@@ -112,15 +112,9 @@ class JoinService {
               net::RoutingTree tree, join::QuantizationConfig quantization,
               ServiceConfig config = ServiceConfig{});
 
-  /// Admits a continuous query with the service's default protocol knobs
-  /// (or per-query overrides). It joins execution at the next RunEpoch.
-  /// A per-query `protocol` contributes only the group-key dissemination
-  /// knobs (use_selective_forwarding, filter_memory_bytes, representation);
-  /// every fault knob comes from ServiceConfig::protocol, and the delta
-  /// executor has no Treecut (use_treecut and dmax_bytes are ignored).
+  /// Admits a continuous query; it runs with ServiceConfig::protocol and
+  /// joins execution at the next RunEpoch.
   StatusOr<QueryId> Register(const std::string& sql);
-  StatusOr<QueryId> Register(const std::string& sql,
-                             join::ProtocolConfig protocol);
 
   /// Cancels an active query; its group keeps running if other members
   /// remain, and is dismantled otherwise.
@@ -151,9 +145,8 @@ class JoinService {
     std::map<QueryId, join::IncrementalJoinFilter> filters;
   };
 
-  /// Group key of a query record: sharing signature + the dissemination
-  /// knobs (use_selective_forwarding, filter_memory_bytes, representation),
-  /// + the query id itself when sharing is disabled.
+  /// Group key of a query record: its sharing signature, + the query id
+  /// itself when sharing is disabled.
   std::string GroupKeyOf(const QueryRecord& record) const;
 
   /// What one successful epoch attempt stages for delivery.

@@ -8,7 +8,6 @@ QueryRegistry::QueryRegistry(data::Schema schema, size_t max_queries)
     : schema_(std::move(schema)), max_queries_(max_queries) {}
 
 StatusOr<QueryId> QueryRegistry::Register(const std::string& sql,
-                                          join::ProtocolConfig protocol,
                                           uint64_t epoch) {
   if (active_count_ >= max_queries_) {
     return Status::ResourceExhausted("query admission limit reached");
@@ -24,7 +23,7 @@ StatusOr<QueryId> QueryRegistry::Register(const std::string& sql,
   records_.emplace(
       std::piecewise_construct, std::forward_as_tuple(id),
       std::forward_as_tuple(id, sql, std::move(q), std::move(signature),
-                            protocol, epoch));
+                            epoch));
   ++active_count_;
   return id;
 }

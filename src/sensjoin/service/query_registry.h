@@ -9,7 +9,6 @@
 #include "sensjoin/common/statusor.h"
 #include "sensjoin/data/schema.h"
 #include "sensjoin/join/execution_report.h"
-#include "sensjoin/join/protocol.h"
 #include "sensjoin/query/query.h"
 #include "sensjoin/query/signature.h"
 
@@ -27,18 +26,14 @@ using QueryId = uint64_t;
 enum class QueryState { kAdmitted, kRunning, kCancelled };
 
 /// One registered query: the analyzed form the executors run, its sharing
-/// signature, per-query protocol knobs, and the per-epoch report stream.
+/// signature, and the per-epoch report stream.
 struct QueryRecord {
   QueryId id = 0;
   std::string sql;
   query::AnalyzedQuery query;
   /// Collection-sharing signature (query/signature.h); queries with equal
-  /// signatures and equal dissemination knobs share phases.
+  /// signatures share phases.
   std::string signature;
-  /// Per-query protocol configuration. The service reads only its
-  /// dissemination and hop re-pull knobs (DESIGN.md §6e); the delta
-  /// executor has no Treecut, so use_treecut and dmax_bytes are ignored.
-  join::ProtocolConfig protocol;
   QueryState state = QueryState::kAdmitted;
   /// Service epoch at which the query was admitted / cancelled.
   uint64_t admitted_epoch = 0;
@@ -49,13 +44,11 @@ struct QueryRecord {
   std::vector<join::ExecutionReport> reports;
 
   QueryRecord(QueryId id_in, std::string sql_in, query::AnalyzedQuery q,
-              std::string signature_in, join::ProtocolConfig protocol_in,
-              uint64_t admitted_epoch_in)
+              std::string signature_in, uint64_t admitted_epoch_in)
       : id(id_in),
         sql(std::move(sql_in)),
         query(std::move(q)),
         signature(std::move(signature_in)),
-        protocol(protocol_in),
         admitted_epoch(admitted_epoch_in) {}
 };
 
@@ -72,8 +65,7 @@ class QueryRegistry {
   /// Parses, analyzes and admits `sql`. Rejects malformed SQL, queries with
   /// fewer than two FROM entries (nothing to join) and admission past the
   /// capacity limit. `epoch` stamps the record's admission time.
-  StatusOr<QueryId> Register(const std::string& sql,
-                             join::ProtocolConfig protocol, uint64_t epoch);
+  StatusOr<QueryId> Register(const std::string& sql, uint64_t epoch);
 
   /// Cancels an active query (keeps its record and report stream).
   Status Cancel(QueryId id, uint64_t epoch);

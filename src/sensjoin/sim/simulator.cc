@@ -51,13 +51,13 @@ double Simulator::AccountTx(NodeId sender, MessageKind kind, int fragments,
   s.packets_sent_by_kind[static_cast<size_t>(kind)] += fragments;
   const double cost = energy_model_.TxCost(fragments, frame_bytes);
   s.energy_mj += cost;
-  total_packets_sent_ += fragments;
-  total_bytes_sent_ += frame_bytes;
-  total_energy_mj_ += cost;
-  packets_by_kind_[static_cast<size_t>(kind)] += fragments;
+  totals_.packets_sent += fragments;
+  totals_.bytes_sent += frame_bytes;
+  totals_.energy_mj += cost;
+  totals_.packets_by_kind[static_cast<size_t>(kind)] += fragments;
   if (kind == MessageKind::kRepair) {
-    repair_bytes_sent_ += frame_bytes;
-    repair_energy_mj_ += cost;
+    totals_.repair_bytes_sent += frame_bytes;
+    totals_.repair_energy_mj += cost;
   }
   return cost;
 }
@@ -69,8 +69,8 @@ double Simulator::AccountRx(NodeId receiver, MessageKind kind, int fragments,
   s.bytes_received += frame_bytes;
   const double cost = energy_model_.RxCost(fragments, frame_bytes);
   s.energy_mj += cost;
-  total_energy_mj_ += cost;
-  if (kind == MessageKind::kRepair) repair_energy_mj_ += cost;
+  totals_.energy_mj += cost;
+  if (kind == MessageKind::kRepair) totals_.repair_energy_mj += cost;
   return cost;
 }
 
@@ -184,29 +184,30 @@ bool Simulator::SendUnicast(Message msg, bool* corrupted) {
       AccountTx(msg.src, msg.kind, tx_fragments, frame_bytes + extra_bytes);
   if (retransmissions > 0) {
     stats_[msg.src].packets_retransmitted += retransmissions;
-    total_packets_retransmitted_ += retransmissions;
-    retransmit_energy_mj_ += energy_model_.TxCost(retransmissions, extra_bytes);
+    totals_.retransmitted_packets += retransmissions;
+    totals_.retransmit_energy_mj +=
+        energy_model_.TxCost(retransmissions, extra_bytes);
   }
   if (integrity_retransmissions > 0) {
-    integrity_retransmit_energy_mj_ += energy_model_.TxCost(
+    totals_.integrity_retransmit_energy_mj += energy_model_.TxCost(
         integrity_retransmissions,
         static_cast<size_t>(integrity_retransmissions) * avg_frame_bytes);
   }
-  total_corrupted_packets_ += detected_fragments;
-  total_undetected_corrupted_packets_ += undetected_fragments;
+  totals_.corrupted_packets += detected_fragments;
+  totals_.undetected_corrupted_packets += undetected_fragments;
   if (arq_duplicate_fragments > 0) {
     // Already charged through rx_fragments; surfaced here so the cost
     // reports can itemize what the lost acks cost the receiver.
     stats_[msg.dst].duplicate_packets_received += arq_duplicate_fragments;
-    total_duplicate_packets_ += arq_duplicate_fragments;
+    totals_.duplicate_packets += arq_duplicate_fragments;
   }
   if (crc_active) {
     const size_t tx_crc =
         static_cast<size_t>(tx_fragments) * integrity_params_.crc_bytes;
     const size_t rx_crc =
         static_cast<size_t>(rx_fragments) * integrity_params_.crc_bytes;
-    crc_bytes_sent_ += tx_crc;
-    crc_energy_mj_ +=
+    totals_.crc_bytes_sent += tx_crc;
+    totals_.crc_energy_mj +=
         energy_model_.TxCost(0, tx_crc) + energy_model_.RxCost(0, rx_crc);
   }
   size_t ack_bytes = 0;
@@ -222,9 +223,9 @@ bool Simulator::SendUnicast(Message msg, bool* corrupted) {
     stats_[msg.dst].ack_packets_sent += acks;
     stats_[msg.dst].energy_mj += ack_tx;
     stats_[msg.src].energy_mj += ack_rx;
-    total_ack_packets_ += acks;
-    total_energy_mj_ += ack_tx + ack_rx;
-    ack_energy_mj_ += ack_tx + ack_rx;
+    totals_.ack_packets += acks;
+    totals_.energy_mj += ack_tx + ack_rx;
+    totals_.ack_energy_mj += ack_tx + ack_rx;
   }
   size_t rx_bytes = 0;
   double rx_cost = 0.0;
@@ -319,8 +320,8 @@ bool Simulator::SendUnicast(Message msg, bool* corrupted) {
     const double dup_rx_cost =
         AccountRx(msg.dst, msg.kind, fragments, frame_bytes);
     stats_[msg.dst].duplicate_packets_received += fragments;
-    total_duplicate_packets_ += fragments;
-    duplicate_energy_mj_ += dup_rx_cost;
+    totals_.duplicate_packets += fragments;
+    totals_.duplicate_energy_mj += dup_rx_cost;
     if (Tracing(tracer_)) {
       tracer_->Record(obs::EventKind::kDuplicateRx, events_.now(), msg.dst,
                       msg.src, msg.kind, static_cast<uint32_t>(fragments),
@@ -401,8 +402,8 @@ int Simulator::ReleaseReplays() {
     // transmitted (and paid for) during the aborted attempt.
     const double rx_cost = AccountRx(msg.dst, msg.kind, fragments, frame_bytes);
     stats_[msg.dst].replayed_packets_received += fragments;
-    total_replayed_packets_ += fragments;
-    replay_energy_mj_ += rx_cost;
+    totals_.replayed_packets += fragments;
+    totals_.replay_energy_mj += rx_cost;
     if (Tracing(tracer_)) {
       tracer_->Record(obs::EventKind::kReplayRx, events_.now(), msg.dst,
                       msg.src, msg.kind, static_cast<uint32_t>(fragments),
@@ -439,8 +440,8 @@ int Simulator::Broadcast(Message msg, std::vector<NodeId>* delivered,
   const size_t avg_frame_bytes = frame_bytes / fragments;
   const double tx_cost = AccountTx(bmsg.src, bmsg.kind, fragments, frame_bytes);
   if (crc_active) {
-    crc_bytes_sent_ += trailer_bytes;
-    crc_energy_mj_ += energy_model_.TxCost(0, trailer_bytes);
+    totals_.crc_bytes_sent += trailer_bytes;
+    totals_.crc_energy_mj += energy_model_.TxCost(0, trailer_bytes);
   }
   if (Tracing(tracer_)) {
     tracer_->Record(obs::EventKind::kFragTx, events_.now(), bmsg.src,
@@ -483,10 +484,10 @@ int Simulator::Broadcast(Message msg, std::vector<NodeId>* delivered,
         if (corrupt > 0.0 && fault_rng_.NextBool(corrupt)) {
           ++frag_corruptions;
           if (crc_active) {
-            ++total_corrupted_packets_;
+            ++totals_.corrupted_packets;
             continue;
           }
-          ++total_undetected_corrupted_packets_;
+          ++totals_.undetected_corrupted_packets;
           rx_corrupted = true;
         }
         ++accepted;
@@ -498,7 +499,7 @@ int Simulator::Broadcast(Message msg, std::vector<NodeId>* delivered,
                              : static_cast<size_t>(heard) * avg_frame_bytes;
       const double rx_cost = AccountRx(nb, bmsg.kind, heard, rx_bytes);
       if (crc_active) {
-        crc_energy_mj_ += energy_model_.RxCost(
+        totals_.crc_energy_mj += energy_model_.RxCost(
             0, static_cast<size_t>(heard) * integrity_params_.crc_bytes);
       }
       if (Tracing(tracer_)) {
@@ -609,25 +610,7 @@ void Simulator::ScheduleLinkOutage(const LinkOutageWindow& window) {
 
 void Simulator::ResetStats() {
   for (NodeStats& s : stats_) s.Reset();
-  total_packets_sent_ = 0;
-  total_bytes_sent_ = 0;
-  total_energy_mj_ = 0.0;
-  total_packets_retransmitted_ = 0;
-  total_ack_packets_ = 0;
-  retransmit_energy_mj_ = 0.0;
-  ack_energy_mj_ = 0.0;
-  total_corrupted_packets_ = 0;
-  total_undetected_corrupted_packets_ = 0;
-  crc_bytes_sent_ = 0;
-  integrity_retransmit_energy_mj_ = 0.0;
-  crc_energy_mj_ = 0.0;
-  repair_bytes_sent_ = 0;
-  repair_energy_mj_ = 0.0;
-  total_duplicate_packets_ = 0;
-  duplicate_energy_mj_ = 0.0;
-  total_replayed_packets_ = 0;
-  replay_energy_mj_ = 0.0;
-  packets_by_kind_.fill(0);
+  totals_ = Ledger{};
 }
 
 }  // namespace sensjoin::sim

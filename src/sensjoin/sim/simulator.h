@@ -1,7 +1,6 @@
 #ifndef SENSJOIN_SIM_SIMULATOR_H_
 #define SENSJOIN_SIM_SIMULATOR_H_
 
-#include <array>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -182,62 +181,8 @@ class Simulator {
 
   // --- Global accounting -------------------------------------------------
 
-  uint64_t total_packets_sent() const { return total_packets_sent_; }
-  uint64_t total_bytes_sent() const { return total_bytes_sent_; }
-  uint64_t packets_sent_by_kind(MessageKind kind) const {
-    return packets_by_kind_[static_cast<size_t>(kind)];
-  }
-  double total_energy_mj() const { return total_energy_mj_; }
-
-  /// ARQ overhead, itemized. Retransmitted data fragments are part of
-  /// `total_packets_sent` as well; acks are not (see NodeStats).
-  uint64_t total_packets_retransmitted() const {
-    return total_packets_retransmitted_;
-  }
-  uint64_t total_ack_packets() const { return total_ack_packets_; }
-  double retransmit_energy_mj() const { return retransmit_energy_mj_; }
-  double ack_energy_mj() const { return ack_energy_mj_; }
-
-  /// Integrity-layer accounting. Detected corruptions are fragments the
-  /// receiver's CRC check rejected (they behave like losses); undetected
-  /// ones were accepted with a damaged payload (CRC disabled). Integrity
-  /// retransmissions are the subset of ARQ retransmissions whose previous
-  /// attempt failed the CRC check rather than being lost; their energy is
-  /// included in retransmit_energy_mj() and itemized here. CRC trailer
-  /// bytes are part of the frame bytes and itemized here.
-  uint64_t total_corrupted_packets() const { return total_corrupted_packets_; }
-  uint64_t total_undetected_corrupted_packets() const {
-    return total_undetected_corrupted_packets_;
-  }
-  uint64_t crc_bytes_sent() const { return crc_bytes_sent_; }
-  double integrity_retransmit_energy_mj() const {
-    return integrity_retransmit_energy_mj_;
-  }
-  double crc_energy_mj() const { return crc_energy_mj_; }
-
-  /// Duplicate-reception accounting: fragments receivers heard more than
-  /// once — ARQ retransmissions of an already-received fragment (the ack
-  /// was lost) plus the fragments of duplicated logical deliveries
-  /// (FaultPlan duplication). Both are part of per-node
-  /// `packets_received`; the duplication-axis receptions additionally
-  /// carry the itemized rx energy below.
-  uint64_t total_duplicate_packets() const { return total_duplicate_packets_; }
-  double duplicate_energy_mj() const { return duplicate_energy_mj_; }
-
-  /// Cross-attempt replay accounting: fragments re-heard when an aborted
-  /// attempt's in-flight messages were re-delivered during the next one.
-  uint64_t total_replayed_packets() const { return total_replayed_packets_; }
-  double replay_energy_mj() const { return replay_energy_mj_; }
-
-  /// Tree-repair accounting (kRepair traffic: orphan repair requests,
-  /// candidate replies, re-attach notices). Repair packets are part of
-  /// `total_packets_sent` and itemized here; their tx+rx energy is part of
-  /// `total_energy_mj` and itemized here.
-  uint64_t repair_packets_sent() const {
-    return packets_by_kind_[static_cast<size_t>(MessageKind::kRepair)];
-  }
-  uint64_t repair_bytes_sent() const { return repair_bytes_sent_; }
-  double repair_energy_mj() const { return repair_energy_mj_; }
+  /// Network-wide counters since construction or the last ResetStats.
+  const Ledger& totals() const { return totals_; }
 
   /// Clears all global and per-node counters (topology is untouched).
   void ResetStats();
@@ -301,26 +246,7 @@ class Simulator {
   IntegrityParams integrity_params_{.crc_enabled = false};
   Rng fault_rng_{0x5EED5};
 
-  uint64_t total_packets_sent_ = 0;
-  uint64_t total_bytes_sent_ = 0;
-  double total_energy_mj_ = 0.0;
-  uint64_t total_packets_retransmitted_ = 0;
-  uint64_t total_ack_packets_ = 0;
-  double retransmit_energy_mj_ = 0.0;
-  double ack_energy_mj_ = 0.0;
-  uint64_t total_corrupted_packets_ = 0;
-  uint64_t total_undetected_corrupted_packets_ = 0;
-  uint64_t crc_bytes_sent_ = 0;
-  double integrity_retransmit_energy_mj_ = 0.0;
-  double crc_energy_mj_ = 0.0;
-  uint64_t repair_bytes_sent_ = 0;
-  double repair_energy_mj_ = 0.0;
-  uint64_t total_duplicate_packets_ = 0;
-  double duplicate_energy_mj_ = 0.0;
-  uint64_t total_replayed_packets_ = 0;
-  double replay_energy_mj_ = 0.0;
-  std::array<uint64_t, static_cast<size_t>(MessageKind::kNumKinds)>
-      packets_by_kind_{};
+  Ledger totals_;
 
   // --- Delivery jitter / duplication / cross-attempt replay --------------
   double duplication_delay_s_ = 0.012;

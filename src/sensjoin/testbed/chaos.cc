@@ -81,11 +81,11 @@ std::string ExecutionFingerprint(const join::ExecutionReport& r,
   out << "rows=" << r.result.rows.size()
       << " matched=" << r.result.matched_combinations << " contributing=";
   for (sim::NodeId u : r.result.contributing_nodes) out << u << ",";
-  out << " pkts=" << r.cost.join_packets << " bytes=" << r.cost.join_bytes
+  out << " pkts=" << r.cost.join_packets << " bytes=" << r.cost.bytes_sent
       << " energy=" << std::hex << BitsOf(r.cost.energy_mj) << std::dec
       << " retx=" << r.cost.retransmitted_packets
       << " acks=" << r.cost.ack_packets
-      << " repair_pkts=" << r.cost.repair_packets
+      << " repair_pkts=" << r.cost.packets(sim::MessageKind::kRepair)
       << " repair_bytes=" << r.cost.repair_bytes_sent
       << " repair_energy=" << std::hex << BitsOf(r.cost.repair_energy_mj)
       << std::dec << " success=" << r.success << " attempts=" << r.attempts
@@ -344,17 +344,18 @@ std::vector<std::string> CheckInvariants(const join::JoinResult& truth,
       energy += phase.energy_mj;
       max_phase_span_s = std::max(max_phase_span_s, phase.max_span_s);
     }
-    if (repair_fragments != total.repair_packets) {
+    const uint64_t repair_packets = total.packets(sim::MessageKind::kRepair);
+    if (repair_fragments != repair_packets) {
       violations.push_back(
           Format("trace shows %llu repair fragments, cost report %llu",
                  static_cast<unsigned long long>(repair_fragments),
-                 static_cast<unsigned long long>(total.repair_packets)));
+                 static_cast<unsigned long long>(repair_packets)));
     }
-    if (bytes != total.join_bytes) {
+    if (bytes != total.bytes_sent) {
       violations.push_back(
           Format("trace shows %llu tx bytes, cost report %llu",
                  static_cast<unsigned long long>(bytes),
-                 static_cast<unsigned long long>(total.join_bytes)));
+                 static_cast<unsigned long long>(total.bytes_sent)));
     }
     if (duplicate_fragments != total.duplicate_packets) {
       violations.push_back(

@@ -1,13 +1,19 @@
 // The bench harness itself is load-bearing (it produces the paper
 // comparison), so its utilities get tests too.
 
+#include <map>
 #include <sstream>
+#include <string>
+#include <string_view>
+#include <utility>
 
 #include <gtest/gtest.h>
 
 #include "../bench/util/calibration.h"
 #include "../bench/util/table.h"
+#include "../bench/util/tracing.h"
 #include "../bench/util/workloads.h"
+#include "sensjoin/obs/export.h"
 
 namespace sensjoin::bench {
 namespace {
@@ -97,6 +103,61 @@ TEST(CalibrationTest, FractionMatchesExecutorGroundTruth) {
       static_cast<double>(report->result.contributing_nodes.size()) /
       (tb->simulator().num_nodes() - 1);
   EXPECT_NEAR(fraction, executed, 1e-12);
+}
+
+// A faulted exchange over one link that moves every ledger counter: every
+// message kind (repair traffic included), lossy and corrupting links under
+// ARQ with the CRC trailer on and then off, duplicated deliveries, and an
+// aborted attempt whose in-flight messages are replayed. Both exporters
+// must then carry every counter: the metrics capture as an equal gauge,
+// the trace cross-check JSON as a key.
+TEST(LedgerExportTest, EveryCounterReachesBothExporters) {
+  sim::Simulator sim(sim::Radio({{0, 0}, {40, 0}}, 50.0));
+  sim.SeedFaults(7);
+  sim.radio().set_default_loss_rate(0.3);
+  sim.radio().set_default_corruption_rate(0.3);
+  sim.radio().set_default_duplication_rate(0.5);
+  sim.set_arq_params(sim::ArqParams{.enabled = true});
+  sim.set_replay_params(/*enabled=*/true, /*stagger_s=*/0.002);
+  const join::StatsSnapshot before(sim);
+  auto send_every_kind = [&sim] {
+    for (size_t k = 0; k < static_cast<size_t>(sim::MessageKind::kNumKinds);
+         ++k) {
+      for (int i = 0; i < 10; ++i) {
+        sim::Message msg;
+        msg.src = 0;
+        msg.dst = 1;
+        msg.kind = static_cast<sim::MessageKind>(k);
+        msg.payload_bytes = 100;
+        sim.SendUnicast(std::move(msg));
+      }
+    }
+  };
+  sim.set_integrity_params(sim::IntegrityParams{.crc_enabled = true});
+  send_every_kind();
+  sim.NotifyAttemptAbort();
+  EXPECT_GT(sim.ReleaseReplays(), 0);
+  sim.set_integrity_params(sim::IntegrityParams{.crc_enabled = false});
+  send_every_kind();
+  sim.events().Run();
+  const join::CostReport cost = before.DeltaTo(sim);
+
+  std::map<std::string, double> gauges;
+  obs::MetricsRegistry registry;
+  obs::CaptureSimulatorMetrics(sim, &registry);
+  for (const auto& g : registry.Snapshot(sim.now()).gauges) {
+    gauges[g.name] = g.value;
+  }
+  const std::string json = CostReportJson(cost);
+  sim::ForEachCounter(sim.totals(), [&](std::string_view name, auto value) {
+    EXPECT_GT(value, decltype(value){}) << name;
+    const auto gauge = gauges.find("sim." + std::string(name));
+    ASSERT_NE(gauge, gauges.end()) << name;
+    EXPECT_EQ(gauge->second, static_cast<double>(value)) << name;
+    EXPECT_NE(json.find("\"" + std::string(name) + "\":"),
+              std::string::npos)
+        << name;
+  });
 }
 
 }  // namespace

@@ -55,18 +55,19 @@ TEST(CorruptionTest, DetectedCorruptionFeedsArqLikeLoss) {
   }
   // Per-fragment give-up probability is 0.4^7 < 0.2%.
   EXPECT_GE(delivered, kMessages - 1);
-  EXPECT_GT(sim.total_corrupted_packets(), 0u);
-  EXPECT_EQ(sim.total_undetected_corrupted_packets(), 0u);
+  EXPECT_GT(sim.totals().corrupted_packets, 0u);
+  EXPECT_EQ(sim.totals().undetected_corrupted_packets, 0u);
   // Corruption-triggered retransmissions are itemized inside the overall
   // retransmission bill, and the trailer bytes are charged.
-  EXPECT_GT(sim.total_packets_retransmitted(), 0u);
-  EXPECT_GT(sim.integrity_retransmit_energy_mj(), 0.0);
-  EXPECT_LE(sim.integrity_retransmit_energy_mj(), sim.retransmit_energy_mj());
-  EXPECT_GT(sim.crc_bytes_sent(), 0u);
-  EXPECT_GT(sim.crc_energy_mj(), 0.0);
+  EXPECT_GT(sim.totals().retransmitted_packets, 0u);
+  EXPECT_GT(sim.totals().integrity_retransmit_energy_mj, 0.0);
+  EXPECT_LE(sim.totals().integrity_retransmit_energy_mj,
+            sim.totals().retransmit_energy_mj);
+  EXPECT_GT(sim.totals().crc_bytes_sent, 0u);
+  EXPECT_GT(sim.totals().crc_energy_mj, 0.0);
   // The receiver physically heard (and paid for) the damaged fragments.
   EXPECT_EQ(sim.stats(1).corrupted_packets_received,
-            sim.total_corrupted_packets());
+            sim.totals().corrupted_packets);
 }
 
 TEST(CorruptionTest, CertainCorruptionWithCrcAndNoArqDropsTheMessage) {
@@ -76,8 +77,8 @@ TEST(CorruptionTest, CertainCorruptionWithCrcAndNoArqDropsTheMessage) {
   bool corrupted = false;
   EXPECT_FALSE(sim.SendUnicast(UnicastMsg(0, 1, 10), &corrupted));
   EXPECT_FALSE(corrupted);  // nothing was delivered at all
-  EXPECT_EQ(sim.total_corrupted_packets(), 1u);
-  EXPECT_EQ(sim.total_undetected_corrupted_packets(), 0u);
+  EXPECT_EQ(sim.totals().corrupted_packets, 1u);
+  EXPECT_EQ(sim.totals().undetected_corrupted_packets, 0u);
 }
 
 TEST(CorruptionTest, WithoutCrcCorruptionArrivesUndetected) {
@@ -90,9 +91,9 @@ TEST(CorruptionTest, WithoutCrcCorruptionArrivesUndetected) {
   // The message is "delivered": the radio cannot tell it is damaged.
   EXPECT_TRUE(sim.SendUnicast(UnicastMsg(0, 1, 10), &corrupted));
   EXPECT_TRUE(corrupted);
-  EXPECT_EQ(sim.total_corrupted_packets(), 0u);
-  EXPECT_EQ(sim.total_undetected_corrupted_packets(), 1u);
-  EXPECT_EQ(sim.crc_bytes_sent(), 0u);
+  EXPECT_EQ(sim.totals().corrupted_packets, 0u);
+  EXPECT_EQ(sim.totals().undetected_corrupted_packets, 1u);
+  EXPECT_EQ(sim.totals().crc_bytes_sent, 0u);
   EXPECT_EQ(sim.stats(1).packets_received, 1u);
 }
 
@@ -108,9 +109,9 @@ TEST(CorruptionTest, BeaconsAndQueryFloodsAreExempt) {
   EXPECT_TRUE(sim.SendUnicast(UnicastMsg(0, 1, 10, sim::MessageKind::kQuery),
                               &corrupted));
   EXPECT_FALSE(corrupted);
-  EXPECT_EQ(sim.total_corrupted_packets(), 0u);
-  EXPECT_EQ(sim.total_undetected_corrupted_packets(), 0u);
-  EXPECT_EQ(sim.crc_bytes_sent(), 0u);  // exempt traffic carries no trailer
+  EXPECT_EQ(sim.totals().corrupted_packets, 0u);
+  EXPECT_EQ(sim.totals().undetected_corrupted_packets, 0u);
+  EXPECT_EQ(sim.totals().crc_bytes_sent, 0u);  // exempt: no trailer
 }
 
 TEST(CorruptionTest, BroadcastRollsCorruptionPerReceiver) {
@@ -206,7 +207,7 @@ TEST(CorruptionTest, ZeroCorruptionPlanIsBitIdenticalToTheSeed) {
     auto report = (*tb)->MakeSensJoin().Execute(*q, 0);
     SENSJOIN_CHECK(report.ok()) << report.status();
     return std::make_tuple(report->result.rows, report->cost.join_packets,
-                           report->cost.join_bytes, report->cost.energy_mj,
+                           report->cost.bytes_sent, report->cost.energy_mj,
                            report->cost.crc_bytes_sent);
   };
   EXPECT_EQ(run(false), run(true));

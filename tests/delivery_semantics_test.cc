@@ -64,7 +64,7 @@ std::string ResultKey(const join::ExecutionReport& r) {
 std::string FullFingerprint(const join::ExecutionReport& r) {
   std::ostringstream out;
   out << ResultKey(r) << " pkts=" << r.cost.join_packets
-      << " bytes=" << r.cost.join_bytes << " energy=" << std::hex
+      << " bytes=" << r.cost.bytes_sent << " energy=" << std::hex
       << BitsOf(r.cost.energy_mj) << std::dec
       << " retx=" << r.cost.retransmitted_packets
       << " acks=" << r.cost.ack_packets

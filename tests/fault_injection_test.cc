@@ -37,7 +37,7 @@ TEST(FaultInjectionTest, CertainLossWithoutArqDropsEveryMessage) {
   // The sender still paid for the transmission; nothing arrived.
   EXPECT_EQ(sim.stats(0).packets_sent, 1u);
   EXPECT_EQ(sim.stats(1).packets_received, 0u);
-  EXPECT_EQ(sim.total_packets_retransmitted(), 0u);
+  EXPECT_EQ(sim.totals().retransmitted_packets, 0u);
 }
 
 TEST(FaultInjectionTest, ZeroLossBehavesExactlyLikeTheSeed) {
@@ -46,9 +46,9 @@ TEST(FaultInjectionTest, ZeroLossBehavesExactlyLikeTheSeed) {
   EXPECT_EQ(sim.stats(0).packets_sent, 3u);
   EXPECT_EQ(sim.stats(0).bytes_sent, 100u + 3 * 8u);
   EXPECT_EQ(sim.stats(1).packets_received, 3u);
-  EXPECT_EQ(sim.total_packets_retransmitted(), 0u);
-  EXPECT_EQ(sim.total_ack_packets(), 0u);
-  EXPECT_DOUBLE_EQ(sim.retransmit_energy_mj(), 0.0);
+  EXPECT_EQ(sim.totals().retransmitted_packets, 0u);
+  EXPECT_EQ(sim.totals().ack_packets, 0u);
+  EXPECT_DOUBLE_EQ(sim.totals().retransmit_energy_mj, 0.0);
 }
 
 TEST(FaultInjectionTest, ArqRecoversLossAndItemizesRetransmissions) {
@@ -68,18 +68,18 @@ TEST(FaultInjectionTest, ArqRecoversLossAndItemizesRetransmissions) {
   // Per-fragment give-up probability is 0.4^7 < 0.2%, so essentially
   // everything gets through -- at the price of retransmissions.
   EXPECT_GE(delivered, kMessages - 1);
-  EXPECT_GT(sim.total_packets_retransmitted(), 0u);
-  EXPECT_GT(sim.total_ack_packets(), 0u);
-  EXPECT_GT(sim.retransmit_energy_mj(), 0.0);
-  EXPECT_GT(sim.ack_energy_mj(), 0.0);
+  EXPECT_GT(sim.totals().retransmitted_packets, 0u);
+  EXPECT_GT(sim.totals().ack_packets, 0u);
+  EXPECT_GT(sim.totals().retransmit_energy_mj, 0.0);
+  EXPECT_GT(sim.totals().ack_energy_mj, 0.0);
   // Retransmissions are part of the packet totals and itemized on top.
   EXPECT_EQ(sim.stats(0).packets_retransmitted,
-            sim.total_packets_retransmitted());
+            sim.totals().retransmitted_packets);
   EXPECT_GT(sim.stats(0).packets_sent,
             static_cast<uint64_t>(3 * kMessages));
   // The itemization never exceeds the whole.
-  EXPECT_LT(sim.retransmit_energy_mj() + sim.ack_energy_mj(),
-            sim.total_energy_mj());
+  EXPECT_LT(sim.totals().retransmit_energy_mj + sim.totals().ack_energy_mj,
+            sim.totals().energy_mj);
 }
 
 TEST(FaultInjectionTest, ArqGivesUpAfterBoundedRetransmissions) {
@@ -92,8 +92,8 @@ TEST(FaultInjectionTest, ArqGivesUpAfterBoundedRetransmissions) {
   EXPECT_FALSE(sim.SendUnicast(UnicastMsg(0, 1, 10)));  // 1 fragment
   // Initial attempt + 3 retransmissions, all futile, all paid for.
   EXPECT_EQ(sim.stats(0).packets_sent, 4u);
-  EXPECT_EQ(sim.total_packets_retransmitted(), 3u);
-  EXPECT_EQ(sim.total_ack_packets(), 0u);  // nothing ever arrived
+  EXPECT_EQ(sim.totals().retransmitted_packets, 3u);
+  EXPECT_EQ(sim.totals().ack_packets, 0u);  // nothing ever arrived
 }
 
 TEST(FaultInjectionTest, TreeMaintenanceAndQueryFloodsAreExemptFromLoss) {
@@ -176,7 +176,7 @@ TEST(FaultInjectionTest, DropDecisionsAreDeterministicUnderASeed) {
     for (int i = 0; i < 50; ++i) {
       outcomes.push_back(sim.SendUnicast(UnicastMsg(0, 1, 60)));
     }
-    return std::make_pair(outcomes, sim.total_packets_retransmitted());
+    return std::make_pair(outcomes, sim.totals().retransmitted_packets);
   };
   EXPECT_EQ(run(5), run(5));
   EXPECT_NE(run(5), run(6));  // and the seed actually matters

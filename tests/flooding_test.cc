@@ -24,7 +24,7 @@ TEST(FloodingTest, ReachesAllConnectedNodesWithOneBroadcastEach) {
   const int reached = FloodQuery(sim, 0, 20);
   EXPECT_EQ(reached, 200);
   // Simple flooding: every node rebroadcasts exactly once.
-  EXPECT_EQ(sim.packets_sent_by_kind(sim::MessageKind::kQuery), 200u);
+  EXPECT_EQ(sim.totals().packets(sim::MessageKind::kQuery), 200u);
   for (int i = 0; i < sim.num_nodes(); ++i) {
     EXPECT_EQ(sim.stats(i).packets_sent_by_kind[static_cast<size_t>(
                   sim::MessageKind::kQuery)],

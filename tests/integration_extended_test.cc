@@ -128,8 +128,8 @@ TEST(DisseminationAccountingTest, QueryFloodIsNotAJoinCost) {
   auto sens = (*tb)->MakeSensJoin().Execute(*q, 0);
   ASSERT_TRUE(sens.ok());
   const auto& sim = (*tb)->simulator();
-  EXPECT_GT(sim.packets_sent_by_kind(sim::MessageKind::kQuery), 0u);
-  EXPECT_GT(sim.packets_sent_by_kind(sim::MessageKind::kBeacon), 0u);
+  EXPECT_GT(sim.totals().packets(sim::MessageKind::kQuery), 0u);
+  EXPECT_GT(sim.totals().packets(sim::MessageKind::kBeacon), 0u);
   // join_packets covers only the three protocol phases.
   EXPECT_EQ(sens->cost.join_packets,
             sens->cost.phases.collection_packets +

@@ -102,8 +102,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RoutingTreeSeedTest,
 TEST(RoutingTreeTest, BeaconCostsAreAccountedAsBeacons) {
   sim::Simulator sim = MakeRandomSim(5, 100);
   RoutingTree::Build(sim, 0);
-  EXPECT_GT(sim.packets_sent_by_kind(sim::MessageKind::kBeacon), 0u);
-  EXPECT_EQ(sim.packets_sent_by_kind(sim::MessageKind::kCollection), 0u);
+  EXPECT_GT(sim.totals().packets(sim::MessageKind::kBeacon), 0u);
+  EXPECT_EQ(sim.totals().packets(sim::MessageKind::kCollection), 0u);
 }
 
 TEST(RoutingTreeTest, RepairAfterLinkFailure) {

@@ -188,12 +188,7 @@ TEST(ServiceTest, DifferentSignaturesFormSeparateGroups) {
   auto service = testbed::MakeService(**tb, SharedConfig());
   ASSERT_TRUE(service.Register(FamilyQuery(0)).ok());
   ASSERT_TRUE(service.Register(FamilyQuery(1)).ok());
-  // Treecut knobs are not part of the group key: the delta executor has no
-  // Treecut, so this member shares the family's phases.
-  join::ProtocolConfig treecut_knobs = ServiceProtocol();
-  treecut_knobs.use_treecut = true;
-  treecut_knobs.dmax_bytes = 20;
-  ASSERT_TRUE(service.Register(FamilyQuery(2), treecut_knobs).ok());
+  ASSERT_TRUE(service.Register(FamilyQuery(2)).ok());
   // Different join attribute => different collection signature => its own
   // group and phase set.
   ASSERT_TRUE(service
@@ -382,7 +377,7 @@ TEST(ServiceTest, DeterministicAcrossRunnerThreadCounts) {
     for (const ServiceEpochReport& e : run->epochs) {
       // Packet/row/topology fields only: station_cpu_s is host wall-clock
       // and legitimately varies run to run.
-      digest.push_back({e.cost.join_packets, e.cost.join_bytes,
+      digest.push_back({e.cost.join_packets, e.cost.bytes_sent,
                         static_cast<uint64_t>(e.matched_rows),
                         static_cast<uint64_t>(e.changed_nodes)});
     }

@@ -47,10 +47,10 @@ TEST(SimulatorTest, UnicastAccountsTxAndRx) {
   EXPECT_EQ(sim.stats(0).packets_sent, 3u);
   EXPECT_EQ(sim.stats(1).packets_received, 3u);
   EXPECT_EQ(sim.stats(0).bytes_sent, 100u + 3 * 8u);
-  EXPECT_EQ(sim.total_packets_sent(), 3u);
-  EXPECT_EQ(sim.packets_sent_by_kind(MessageKind::kFinal), 3u);
-  EXPECT_EQ(sim.packets_sent_by_kind(MessageKind::kCollection), 0u);
-  EXPECT_GT(sim.total_energy_mj(), 0.0);
+  EXPECT_EQ(sim.totals().packets_sent, 3u);
+  EXPECT_EQ(sim.totals().packets(MessageKind::kFinal), 3u);
+  EXPECT_EQ(sim.totals().packets(MessageKind::kCollection), 0u);
+  EXPECT_GT(sim.totals().energy_mj, 0.0);
 }
 
 TEST(SimulatorTest, UnicastOutOfRangeCountsTxOnly) {
@@ -148,9 +148,9 @@ TEST(SimulatorTest, ResetStatsClearsEverything) {
   msg.payload_bytes = 10;
   sim.SendUnicast(msg);
   sim.ResetStats();
-  EXPECT_EQ(sim.total_packets_sent(), 0u);
-  EXPECT_EQ(sim.total_bytes_sent(), 0u);
-  EXPECT_EQ(sim.total_energy_mj(), 0.0);
+  EXPECT_EQ(sim.totals().packets_sent, 0u);
+  EXPECT_EQ(sim.totals().bytes_sent, 0u);
+  EXPECT_EQ(sim.totals().energy_mj, 0.0);
   EXPECT_EQ(sim.stats(0).packets_sent, 0u);
 }
 

@@ -52,9 +52,9 @@ TEST(TestbedTest, QueryDisseminationCostsQueryPackets) {
       "SELECT A.temp FROM sensors A, sensors B WHERE A.temp = B.temp ONCE");
   ASSERT_TRUE(q.ok());
   const uint64_t before =
-      (*tb)->simulator().packets_sent_by_kind(sim::MessageKind::kQuery);
+      (*tb)->simulator().totals().packets(sim::MessageKind::kQuery);
   EXPECT_EQ((*tb)->DisseminateQuery(*q), 150);
-  EXPECT_GT((*tb)->simulator().packets_sent_by_kind(sim::MessageKind::kQuery),
+  EXPECT_GT((*tb)->simulator().totals().packets(sim::MessageKind::kQuery),
             before);
 }
 

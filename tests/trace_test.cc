@@ -311,9 +311,9 @@ TEST_F(TracedExecutionTest, SummarizeCrossChecksCostReport) {
 
   uint64_t sens_bytes = 0;
   for (Phase p : kSensPhases) sens_bytes += summary.phase(p).tx_frame_bytes;
-  EXPECT_EQ(sens_bytes, sens->cost.join_bytes);
+  EXPECT_EQ(sens_bytes, sens->cost.bytes_sent);
   EXPECT_EQ(summary.phase(Phase::kExternalCollection).tx_frame_bytes,
-            ext->cost.join_bytes);
+            ext->cost.bytes_sent);
 
   // Per-event energies sum to the simulator's total for the phase span;
   // only the floating-point summation order differs.
@@ -352,7 +352,7 @@ TEST_F(TracedExecutionTest, ExportedTraceHasSchemaAndTracks) {
             std::string::npos);
   EXPECT_NE(json.find("\"process_name\""), std::string::npos);
   EXPECT_NE(json.find("\"sensor nodes\""), std::string::npos);
-  EXPECT_NE(json.find("\"sim.total_energy_mj\""), std::string::npos);
+  EXPECT_NE(json.find("\"sim.energy_mj\""), std::string::npos);
   EXPECT_NE(json.find("\"crossCheck\":{\"probe\":1}"), std::string::npos);
 }
 

@@ -198,9 +198,9 @@ TEST(TreeMaintenanceTest, RepairsOrphanToBestLiveNeighbor) {
   EXPECT_GE(maintenance.stats().candidate_replies, 1);
 
   // Repair traffic is charged and itemized.
-  EXPECT_GT(sim.repair_packets_sent(), 0u);
-  EXPECT_GT(sim.repair_bytes_sent(), 0u);
-  EXPECT_GT(sim.repair_energy_mj(), 0.0);
+  EXPECT_GT(sim.totals().packets(sim::MessageKind::kRepair), 0u);
+  EXPECT_GT(sim.totals().repair_bytes_sent, 0u);
+  EXPECT_GT(sim.totals().repair_energy_mj, 0.0);
 }
 
 TEST(TreeMaintenanceTest, RepairSurvivesTotalPacketLoss) {
