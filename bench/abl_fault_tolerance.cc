@@ -43,7 +43,7 @@ sim::FaultPlan MakePlan(testbed::Testbed& tb,
                         const std::vector<sim::NodeId>& contributors,
                         double loss_rate, int crashes, uint64_t seed) {
   sim::FaultPlan plan;
-  plan.default_loss_rate = loss_rate;
+  plan.rates.loss = loss_rate;
   plan.arq.enabled = true;
   plan.seed = seed * 1000 + crashes;
   const sim::SimTime when = tb.simulator().now() + 0.05;
@@ -75,9 +75,7 @@ join::ProtocolConfig FaultyConfig() {
 /// watchdogs and graceful degradation to a certified partial result.
 join::ProtocolConfig RepairConfig() {
   join::ProtocolConfig config = FaultyConfig();
-  config.enable_tree_repair = true;
-  config.enable_phase_watchdog = true;
-  config.enable_graceful_degradation = true;
+  config.self_healing = true;
   return config;
 }
 
@@ -392,7 +390,7 @@ void Main(uint64_t seed, int num_nodes, int threads,
         const bool crc = ctx.trial % 2 == 0;
         auto corrupt_plan = [&](uint64_t salt) {
           sim::FaultPlan plan;
-          plan.default_corruption_rate = corr;
+          plan.rates.corruption = corr;
           plan.arq.enabled = true;
           plan.arq.max_retransmissions = 6;
           plan.integrity.crc_enabled = crc;
@@ -460,7 +458,7 @@ void Main(uint64_t seed, int num_nodes, int threads,
                            RunOutcome* out) {
           auto tb = MustCreateTestbed(PaperDefaultParams(seed, num_nodes));
           sim::FaultPlan plan;
-          plan.default_loss_rate = cell.loss;
+          plan.rates.loss = cell.loss;
           plan.arq.enabled = true;
           plan.seed = seed * 1000 + static_cast<uint64_t>(cell.crashes);
           const sim::SimTime when = tb->simulator().now() + 0.05;
@@ -550,7 +548,7 @@ void Main(uint64_t seed, int num_nodes, int threads,
         cell.cut_uplink = p.cut;
         auto delivery_plan = [&](uint64_t salt) {
           sim::FaultPlan plan;
-          plan.default_duplication_rate = p.dup;
+          plan.rates.duplication = p.dup;
           plan.delay.max_jitter_s = p.jitter_s;
           plan.enable_replay = true;
           plan.arq.enabled = true;
@@ -639,7 +637,7 @@ void Main(uint64_t seed, int num_nodes, int threads,
                "SENS-Join):\n";
   auto itb = MustCreateTestbed(PaperDefaultParams(seed, num_nodes));
   sim::FaultPlan iplan;
-  iplan.default_corruption_rate = 0.05;
+  iplan.rates.corruption = 0.05;
   iplan.arq.enabled = true;
   iplan.arq.max_retransmissions = 6;
   iplan.seed = seed * 1000 + 7;

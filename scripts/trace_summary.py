@@ -12,11 +12,15 @@ complete ("X") duration events, everything else as instant ("i") events
 whose args carry the enclosing phase plus fragment/byte/energy payloads.
 
 When the trace embeds a top-level "crossCheck" section (RunTracedExecution
-always embeds one), the per-phase sums recomputed here are compared against
-the simulator's own CostReport accounting: packet and byte counts must
-match exactly (they are integer event counts on both sides), energy within
-a small relative tolerance (the simulator accumulates some costs in a
-different floating-point summation order than the per-event trace records).
+and the LedgerExportTest trace always embed one), the per-phase sums
+recomputed here are compared against the simulator's own CostReport
+accounting: the join views and every ledger counter the events determine
+(packets per kind, bytes, retransmissions, acks, corruptions, repair,
+duplicate and replay traffic). Counts must match exactly (they are integer
+event counts on both sides), energy within a small relative tolerance (the
+simulator accumulates some costs in a different floating-point summation
+order than the per-event trace records). The four counters no event
+determines are printed as "not checked".
 Any mismatch exits nonzero, making this the end-to-end proof that the
 trace is a faithful itemization of the simulator's accounting.
 """
@@ -69,6 +73,35 @@ EVENT_NAMES = [
 JOIN_KINDS = ("collection", "filter", "final")
 
 ENERGY_REL_TOL = 1e-6
+
+# Ledger counters the trace events determine: (report key, per-phase sum
+# from summarize(), exact). Integer counters must match exactly, energies
+# within ENERGY_REL_TOL.
+LEDGER_CHECKS = [
+    ("packets_sent", "tx_frags", True),
+    ("bytes_sent", "tx_bytes", True),
+    ("retransmitted_packets", "retransmissions", True),
+    ("ack_packets", "acks", True),
+    ("ack_energy_mj", "ack_energy_mj", False),
+    ("corrupted_packets", "corrupt_detected", True),
+    ("undetected_corrupted_packets", "corrupt_undetected", True),
+    ("repair_bytes_sent", "repair_tx_bytes", True),
+    ("repair_energy_mj", "repair_energy_mj", False),
+    ("duplicate_packets", "duplicates", True),
+    ("duplicate_energy_mj", "duplicate_energy_mj", False),
+    ("replayed_packets", "replays", True),
+    ("replay_energy_mj", "replay_energy_mj", False),
+]
+
+# Ledger counters no trace event determines: a retransmit event carries no
+# energy or per-attempt frame sizes, and CRC trailer bytes are folded into
+# the frag_tx/frag_rx bytes and energy. Listed as "not checked".
+NOT_DETERMINED = (
+    "retransmit_energy_mj",
+    "integrity_retransmit_energy_mj",
+    "crc_bytes_sent",
+    "crc_energy_mj",
+)
 
 
 def fail(msg: str) -> int:
@@ -184,18 +217,26 @@ def summarize(events: list) -> dict:
         p = phases.setdefault(phase, {
             "tx_frags": 0, "tx_bytes": 0, "tx_by_kind": {},
             "rx_frags": 0, "retransmissions": 0, "acks": 0,
-            "duplicates": 0, "replays": 0, "stale_drops": 0,
+            "ack_energy_mj": 0.0, "corrupt_detected": 0,
+            "corrupt_undetected": 0, "repair_tx_bytes": 0,
+            "repair_energy_mj": 0.0, "duplicates": 0,
+            "duplicate_energy_mj": 0.0, "replays": 0,
+            "replay_energy_mj": 0.0, "stale_drops": 0,
             "energy_mj": 0.0, "events": 0,
         })
         p["events"] += 1
         p["energy_mj"] += args["energy_mj"]
         name = e["name"]
+        kind = args.get("msg", "?")
+        if name in ("frag_tx", "frag_rx") and kind == "repair":
+            p["repair_energy_mj"] += args["energy_mj"]
         if name == "frag_tx":
             p["tx_frags"] += args["count"]
             p["tx_bytes"] += args["bytes"]
-            kind = args.get("msg", "?")
             p["tx_by_kind"][kind] = p["tx_by_kind"].get(kind, 0) \
                 + args["count"]
+            if kind == "repair":
+                p["repair_tx_bytes"] += args["bytes"]
             if kind in JOIN_KINDS:
                 node = e["tid"]
                 per_node.setdefault(node, {})
@@ -203,14 +244,23 @@ def summarize(events: list) -> dict:
                     + args["count"]
         elif name == "frag_rx":
             p["rx_frags"] += args["count"]
+        elif name == "frag_corrupt":
+            # detail = the corruptions the CRC check caught.
+            p["corrupt_detected"] += args["detail"]
+            p["corrupt_undetected"] += args["count"] - args["detail"]
         elif name == "retransmit":
             p["retransmissions"] += args["count"]
         elif name == "ack_tx":
             p["acks"] += args["count"]
+            p["ack_energy_mj"] += args["energy_mj"]
+        elif name == "ack_rx":
+            p["ack_energy_mj"] += args["energy_mj"]
         elif name == "duplicate_rx":
             p["duplicates"] += args["count"]
+            p["duplicate_energy_mj"] += args["energy_mj"]
         elif name == "replay_rx":
             p["replays"] += args["count"]
+            p["replay_energy_mj"] += args["energy_mj"]
         elif name == "stale_drop":
             p["stale_drops"] += args["count"]
     return {"phases": phases, "per_node": per_node}
@@ -255,20 +305,26 @@ def print_tables(summary: dict, top: int) -> None:
 
 def cross_check(summary: dict, cross: dict) -> int:
     """Compares per-phase sums recomputed from the trace against the
-    embedded CostReport totals. Exact for packets/bytes, ENERGY_REL_TOL
-    for energy."""
+    embedded CostReport totals: the join views and every ledger counter the
+    events determine. Exact for packets/bytes, ENERGY_REL_TOL for energy.
+    A report key that has no check here fails, so a counter added to the
+    ledger cannot go unchecked silently."""
     phases = summary["phases"]
     per_node = summary["per_node"]
     failures = 0
 
     def expect(label, got, want, exact=True):
         nonlocal failures
+        if want is None:
+            print(f"  {label:<30} trace={got:<16} report=missing  MISMATCH")
+            failures += 1
+            return
         if exact:
             ok = got == want
         else:
             ok = abs(got - want) <= ENERGY_REL_TOL * max(abs(want), 1.0)
         mark = "ok" if ok else "MISMATCH"
-        print(f"  {label:<28} trace={got:<16} report={want:<16} {mark}")
+        print(f"  {label:<30} trace={got:<16} report={want:<16} {mark}")
         failures += not ok
 
     for group, group_phases in sorted(cross["phase_map"].items()):
@@ -278,6 +334,9 @@ def cross_check(summary: dict, cross: dict) -> int:
 
         def tx_of(kind):
             return sum(p["tx_by_kind"].get(kind, 0) for p in in_group)
+
+        def sum_of(field):
+            return sum(p[field] for p in in_group)
 
         print(f"{group} ({'+'.join(group_phases)}):")
         expect("collection_packets", tx_of("collection"),
@@ -290,14 +349,19 @@ def cross_check(summary: dict, cross: dict) -> int:
         # join_bytes is the ledger's bytes_sent delta: every transmitted
         # frame of every message kind (acks are itemized separately by the
         # simulator and never enter bytes_sent).
-        expect("join_bytes", sum(p["tx_bytes"] for p in in_group),
-               report["join_bytes"])
-        expect("duplicate_packets", sum(p["duplicates"] for p in in_group),
-               report.get("duplicate_packets", 0))
-        expect("replayed_packets", sum(p["replays"] for p in in_group),
-               report.get("replayed_packets", 0))
-        expect("energy_mj", sum(p["energy_mj"] for p in in_group),
-               report["energy_mj"], exact=False)
+        expect("join_bytes", sum_of("tx_bytes"), report["join_bytes"])
+        expect("energy_mj", sum_of("energy_mj"), report["energy_mj"],
+               exact=False)
+        for key, field, exact in LEDGER_CHECKS:
+            expect(key, sum_of(field), report.get(key), exact)
+        kinds = sorted(k for k in report if k.startswith("packets."))
+        if not kinds:
+            expect("packets.<kind>", 0, None)
+        for key in kinds:
+            expect(key, tx_of(key[len("packets."):]), report[key])
+        for key in NOT_DETERMINED:
+            print(f"  {key:<30} {'':<23}report={report.get(key)!s:<16} "
+                  "not checked")
 
         want_per_node = report["per_node_packets"]
         got_per_node = [0] * len(want_per_node)
@@ -308,10 +372,18 @@ def cross_check(summary: dict, cross: dict) -> int:
         bad = [i for i in range(len(want_per_node))
                if got_per_node[i] != want_per_node[i]]
         mark = "ok" if not bad else f"MISMATCH at nodes {bad[:8]}"
-        print(f"  {'per_node_packets':<28} "
+        print(f"  {'per_node_packets':<30} "
               f"nodes={len(want_per_node):<16} "
               f"sum={sum(got_per_node):<16} {mark}")
         failures += bool(bad)
+
+        handled = {"collection_packets", "filter_packets", "final_packets",
+                   "join_packets", "join_bytes", "energy_mj",
+                   "per_node_packets", *NOT_DETERMINED, *kinds}
+        handled.update(key for key, _, _ in LEDGER_CHECKS)
+        for key in sorted(set(report) - handled):
+            print(f"  {key:<30} has no trace check  MISMATCH")
+            failures += 1
 
     if failures:
         return fail(f"{failures} cross-check mismatches")

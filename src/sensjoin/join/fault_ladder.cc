@@ -10,13 +10,13 @@
 namespace sensjoin::join {
 namespace {
 
-/// In-network repair for one attempt (config.enable_tree_repair); repair
+/// In-network repair for one attempt (config.self_healing); repair
 /// unicasts take part in the attempt's exactly-once validation.
 std::optional<net::TreeMaintenance> MakeMaintenance(
     sim::Simulator& sim, net::RoutingTree& tree, const ProtocolConfig& config,
     DeliveryGuard& guard) {
   std::optional<net::TreeMaintenance> maintenance;
-  if (config.enable_tree_repair) {
+  if (config.self_healing) {
     net::TreeMaintenanceConfig mc;
     mc.stamp = [&guard](sim::Message& m) { guard.Stamp(m); };
     mc.retract = [&guard](const sim::Message& m) { guard.Retract(m); };
@@ -97,7 +97,7 @@ bool FaultLadder::Send(sim::Message msg, bool* corrupted) {
 }
 
 void FaultLadder::ArmWatchdog() {
-  phase_deadline_ = config_.enable_phase_watchdog
+  phase_deadline_ = config_.self_healing
                         ? sim_.now() + config_.watchdog_base_s +
                               tree_.max_depth() * sim_.per_packet_latency_s() *
                                   config_.watchdog_per_hop_factor
@@ -139,7 +139,7 @@ bool FaultLadder::Repair(sim::NodeId u, obs::Phase phase,
 
 bool FaultLadder::Degrade(sim::NodeId at,
                           const std::vector<sim::NodeId>& nodes) {
-  if (!config_.enable_graceful_degradation) return false;
+  if (!config_.self_healing) return false;
   excluded_roots_.push_back(at);
   excluded_.insert(nodes.begin(), nodes.end());
   return true;

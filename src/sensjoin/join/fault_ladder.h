@@ -25,9 +25,9 @@ inline constexpr int kMaxRecoveryRequests = 2;
 
 /// The self-healing ladder of one execution attempt, shared by every
 /// executor in join/ and the continuous service's delta executor. A
-/// persistent hop failure escalates in order (rungs 2-4 opt-in via
-/// ProtocolConfig, all inert by default, which keeps fault-free runs
-/// bit-identical to the seed):
+/// persistent hop failure escalates in order (rungs 2-4 opt-in together via
+/// ProtocolConfig::self_healing, inert by default, which keeps fault-free
+/// runs bit-identical to the seed):
 ///
 ///  1. phase-level recovery: the receiver re-requests the missing
 ///     contribution over the same hop, up to `recovery_budget` times;
@@ -73,7 +73,7 @@ class FaultLadder {
               const ParentAcceptable& parent_ok = {});
 
   /// Rung 4: certifies `nodes` as lost, with `at` as the excluded subtree
-  /// root. False when graceful degradation is off (the attempt aborts).
+  /// root. False when self-healing is off (the attempt aborts).
   bool Degrade(sim::NodeId at, const std::vector<sim::NodeId>& nodes);
 
   bool IsExcluded(sim::NodeId u) const { return excluded_.count(u) != 0; }
@@ -95,7 +95,7 @@ class FaultLadder {
 
   /// Fills the completeness certificate of a successful attempt. Nodes the
   /// routing tree never reached (partitioned field, dead at build time)
-  /// count as excluded even with graceful degradation off: their data
+  /// count as excluded even with self-healing off: their data
   /// cannot be in the result and the certificate must say so.
   void Certify(CompletenessCertificate* out);
 

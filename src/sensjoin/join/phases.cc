@@ -89,8 +89,7 @@ bool DisseminateFilter(PhaseView& view, FaultLadder& ladder,
         // unicast resend below applies.
       }
       if (!child_filter.has_value()) {
-        if (view.config.enable_graceful_degradation &&
-            ladder.WatchdogExpired(obs::Phase::kFilterDissemination)) {
+        if (ladder.WatchdogExpired(obs::Phase::kFilterDissemination)) {
           ladder.Degrade(c, tree.SubtreeNodes(c));
           continue;
         }

@@ -52,31 +52,26 @@ struct ProtocolConfig {
   /// is complete for everything the protocol ships (tests enable this).
   bool verify_wire_roundtrip = false;
 
-  // --- Self-healing routing (all off by default: fault-free runs stay ---
-  // --- bit-identical to the seed) ---------------------------------------
-
-  /// In-network tree repair (net/tree_maintenance.h): when a hop send dies
-  /// persistently (dead parent or dark link past the ARQ budget), the
-  /// stranded node re-attaches its subtree under a live neighbor and the
-  /// execution continues, instead of escalating straight to a full
-  /// re-execution with a tree rebuild. Rounds and waits are
-  /// net::TreeMaintenanceConfig's defaults.
-  bool enable_tree_repair = false;
-
-  /// Graceful degradation: when even repair cannot restore connectivity
-  /// (and retries are exhausted or the watchdog expired), the execution
-  /// completes over the reachable field and returns a
-  /// CompletenessCertificate naming the excluded subtrees, instead of
-  /// failing. Off, the legacy abort/retry behavior is kept.
-  bool enable_graceful_degradation = false;
-
-  /// Phase watchdogs: each protocol phase gets a sim-time budget of
-  /// `watchdog_base_s + tree depth * per-packet latency *
-  /// watchdog_per_hop_factor`. Once a phase overruns it (recovery loops,
-  /// repeated repairs), the executor stops repairing and degrades (or
-  /// aborts the attempt when degradation is off) rather than stalling
-  /// unboundedly.
-  bool enable_phase_watchdog = false;
+  /// Self-healing (off by default: fault-free runs stay bit-identical to
+  /// the seed). One switch turns on the three rungs of the fault ladder
+  /// above phase-level recovery (join/fault_ladder.h):
+  ///  - in-network tree repair (net/tree_maintenance.h): when a hop send
+  ///    dies persistently (dead parent or dark link past the ARQ budget),
+  ///    the stranded node re-attaches its subtree under a live neighbor and
+  ///    the execution continues, instead of escalating straight to a full
+  ///    re-execution with a tree rebuild;
+  ///  - phase watchdogs: each protocol phase gets a sim-time budget of
+  ///    `watchdog_base_s + tree depth * per-packet latency *
+  ///    watchdog_per_hop_factor`; once a phase overruns it (recovery loops,
+  ///    repeated repairs), the executor stops repairing and degrades rather
+  ///    than stalling unboundedly;
+  ///  - graceful degradation: when even repair cannot restore connectivity
+  ///    (and retries are exhausted or the watchdog expired), the execution
+  ///    completes over the reachable field and returns a
+  ///    CompletenessCertificate naming the excluded subtrees, instead of
+  ///    failing.
+  /// Off, the legacy abort/retry behavior is kept.
+  bool self_healing = false;
   double watchdog_base_s = 1.0;
   double watchdog_per_hop_factor = 64.0;
 };

@@ -21,6 +21,11 @@ constexpr uint64_t kHopsSentinel = 0xFF;    ///< wire form of hops == -1
 /// for the node id echo (content stays in-memory; only the size is wire).
 constexpr size_t kRepairReplyBytes = 2;
 
+/// Repair-request broadcast rounds per orphan, and the simulation time an
+/// orphan waits between two of them.
+constexpr int kMaxRepairRounds = 2;
+constexpr double kRepairRoundWaitS = 0.25;
+
 struct RepairReply {
   sim::NodeId candidate = sim::kInvalidNode;
   int hops = -1;
@@ -102,10 +107,7 @@ Status DecodeRepairRequest(const uint8_t* bytes, size_t size_bits,
 
 TreeMaintenance::TreeMaintenance(sim::Simulator& sim, RoutingTree& tree,
                                  TreeMaintenanceConfig config)
-    : sim_(sim), tree_(tree), config_(config) {
-  SENSJOIN_CHECK_GT(config_.max_repair_rounds, 0);
-  SENSJOIN_CHECK(config_.round_wait_s >= 0.0);
-}
+    : sim_(sim), tree_(tree), config_(std::move(config)) {}
 
 bool TreeMaintenance::HasLiveRootPath(sim::NodeId id) const {
   if (!tree_.InTree(id)) return false;
@@ -156,10 +158,10 @@ bool TreeMaintenance::Repair(sim::NodeId orphan,
   std::vector<char> in_subtree(n, 0);
   for (sim::NodeId u : tree_.SubtreeNodes(orphan)) in_subtree[u] = 1;
 
-  for (int round = 0; round < config_.max_repair_rounds; ++round) {
+  for (int round = 0; round < kMaxRepairRounds; ++round) {
     // Later rounds wait for scheduled topology changes (reboots, outage
     // ends) to open new candidates before asking again.
-    if (round > 0) sim_.events().RunUntil(sim_.now() + config_.round_wait_s);
+    if (round > 0) sim_.events().RunUntil(sim_.now() + kRepairRoundWaitS);
 
     RepairRequest req;
     req.orphan = orphan;

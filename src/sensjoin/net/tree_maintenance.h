@@ -34,13 +34,12 @@ namespace sensjoin::net {
 /// Simulator::LossApplies): repair outcomes are deterministic and a run
 /// that never repairs draws zero fault randomness, keeping fault-free
 /// executions bit-identical.
+///
+/// An orphan broadcasts up to kMaxRepairRounds repair requests before
+/// giving up; between rounds it waits kRepairRoundWaitS of simulation time,
+/// letting scheduled recoveries (reboots, outage ends) change the
+/// neighborhood (both constants live in net/tree_maintenance.cc).
 struct TreeMaintenanceConfig {
-  /// Repair-request broadcast rounds per orphan before giving up. Between
-  /// rounds the orphan waits `round_wait_s` of simulation time, letting
-  /// scheduled recoveries (reboots, outage ends) change the neighborhood.
-  int max_repair_rounds = 2;
-  double round_wait_s = 0.25;
-
   /// Delivery-tag hooks (join/delivery_guard.h): when set, every repair
   /// unicast (candidate reply, re-attach notice) is stamped with the
   /// caller's (attempt, per-link sequence) tag before its first send and
@@ -101,7 +100,7 @@ class TreeMaintenance {
 
   /// Attempts to re-attach `orphan` (and its whole subtree) under a live
   /// neighbor with a working route to the root. Runs up to
-  /// `max_repair_rounds` request/reply rounds; every broadcast and reply is
+  /// kMaxRepairRounds request/reply rounds; every broadcast and reply is
   /// charged as kRepair traffic. Returns true when the orphan was
   /// re-attached (the tree is already updated); false when no admissible
   /// candidate exists, leaving the tree untouched.

@@ -19,12 +19,11 @@ double SecondsSince(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-/// `config` without tree repair, watchdogs and degradation: a repaired
-/// orphan would corrupt the delta state, a degraded epoch is not exact.
-ServiceConfig WithoutRepairOrDegradation(ServiceConfig config) {
-  config.protocol.enable_tree_repair = false;
-  config.protocol.enable_phase_watchdog = false;
-  config.protocol.enable_graceful_degradation = false;
+/// `config` with self-healing off (no tree repair, watchdogs or
+/// degradation): a repaired orphan would corrupt the delta state, a
+/// degraded epoch is not exact.
+ServiceConfig WithoutSelfHealing(ServiceConfig config) {
+  config.protocol.self_healing = false;
   return config;
 }
 
@@ -38,7 +37,7 @@ JoinService::JoinService(sim::Simulator& sim, const data::NetworkData& data,
       data_(data),
       tree_(std::move(tree)),
       quantization_(std::move(quantization)),
-      config_(WithoutRepairOrDegradation(config)),
+      config_(WithoutSelfHealing(config)),
       registry_(data.schema(), config.max_queries) {}
 
 StatusOr<QueryId> JoinService::Register(const std::string& sql) {

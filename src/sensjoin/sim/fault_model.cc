@@ -6,30 +6,21 @@
 namespace sensjoin::sim {
 
 bool FaultPlan::HasCorruption() const {
-  if (default_corruption_rate > 0.0) return true;
-  for (const LinkCorruptionOverride& link : corruption_overrides) {
-    if (link.corruption_rate > 0.0) return true;
+  if (rates.corruption > 0.0) return true;
+  for (const LinkRatesOverride& link : link_overrides) {
+    if (link.rates.corruption > 0.0) return true;
   }
   return false;
 }
 
 void ApplyFaultPlan(Simulator& sim, const FaultPlan& plan) {
   Radio& radio = sim.radio();
-  radio.set_default_loss_rate(plan.default_loss_rate);
-  for (const LinkLossOverride& link : plan.link_overrides) {
-    radio.SetLinkLossRate(link.a, link.b, link.loss_rate);
+  radio.set_default_rates(plan.rates);
+  for (const LinkRatesOverride& link : plan.link_overrides) {
+    radio.SetLinkRates(link.a, link.b, link.rates);
   }
-  radio.set_default_corruption_rate(plan.default_corruption_rate);
-  for (const LinkCorruptionOverride& link : plan.corruption_overrides) {
-    radio.SetLinkCorruptionRate(link.a, link.b, link.corruption_rate);
-  }
-  radio.set_default_duplication_rate(plan.default_duplication_rate);
-  for (const LinkDuplicationOverride& link : plan.duplication_overrides) {
-    radio.SetLinkDuplicationRate(link.a, link.b, link.duplication_rate);
-  }
-  sim.set_duplication_delay_s(plan.duplication_delay_s);
   sim.set_delay_params(plan.delay);
-  sim.set_replay_params(plan.enable_replay, plan.replay_stagger_s);
+  sim.set_replay_enabled(plan.enable_replay);
   sim.set_arq_params(plan.arq);
   IntegrityParams integrity = plan.integrity;
   // The CRC trailer only exists (and is only paid for) together with the

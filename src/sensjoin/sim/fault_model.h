@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "sensjoin/sim/radio.h"
 #include "sensjoin/sim/time.h"
 
 namespace sensjoin::sim {
@@ -15,7 +16,9 @@ class Simulator;
 /// number of times with backoff; the retransmissions are real energy spent
 /// and must appear in the accounting (cf. Buragohain et al., power-aware
 /// routing for sensor databases). Disabled by default so the fault-free
-/// paper experiments are bit-identical to the seed.
+/// paper experiments are bit-identical to the seed. The backoff schedule
+/// and the ack frame size are the simulator's constants (kArqBackoffBaseS,
+/// kArqBackoffFactor, kAckBytes in sim/simulator.cc).
 struct ArqParams {
   bool enabled = false;
 
@@ -24,71 +27,43 @@ struct ArqParams {
   /// logical message undeliverable (the sender gives up, upper layers
   /// recover).
   int max_retransmissions = 3;
-
-  /// Backoff before the first retransmission; each further retransmission
-  /// multiplies the wait by `backoff_factor` (exponential backoff).
-  double backoff_base_s = 0.008;
-  double backoff_factor = 2.0;
-
-  /// Wire size of an acknowledgement frame (header-only packet).
-  int ack_bytes = 8;
 };
 
-/// Loss-rate override for one (bidirectional) link.
-struct LinkLossOverride {
+/// Rate override for one (bidirectional) link: replaces all three of the
+/// link's rates, so an entry that raises one axis copies the others from
+/// the plan's defaults.
+struct LinkRatesOverride {
   NodeId a = kInvalidNode;
   NodeId b = kInvalidNode;
-  double loss_rate = 0.0;
-};
-
-/// Corruption-rate override for one (bidirectional) link.
-struct LinkCorruptionOverride {
-  NodeId a = kInvalidNode;
-  NodeId b = kInvalidNode;
-  double corruption_rate = 0.0;
-};
-
-/// Duplication-rate override for one (bidirectional) link.
-struct LinkDuplicationOverride {
-  NodeId a = kInvalidNode;
-  NodeId b = kInvalidNode;
-  double duplication_rate = 0.0;
+  LinkRates rates;
 };
 
 /// Per-message delivery-delay jitter: every delivered loss-eligible message
-/// gets extra latency drawn uniformly from [min_jitter_s, max_jitter_s]
-/// (seeded). With a spread wider than the per-packet airtime, a later send
-/// can overtake an earlier one through the event queue, which is exactly
-/// the reordering the exactly-once layer must tolerate. Disabled (all
-/// zeros) by default so fault-free runs draw no extra randomness.
+/// gets extra latency drawn uniformly from [0, max_jitter_s] (seeded).
+/// With a spread wider than the per-packet airtime, a later send can
+/// overtake an earlier one through the event queue, which is exactly the
+/// reordering the exactly-once layer must tolerate. Disabled (zero) by
+/// default so fault-free runs draw no extra randomness.
 struct DelayParams {
-  double min_jitter_s = 0.0;
   double max_jitter_s = 0.0;
 
   bool enabled() const { return max_jitter_s > 0.0; }
 };
 
 /// The per-fragment integrity layer: every data fragment carries a CRC-16
-/// trailer (the 802.15.4 FCS analog). The trailer is charged but no checksum
-/// is computed: detection is modeled as perfect, so a receiver detects
-/// a corrupted payload and silently drops the fragment — from the sender's
-/// point of view, a detected corruption is exactly a loss, and it feeds the
-/// same ARQ retransmissions and phase-level recovery. The trailer bytes and
-/// the retransmissions that corruption triggers are charged in the energy
+/// trailer (the 802.15.4 FCS analog, kCrcBytes in sim/simulator.cc). The
+/// trailer is charged but no checksum is computed: detection is modeled as
+/// perfect (a CRC-16 misses a corruption only with probability 2^-16,
+/// rounded to zero), so a receiver detects a corrupted payload and
+/// silently drops the fragment — from the sender's point of view, a
+/// detected corruption is exactly a loss, and it feeds the same ARQ
+/// retransmissions and phase-level recovery. The trailer bytes and the
+/// retransmissions that corruption triggers are charged in the energy
 /// model and itemized in CostReport. With `crc_enabled == false` (the
 /// ablation knob) corrupted fragments are accepted and the damaged payload
 /// reaches the application decoders.
 struct IntegrityParams {
   bool crc_enabled = true;
-
-  /// Wire size of the per-fragment CRC trailer. CRC-16 is the WSN-typical
-  /// choice (TinyOS/802.15.4 frames); a detected corruption escapes only
-  /// with probability 2^-16, which the simulator rounds to zero.
-  int crc_bytes = 2;
-
-  /// Fraction of corruption events that truncate the payload instead of
-  /// flipping bits (radios lose frame tails on late symbol-sync errors).
-  double truncation_fraction = 0.25;
 };
 
 /// A scheduled transient outage of one (bidirectional) link: the link goes
@@ -115,40 +90,29 @@ struct CrashEvent {
   bool recover = false;
 };
 
-/// A declarative fault scenario: ambient packet loss, per-link overrides
-/// and node churn, all reproducible under `seed`. Apply with
-/// ApplyFaultPlan before executing queries.
+/// A declarative fault scenario: ambient per-link fault rates with per-link
+/// overrides, link outages and node churn, all reproducible under `seed`.
+/// Apply with ApplyFaultPlan before executing queries.
 struct FaultPlan {
-  /// Per-fragment loss probability on every link without an override.
-  double default_loss_rate = 0.0;
+  /// Fault rates of every link without an override (see LinkRates). Each
+  /// axis draws randomness only where its rate is non-zero, so a plan that
+  /// leaves an axis at zero consumes exactly the RNG stream of a plan
+  /// without it; beacons, query floods and repair traffic are exempt from
+  /// all three. Corruption is rolled for fragments that survive the loss
+  /// roll; duplication strictly after the loss/corruption/ack rolls, with
+  /// the duplicate heard (and processed) after a seeded extra delay.
+  /// Duplicate receptions are energy-charged and itemized
+  /// (CostReport::duplicate_packets).
+  LinkRates rates;
 
-  std::vector<LinkLossOverride> link_overrides;
+  /// Per-link replacements of `rates`; a later entry for the same link
+  /// wins.
+  std::vector<LinkRatesOverride> link_overrides;
+
   std::vector<CrashEvent> crash_events;
 
   /// Transient link blackout windows, fired through the event queue.
   std::vector<LinkOutageWindow> link_outages;
-
-  /// Per-fragment corruption probability (bit flips / truncation) on every
-  /// link without an override, rolled for fragments that survive the loss
-  /// roll. Like loss, zero-corruption runs draw no randomness, so they stay
-  /// bit-identical to the seed; beacons and query floods are exempt.
-  double default_corruption_rate = 0.0;
-  std::vector<LinkCorruptionOverride> corruption_overrides;
-
-  /// Per-message duplication probability: a delivered logical unicast is
-  /// heard (and processed) a second time after a seeded extra delay — the
-  /// 802.15.4 ack-race phenomenon promoted from a cost artifact to an
-  /// actual second delivery. Rolled strictly after the loss/corruption/ack
-  /// rolls, so plans without duplication consume exactly the seed's RNG
-  /// stream; beacons, query floods and repair traffic are exempt (like
-  /// loss). Duplicate receptions are energy-charged and itemized
-  /// (CostReport::duplicate_packets).
-  double default_duplication_rate = 0.0;
-  std::vector<LinkDuplicationOverride> duplication_overrides;
-
-  /// Upper bound of the seeded extra delay before a duplicate delivery
-  /// (drawn uniformly on top of one message airtime).
-  double duplication_delay_s = 0.012;
 
   /// Per-message delivery-delay jitter (reordering); see DelayParams.
   DelayParams delay;
@@ -156,10 +120,8 @@ struct FaultPlan {
   /// Cross-attempt replay: when an executor aborts an attempt, logical
   /// messages still in flight are captured instead of vanishing and are
   /// re-delivered — stale tags and all — at the start of the next attempt,
-  /// spaced `replay_stagger_s` apart (deterministic, no RNG). Off by
-  /// default.
+  /// spaced a fixed stagger apart (deterministic, no RNG). Off by default.
   bool enable_replay = false;
-  double replay_stagger_s = 0.002;
 
   /// Link-layer ARQ policy to install on the simulator.
   ArqParams arq;
@@ -178,8 +140,9 @@ struct FaultPlan {
   bool HasCorruption() const;
 };
 
-/// Installs `plan` on `sim`: sets loss rates on the radio, the ARQ policy
-/// and drop seed on the simulator, and schedules every crash/recover event
+/// Installs `plan` on `sim`: sets the rate table on the radio, the ARQ,
+/// integrity, jitter and replay policies and the drop seed on the
+/// simulator, and schedules every crash/recover event
 /// through the simulator's event queue.
 void ApplyFaultPlan(Simulator& sim, const FaultPlan& plan);
 

@@ -12,6 +12,12 @@ namespace sensjoin::sim {
 
 namespace {
 constexpr int64_t kCellHash = 1'000'003;
+
+LinkRates Clamped(const LinkRates& rates) {
+  return LinkRates{std::clamp(rates.loss, 0.0, 1.0),
+                   std::clamp(rates.corruption, 0.0, 1.0),
+                   std::clamp(rates.duplication, 0.0, 1.0)};
+}
 }  // namespace
 
 Radio::Radio(std::vector<Point> positions, double range_m,
@@ -117,49 +123,19 @@ bool Radio::OutageActive(NodeId a, NodeId b) const {
          outage_links_.find(LinkKey(a, b)) != outage_links_.end();
 }
 
-void Radio::set_default_loss_rate(double p) {
-  default_loss_rate_ = std::clamp(p, 0.0, 1.0);
+void Radio::set_default_rates(const LinkRates& rates) {
+  default_rates_ = Clamped(rates);
 }
 
-void Radio::SetLinkLossRate(NodeId a, NodeId b, double p) {
+void Radio::SetLinkRates(NodeId a, NodeId b, const LinkRates& rates) {
   if (!ValidLink(a, b)) return;
-  link_loss_[LinkKey(a, b)] = std::clamp(p, 0.0, 1.0);
+  link_rates_[LinkKey(a, b)] = Clamped(rates);
 }
 
-double Radio::LossRate(NodeId a, NodeId b) const {
-  if (!ValidLink(a, b)) return 0.0;
-  auto it = link_loss_.find(LinkKey(a, b));
-  return it != link_loss_.end() ? it->second : default_loss_rate_;
-}
-
-void Radio::set_default_corruption_rate(double p) {
-  default_corruption_rate_ = std::clamp(p, 0.0, 1.0);
-}
-
-void Radio::SetLinkCorruptionRate(NodeId a, NodeId b, double p) {
-  if (!ValidLink(a, b)) return;
-  link_corruption_[LinkKey(a, b)] = std::clamp(p, 0.0, 1.0);
-}
-
-double Radio::CorruptionRate(NodeId a, NodeId b) const {
-  if (!ValidLink(a, b)) return 0.0;
-  auto it = link_corruption_.find(LinkKey(a, b));
-  return it != link_corruption_.end() ? it->second : default_corruption_rate_;
-}
-
-void Radio::set_default_duplication_rate(double p) {
-  default_duplication_rate_ = std::clamp(p, 0.0, 1.0);
-}
-
-void Radio::SetLinkDuplicationRate(NodeId a, NodeId b, double p) {
-  if (!ValidLink(a, b)) return;
-  link_duplication_[LinkKey(a, b)] = std::clamp(p, 0.0, 1.0);
-}
-
-double Radio::DuplicationRate(NodeId a, NodeId b) const {
-  if (!ValidLink(a, b)) return 0.0;
-  auto it = link_duplication_.find(LinkKey(a, b));
-  return it != link_duplication_.end() ? it->second : default_duplication_rate_;
+LinkRates Radio::Rates(NodeId a, NodeId b) const {
+  if (!ValidLink(a, b)) return LinkRates{};
+  auto it = link_rates_.find(LinkKey(a, b));
+  return it != link_rates_.end() ? it->second : default_rates_;
 }
 
 bool Radio::IsConnected(NodeId root) const {

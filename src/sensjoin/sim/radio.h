@@ -13,6 +13,19 @@
 
 namespace sensjoin::sim {
 
+/// The fault rates of one link, each a probability in [0, 1]:
+///  - loss: one link-layer fragment is dropped on its way over the link;
+///  - corruption: a fragment that survives the loss roll arrives with
+///    damaged payload bits (bit flips or truncation);
+///  - duplication: a delivered logical unicast is heard a second time (the
+///    802.15.4 lost-ack race), rolled once per message strictly after the
+///    loss and corruption rolls.
+struct LinkRates {
+  double loss = 0.0;
+  double corruption = 0.0;
+  double duplication = 0.0;
+};
+
 /// Memory-layout knobs for the radio.
 struct RadioOptions {
   /// Up to this many nodes the radio materializes per-node sorted adjacency
@@ -97,64 +110,25 @@ class Radio {
   /// True while the link a-b is inside a scheduled outage window.
   bool OutageActive(NodeId a, NodeId b) const;
 
-  // --- Probabilistic per-link packet loss --------------------------------
-  // A loss rate is the probability that one link-layer fragment is dropped
-  // on its way over the link; the simulator rolls the dice (seeded) per
-  // transmitted fragment. 0 everywhere by default, so the fault-free
-  // experiments are unaffected.
+  // --- Probabilistic per-link faults --------------------------------------
+  // One rate table covers the three per-link fault axes (LinkRates): one
+  // default for every link plus per-link overrides. The simulator rolls the
+  // dice (seeded) only for non-zero rates and only for loss-eligible
+  // message kinds, so an all-zero table — the default — draws no
+  // randomness and leaves the fault-free experiments untouched.
 
-  /// Loss rate applied to every link without an explicit override.
-  /// Clamped to [0, 1].
-  void set_default_loss_rate(double p);
-  double default_loss_rate() const { return default_loss_rate_; }
+  /// Rates applied to every link without an explicit override. Each rate
+  /// is clamped to [0, 1].
+  void set_default_rates(const LinkRates& rates);
 
-  /// Sets the loss rate of the (bidirectional) link a-b, overriding the
-  /// default. Invalid ids and self-links are ignored.
-  void SetLinkLossRate(NodeId a, NodeId b, double p);
+  /// Replaces all three rates of the (bidirectional) link a-b, overriding
+  /// the default. Each rate is clamped to [0, 1]; invalid ids and
+  /// self-links are ignored.
+  void SetLinkRates(NodeId a, NodeId b, const LinkRates& rates);
 
-  /// Effective loss rate of the link a-b (override if set, else default);
-  /// 0 for invalid links.
-  double LossRate(NodeId a, NodeId b) const;
-
-  // --- Probabilistic per-link payload corruption -------------------------
-  // A corruption rate is the probability that one link-layer fragment
-  // arrives with damaged payload bits (bit flips or truncation) instead of
-  // being dropped outright. The simulator rolls per fragment that survives
-  // the loss roll; 0 everywhere by default, so corruption-free runs draw no
-  // extra randomness and stay bit-identical.
-
-  /// Corruption rate applied to every link without an explicit override.
-  /// Clamped to [0, 1].
-  void set_default_corruption_rate(double p);
-  double default_corruption_rate() const { return default_corruption_rate_; }
-
-  /// Sets the corruption rate of the (bidirectional) link a-b, overriding
-  /// the default. Invalid ids and self-links are ignored.
-  void SetLinkCorruptionRate(NodeId a, NodeId b, double p);
-
-  /// Effective corruption rate of the link a-b (override if set, else
-  /// default); 0 for invalid links.
-  double CorruptionRate(NodeId a, NodeId b) const;
-
-  // --- Probabilistic per-link message duplication ------------------------
-  // A duplication rate is the probability that one delivered logical
-  // unicast is heard a second time (the 802.15.4 lost-ack race). The
-  // simulator rolls once per delivered message, strictly after the loss and
-  // corruption rolls; 0 everywhere by default, so plans without duplication
-  // draw no extra randomness and stay bit-identical.
-
-  /// Duplication rate applied to every link without an explicit override.
-  /// Clamped to [0, 1].
-  void set_default_duplication_rate(double p);
-  double default_duplication_rate() const { return default_duplication_rate_; }
-
-  /// Sets the duplication rate of the (bidirectional) link a-b, overriding
-  /// the default. Invalid ids and self-links are ignored.
-  void SetLinkDuplicationRate(NodeId a, NodeId b, double p);
-
-  /// Effective duplication rate of the link a-b (override if set, else
-  /// default); 0 for invalid links.
-  double DuplicationRate(NodeId a, NodeId b) const;
+  /// Effective rates of the link a-b (override if set, else default); all
+  /// zero for invalid links.
+  LinkRates Rates(NodeId a, NodeId b) const;
 
   /// True if every node can reach `root` over up links.
   bool IsConnected(NodeId root) const;
@@ -177,12 +151,8 @@ class Radio {
   std::unordered_set<uint64_t> failed_links_;
   std::unordered_set<uint64_t> outage_links_;
   LinkObserver link_observer_;
-  double default_loss_rate_ = 0.0;
-  std::unordered_map<uint64_t, double> link_loss_;
-  double default_corruption_rate_ = 0.0;
-  std::unordered_map<uint64_t, double> link_corruption_;
-  double default_duplication_rate_ = 0.0;
-  std::unordered_map<uint64_t, double> link_duplication_;
+  LinkRates default_rates_;
+  std::unordered_map<uint64_t, LinkRates> link_rates_;
 };
 
 }  // namespace sensjoin::sim

@@ -17,6 +17,30 @@ inline bool Tracing(const obs::Tracer* tracer) {
   return obs::kTracingCompiledIn && tracer != nullptr && tracer->enabled();
 }
 
+/// ARQ backoff: the wait before retransmission `a` (1-based) is
+/// kArqBackoffBaseS * kArqBackoffFactor^(a - 1) (exponential backoff).
+constexpr double kArqBackoffBaseS = 0.008;
+constexpr double kArqBackoffFactor = 2.0;
+
+/// Wire size of an acknowledgement frame (header-only packet).
+constexpr int kAckBytes = 8;
+
+/// Wire size of the per-fragment CRC-16 trailer.
+constexpr int kCrcBytes = 2;
+
+/// Fraction of undetected corruption events that truncate the payload
+/// instead of flipping bits (radios lose frame tails on late symbol-sync
+/// errors).
+constexpr double kTruncationFraction = 0.25;
+
+/// Upper bound of the seeded extra delay before a duplicate delivery: the
+/// duplicate arrives one message airtime plus a uniform draw from
+/// [0, kDuplicationDelayS] after the original.
+constexpr double kDuplicationDelayS = 0.012;
+
+/// Spacing of the re-deliveries ReleaseReplays schedules.
+constexpr double kReplayStaggerS = 0.002;
+
 }  // namespace
 
 Simulator::Simulator(Radio radio, PacketizationParams packets,
@@ -97,8 +121,7 @@ bool Simulator::SendUnicast(Message msg, bool* corrupted) {
   const bool crc_active =
       integrity_params_.crc_enabled && LossApplies(msg.kind);
   const size_t trailer_bytes =
-      crc_active ? static_cast<size_t>(fragments) * integrity_params_.crc_bytes
-                 : 0;
+      crc_active ? static_cast<size_t>(fragments) * kCrcBytes : 0;
   const size_t frame_bytes =
       msg.payload_bytes +
       static_cast<size_t>(fragments) * packet_params_.header_bytes +
@@ -107,10 +130,10 @@ bool Simulator::SendUnicast(Message msg, bool* corrupted) {
   const bool link_ok =
       alive(msg.dst) && radio_.LinkUp(msg.src, msg.dst) &&
       !(LossApplies(msg.kind) && radio_.OutageActive(msg.src, msg.dst));
-  const double loss =
-      LossApplies(msg.kind) ? radio_.LossRate(msg.src, msg.dst) : 0.0;
-  const double corrupt =
-      LossApplies(msg.kind) ? radio_.CorruptionRate(msg.src, msg.dst) : 0.0;
+  const LinkRates rates =
+      LossApplies(msg.kind) ? radio_.Rates(msg.src, msg.dst) : LinkRates{};
+  const double loss = rates.loss;
+  const double corrupt = rates.corruption;
 
   // Per-fragment link-layer simulation: one initial attempt and, with ARQ
   // enabled, up to max_retransmissions more with exponential backoff. An
@@ -141,8 +164,7 @@ bool Simulator::SendUnicast(Message msg, bool* corrupted) {
       if (a > 0) {
         ++retransmissions;
         if (prev_crc_reject) ++integrity_retransmissions;
-        backoff_s += arq_params_.backoff_base_s *
-                     std::pow(arq_params_.backoff_factor, a - 1);
+        backoff_s += kArqBackoffBaseS * std::pow(kArqBackoffFactor, a - 1);
       }
       prev_crc_reject = false;
       const bool frag_arrives =
@@ -202,10 +224,8 @@ bool Simulator::SendUnicast(Message msg, bool* corrupted) {
     totals_.duplicate_packets += arq_duplicate_fragments;
   }
   if (crc_active) {
-    const size_t tx_crc =
-        static_cast<size_t>(tx_fragments) * integrity_params_.crc_bytes;
-    const size_t rx_crc =
-        static_cast<size_t>(rx_fragments) * integrity_params_.crc_bytes;
+    const size_t tx_crc = static_cast<size_t>(tx_fragments) * kCrcBytes;
+    const size_t rx_crc = static_cast<size_t>(rx_fragments) * kCrcBytes;
     totals_.crc_bytes_sent += tx_crc;
     totals_.crc_energy_mj +=
         energy_model_.TxCost(0, tx_crc) + energy_model_.RxCost(0, rx_crc);
@@ -217,7 +237,7 @@ bool Simulator::SendUnicast(Message msg, bool* corrupted) {
     // Acks travel receiver -> sender; header-only frames, kept out of the
     // packet metric but charged in full (tx at the receiver, rx at the
     // sender).
-    ack_bytes = static_cast<size_t>(acks) * arq_params_.ack_bytes;
+    ack_bytes = static_cast<size_t>(acks) * kAckBytes;
     ack_tx = energy_model_.TxCost(acks, ack_bytes);
     ack_rx = energy_model_.RxCost(acks, ack_bytes);
     stats_[msg.dst].ack_packets_sent += acks;
@@ -300,18 +320,16 @@ bool Simulator::SendUnicast(Message msg, bool* corrupted) {
   // Duplication and jitter rolls come strictly after the per-fragment
   // loss/corruption/ack rolls above, and only for non-zero rates, so fault
   // plans without the new axes consume exactly the seed's RNG stream.
-  const double dup_rate =
-      LossApplies(msg.kind) ? radio_.DuplicationRate(msg.src, msg.dst) : 0.0;
-  const bool duplicated = dup_rate > 0.0 && fault_rng_.NextBool(dup_rate);
+  const bool duplicated =
+      rates.duplication > 0.0 && fault_rng_.NextBool(rates.duplication);
   SimTime dup_extra_s = 0.0;
   if (duplicated) {
     dup_extra_s = fragments * per_packet_latency_s_ +
-                  fault_rng_.UniformDouble(0.0, duplication_delay_s_);
+                  fault_rng_.UniformDouble(0.0, kDuplicationDelayS);
   }
   SimTime jitter_s = 0.0;
   if (delay_params_.enabled() && LossApplies(msg.kind)) {
-    jitter_s = fault_rng_.UniformDouble(delay_params_.min_jitter_s,
-                                        delay_params_.max_jitter_s);
+    jitter_s = fault_rng_.UniformDouble(0.0, delay_params_.max_jitter_s);
   }
   if (duplicated) {
     // The receiver hears — and the delivery path processes — the whole
@@ -395,8 +413,7 @@ int Simulator::ReleaseReplays() {
     const size_t frame_bytes =
         msg.payload_bytes +
         static_cast<size_t>(fragments) *
-            (packet_params_.header_bytes +
-             (crc_active ? integrity_params_.crc_bytes : 0));
+            (packet_params_.header_bytes + (crc_active ? kCrcBytes : 0));
     // The receiver's radio hears the stale frames again; the rx side is
     // charged and itemized. The sender pays nothing — these frames were
     // transmitted (and paid for) during the aborted attempt.
@@ -410,7 +427,7 @@ int Simulator::ReleaseReplays() {
                       frame_bytes, rx_cost);
     }
     ++released;
-    ScheduleDelivery(std::move(msg), released * replay_stagger_s_);
+    ScheduleDelivery(std::move(msg), released * kReplayStaggerS);
   }
   return released;
 }
@@ -431,8 +448,7 @@ int Simulator::Broadcast(Message msg, std::vector<NodeId>* delivered,
   const bool crc_active =
       integrity_params_.crc_enabled && LossApplies(bmsg.kind);
   const size_t trailer_bytes =
-      crc_active ? static_cast<size_t>(fragments) * integrity_params_.crc_bytes
-                 : 0;
+      crc_active ? static_cast<size_t>(fragments) * kCrcBytes : 0;
   const size_t frame_bytes =
       bmsg.payload_bytes +
       static_cast<size_t>(fragments) * packet_params_.header_bytes +
@@ -467,10 +483,10 @@ int Simulator::Broadcast(Message msg, std::vector<NodeId>* delivered,
     // Per-receiver loss and corruption rolls; broadcasts carry no acks, so
     // a receiver missing any fragment — including one its CRC check
     // rejects — misses the logical message.
-    const double loss =
-        LossApplies(bmsg.kind) ? radio_.LossRate(bmsg.src, nb) : 0.0;
-    const double corrupt =
-        LossApplies(bmsg.kind) ? radio_.CorruptionRate(bmsg.src, nb) : 0.0;
+    const LinkRates rates =
+        LossApplies(bmsg.kind) ? radio_.Rates(bmsg.src, nb) : LinkRates{};
+    const double loss = rates.loss;
+    const double corrupt = rates.corruption;
     int heard = fragments;    // frames physically received (rx cost)
     int accepted = fragments; // frames kept after the CRC check
     int frag_corruptions = 0;
@@ -500,7 +516,7 @@ int Simulator::Broadcast(Message msg, std::vector<NodeId>* delivered,
       const double rx_cost = AccountRx(nb, bmsg.kind, heard, rx_bytes);
       if (crc_active) {
         totals_.crc_energy_mj += energy_model_.RxCost(
-            0, static_cast<size_t>(heard) * integrity_params_.crc_bytes);
+            0, static_cast<size_t>(heard) * kCrcBytes);
       }
       if (Tracing(tracer_)) {
         tracer_->Record(obs::EventKind::kFragRx, events_.now(), nb, bmsg.src,
@@ -534,8 +550,7 @@ int Simulator::Broadcast(Message msg, std::vector<NodeId>* delivered,
     // acks.
     SimTime jitter_s = 0.0;
     if (delay_params_.enabled() && LossApplies(bmsg.kind)) {
-      jitter_s = fault_rng_.UniformDouble(delay_params_.min_jitter_s,
-                                          delay_params_.max_jitter_s);
+      jitter_s = fault_rng_.UniformDouble(0.0, delay_params_.max_jitter_s);
     }
     BroadcastRx* slot = broadcast_slots_.Create(BroadcastRx{shared, nb});
     events_.ScheduleAfter(delay + jitter_s, [this, slot]() {
@@ -556,7 +571,7 @@ BitWriter Simulator::DamagePayload(const BitWriter& payload) {
   const size_t bits = payload.size_bits();
   if (bits == 0) return BitWriter{};
   std::vector<uint8_t> bytes = payload.bytes();
-  if (fault_rng_.NextBool(integrity_params_.truncation_fraction)) {
+  if (fault_rng_.NextBool(kTruncationFraction)) {
     // Tail truncation: the radio lost symbol sync partway through.
     const size_t keep = static_cast<size_t>(
         fault_rng_.UniformInt(0, static_cast<int64_t>(bits) - 1));

@@ -129,24 +129,15 @@ class Simulator {
   /// loss rates and traffic are exactly reproducible.
   void SeedFaults(uint64_t seed) { fault_rng_ = Rng(seed); }
 
-  /// Upper bound of the seeded extra delay before a duplicate delivery
-  /// (FaultPlan::duplication_delay_s); the duplicate arrives one message
-  /// airtime plus a uniform draw from [0, this] after the original.
-  void set_duplication_delay_s(double s) { duplication_delay_s_ = s; }
-  double duplication_delay_s() const { return duplication_delay_s_; }
-
   /// Per-message delivery jitter (reordering); disabled by default so no
   /// extra randomness is drawn and delivery order matches the seed.
   void set_delay_params(const DelayParams& p) { delay_params_ = p; }
 
   /// Cross-attempt replay: with `enabled`, loss-eligible unicast deliveries
   /// are tracked in flight; NotifyAttemptAbort captures the pending ones
-  /// and ReleaseReplays re-delivers them (stale tags intact) spaced
-  /// `stagger_s` apart. Off by default — no tracking, no behavior change.
-  void set_replay_params(bool enabled, double stagger_s) {
-    replay_enabled_ = enabled;
-    replay_stagger_s_ = stagger_s;
-  }
+  /// and ReleaseReplays re-delivers them (stale tags intact) spaced a fixed
+  /// stagger apart. Off by default — no tracking, no behavior change.
+  void set_replay_enabled(bool enabled) { replay_enabled_ = enabled; }
 
   /// Captures every in-flight loss-eligible delivery (canceling its
   /// delivery event) into the replay buffer. Executors call this when an
@@ -249,10 +240,8 @@ class Simulator {
   Ledger totals_;
 
   // --- Delivery jitter / duplication / cross-attempt replay --------------
-  double duplication_delay_s_ = 0.012;
   DelayParams delay_params_;
   bool replay_enabled_ = false;
-  double replay_stagger_s_ = 0.002;
   /// In-flight unicast deliveries, keyed by a monotonically increasing id
   /// (std::map: capture order on abort must be deterministic).
   struct PendingDelivery {

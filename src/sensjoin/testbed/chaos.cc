@@ -123,13 +123,13 @@ ChaosSchedule MakeChaosSchedule(Testbed& testbed, const ChaosParams& params) {
 
   ChaosSchedule schedule;
   sim::FaultPlan& plan = schedule.plan;
-  plan.default_loss_rate = params.loss_rate;
-  plan.default_corruption_rate = params.corruption_rate;
+  plan.rates.loss = params.loss_rate;
+  plan.rates.corruption = params.corruption_rate;
   plan.arq.enabled = params.arq_enabled;
   plan.arq.max_retransmissions = params.arq_max_retransmissions;
   // Delivery-semantics axes are direct copies — no schedule randomness —
   // so all-defaults schedules stay draw-for-draw identical to old ones.
-  plan.default_duplication_rate = params.duplication_rate;
+  plan.rates.duplication = params.duplication_rate;
   plan.delay.max_jitter_s = params.max_jitter_s;
   plan.enable_replay = params.enable_replay;
   plan.seed = rng.NextUint64();  // drop-decision stream, forked from ours
@@ -188,10 +188,13 @@ ChaosSchedule MakeChaosSchedule(Testbed& testbed, const ChaosParams& params) {
     for (int i = 0; i < params.num_loss_bursts; ++i) {
       const sim::NodeId child = edge_children[rng.UniformInt(
           0, static_cast<int64_t>(edge_children.size()) - 1)];
-      sim::LinkLossOverride burst;
+      // An override replaces all three rates of its link: the burst keeps
+      // the ambient corruption and duplication and raises only the loss.
+      sim::LinkRatesOverride burst;
       burst.a = child;
       burst.b = tree.parent(child);
-      burst.loss_rate = params.burst_loss_rate;
+      burst.rates = plan.rates;
+      burst.rates.loss = params.burst_loss_rate;
       plan.link_overrides.push_back(burst);
     }
   }
@@ -435,6 +438,15 @@ std::string ChaosScheduleToJson(const ChaosParams& params,
     const sim::LinkOutageWindow& w = schedule.outages[i];
     os << (i ? "," : "") << "{\"a\":" << w.a << ",\"b\":" << w.b
        << ",\"down_at\":" << w.down_at << ",\"up_at\":" << w.up_at << "}";
+  }
+  // Every link override of a chaos plan is a drawn loss burst.
+  os << "],\"loss_bursts\":[";
+  for (size_t i = 0; i < schedule.plan.link_overrides.size(); ++i) {
+    const sim::LinkRatesOverride& o = schedule.plan.link_overrides[i];
+    os << (i ? "," : "") << "{\"a\":" << o.a << ",\"b\":" << o.b
+       << ",\"loss\":" << o.rates.loss
+       << ",\"corruption\":" << o.rates.corruption
+       << ",\"duplication\":" << o.rates.duplication << "}";
   }
   os << "],\"permanently_down\":[";
   for (size_t i = 0; i < schedule.permanently_down.size(); ++i) {

@@ -89,7 +89,9 @@ struct LivenessBounds {
 };
 
 /// A generated fault scenario: the installable FaultPlan plus the draws
-/// that produced it, for assertions and reporting.
+/// that produced it, for assertions and reporting. The drawn loss bursts
+/// are the plan's link_overrides: each keeps the ambient corruption and
+/// duplication rates and raises only the loss.
 struct ChaosSchedule {
   sim::FaultPlan plan;
 
@@ -158,9 +160,11 @@ std::string ExecutionFingerprint(const join::ExecutionReport& r,
                                  const obs::Tracer* tracer = nullptr);
 
 /// Serializes a schedule (the params that generated it plus the concrete
-/// draws) to a single JSON object — the reproducer format the chaos swarm
-/// dumps on first violation. Re-running the swarm binary with the same
-/// deployment and the embedded params regenerates the schedule exactly.
+/// draws: crashes, outages, loss-burst links with their rates, and the
+/// permanently-down nodes) to a single JSON object — the reproducer format
+/// the chaos swarm dumps on first violation. Re-running the swarm binary
+/// with the same deployment and the embedded params regenerates the
+/// schedule exactly.
 std::string ChaosScheduleToJson(const ChaosParams& params,
                                 const ChaosSchedule& schedule);
 

@@ -14,6 +14,7 @@
 #include "../bench/util/tracing.h"
 #include "../bench/util/workloads.h"
 #include "sensjoin/obs/export.h"
+#include "sensjoin/obs/trace.h"
 
 namespace sensjoin::bench {
 namespace {
@@ -110,15 +111,19 @@ TEST(CalibrationTest, FractionMatchesExecutorGroundTruth) {
 // ARQ with the CRC trailer on and then off, duplicated deliveries, and an
 // aborted attempt whose in-flight messages are replayed. Both exporters
 // must then carry every counter: the metrics capture as an equal gauge,
-// the trace cross-check JSON as a key.
+// the trace cross-check JSON as a key. With tracing compiled in, the run's
+// Chrome trace is written to SENSJOIN_LEDGER_TRACE with the cost report
+// embedded; the ledger_trace_cross_check ctest then recomputes every
+// counter the events determine with scripts/trace_summary.py.
 TEST(LedgerExportTest, EveryCounterReachesBothExporters) {
   sim::Simulator sim(sim::Radio({{0, 0}, {40, 0}}, 50.0));
+  obs::Tracer tracer;
+  sim.set_tracer(&tracer);
   sim.SeedFaults(7);
-  sim.radio().set_default_loss_rate(0.3);
-  sim.radio().set_default_corruption_rate(0.3);
-  sim.radio().set_default_duplication_rate(0.5);
+  sim.radio().set_default_rates(
+      {.loss = 0.3, .corruption = 0.3, .duplication = 0.5});
   sim.set_arq_params(sim::ArqParams{.enabled = true});
-  sim.set_replay_params(/*enabled=*/true, /*stagger_s=*/0.002);
+  sim.set_replay_enabled(true);
   const join::StatsSnapshot before(sim);
   auto send_every_kind = [&sim] {
     for (size_t k = 0; k < static_cast<size_t>(sim::MessageKind::kNumKinds);
@@ -158,6 +163,17 @@ TEST(LedgerExportTest, EveryCounterReachesBothExporters) {
               std::string::npos)
         << name;
   });
+
+  if (!obs::kTracingCompiledIn) return;
+  // No protocol phase is open, so every event belongs to phase "None".
+  ASSERT_EQ(tracer.buffer().dropped(), 0u);
+  obs::TraceExportOptions options;
+  options.extra_sections.emplace_back(
+      "crossCheck", "{\"phase_map\":{\"all\":[\"None\"]},\"all\":" + json +
+                        "}");
+  const Status status =
+      obs::WriteChromeTraceFile(tracer, SENSJOIN_LEDGER_TRACE, options);
+  EXPECT_TRUE(status.ok()) << status;
 }
 
 }  // namespace

@@ -51,9 +51,7 @@ TestbedParams SmallDeployment(uint64_t seed) {
 
 join::ProtocolConfig SelfHealingConfig() {
   join::ProtocolConfig config;
-  config.enable_tree_repair = true;
-  config.enable_graceful_degradation = true;
-  config.enable_phase_watchdog = true;
+  config.self_healing = true;
   return config;
 }
 
@@ -652,6 +650,43 @@ TEST(ChaosDeterminismTest, SameSeedReplaysAreByteIdentical) {
 
 TEST(ChaosDeterminismTest, DifferentSweepSeedsDiffer) {
   EXPECT_NE(RenderChaosSweep(2, 42), RenderChaosSweep(2, 43));
+}
+
+/// A loss burst raises only its link's loss. The override that installs it
+/// replaces all three of the link's rates, so it must carry the ambient
+/// corruption and duplication along: a burst that zeroed them would skip
+/// that link's duplication rolls and shift every later fault draw. The
+/// reproducer JSON lists every burst link the schedule drew.
+TEST(ChaosScheduleTest, LossBurstsKeepCorruptionAndDuplication) {
+  auto tb = Testbed::Create(SmallDeployment(5));
+  ASSERT_TRUE(tb.ok()) << tb.status();
+  ChaosParams params = SwarmParams(5);
+  params.corruption_rate = 0.03;
+  params.num_loss_bursts = 4;
+  const ChaosSchedule schedule = MakeChaosSchedule(**tb, params);
+  const std::vector<sim::LinkRatesOverride>& bursts =
+      schedule.plan.link_overrides;
+  ASSERT_EQ(bursts.size(), 4u);
+
+  const std::string json = ChaosScheduleToJson(params, schedule);
+  const size_t section = json.find("\"loss_bursts\":[");
+  ASSERT_NE(section, std::string::npos) << json;
+  const std::string listed =
+      json.substr(section, json.find(']', section) - section);
+  ApplyChaos(**tb, schedule);
+  for (const sim::LinkRatesOverride& burst : bursts) {
+    EXPECT_EQ(burst.rates.loss, params.burst_loss_rate);
+    const sim::LinkRates installed =
+        (*tb)->simulator().radio().Rates(burst.a, burst.b);
+    EXPECT_EQ(installed.loss, params.burst_loss_rate);
+    EXPECT_EQ(installed.corruption, params.corruption_rate);
+    EXPECT_EQ(installed.duplication, params.duplication_rate);
+    const std::string entry = "{\"a\":" + std::to_string(burst.a) +
+                              ",\"b\":" + std::to_string(burst.b) +
+                              ",\"loss\":";
+    EXPECT_NE(listed.find(entry), std::string::npos) << entry << " in "
+                                                     << listed;
+  }
 }
 
 /// The bit-identity contract behind "all off by default": on a fault-free

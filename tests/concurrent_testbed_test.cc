@@ -90,7 +90,7 @@ TEST(ConcurrentTestbedTest, ConcurrentSensAndExternalOnSeparateTestbeds) {
     SENSJOIN_RETURN_IF_ERROR(tb.status());
     if (ctx.trial % 2 == 0) {
       sim::FaultPlan plan;
-      plan.default_loss_rate = 0.05;
+      plan.rates.loss = 0.05;
       plan.arq.enabled = true;
       plan.seed = ctx.seed;
       (*tb)->InjectFaults(plan);

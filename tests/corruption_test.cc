@@ -34,7 +34,7 @@ sim::Message UnicastMsg(sim::NodeId src, sim::NodeId dst, size_t bytes,
 
 TEST(CorruptionTest, DetectedCorruptionFeedsArqLikeLoss) {
   sim::Simulator sim = MakeChain();
-  sim.radio().set_default_corruption_rate(0.4);
+  sim.radio().set_default_rates({.corruption = 0.4});
   sim.set_integrity_params(sim::IntegrityParams{});  // CRC on, 2 bytes
   sim::ArqParams arq;
   arq.enabled = true;
@@ -72,7 +72,7 @@ TEST(CorruptionTest, DetectedCorruptionFeedsArqLikeLoss) {
 
 TEST(CorruptionTest, CertainCorruptionWithCrcAndNoArqDropsTheMessage) {
   sim::Simulator sim = MakeChain();
-  sim.radio().set_default_corruption_rate(1.0);
+  sim.radio().set_default_rates({.corruption = 1.0});
   sim.set_integrity_params(sim::IntegrityParams{});
   bool corrupted = false;
   EXPECT_FALSE(sim.SendUnicast(UnicastMsg(0, 1, 10), &corrupted));
@@ -83,7 +83,7 @@ TEST(CorruptionTest, CertainCorruptionWithCrcAndNoArqDropsTheMessage) {
 
 TEST(CorruptionTest, WithoutCrcCorruptionArrivesUndetected) {
   sim::Simulator sim = MakeChain();
-  sim.radio().set_default_corruption_rate(1.0);
+  sim.radio().set_default_rates({.corruption = 1.0});
   sim::IntegrityParams integrity;
   integrity.crc_enabled = false;
   sim.set_integrity_params(integrity);
@@ -99,7 +99,7 @@ TEST(CorruptionTest, WithoutCrcCorruptionArrivesUndetected) {
 
 TEST(CorruptionTest, BeaconsAndQueryFloodsAreExempt) {
   sim::Simulator sim = MakeChain();
-  sim.radio().set_default_corruption_rate(1.0);
+  sim.radio().set_default_rates({.corruption = 1.0});
   sim.set_integrity_params(sim::IntegrityParams{});
   bool corrupted = true;
   EXPECT_TRUE(sim.SendUnicast(UnicastMsg(0, 1, 10, sim::MessageKind::kBeacon),
@@ -117,7 +117,7 @@ TEST(CorruptionTest, BeaconsAndQueryFloodsAreExempt) {
 TEST(CorruptionTest, BroadcastRollsCorruptionPerReceiver) {
   sim::Simulator sim = MakeChain();
   // Only the 1-2 link is dirty: node 0 always hears cleanly, node 2 never.
-  sim.radio().SetLinkCorruptionRate(1, 2, 1.0);
+  sim.radio().SetLinkRates(1, 2, {.corruption = 1.0});
   sim::IntegrityParams integrity;
   integrity.crc_enabled = false;
   sim.set_integrity_params(integrity);
@@ -183,7 +183,7 @@ join::ProtocolConfig FaultyConfig() {
 
 sim::FaultPlan CorruptPlan(double corruption_rate, uint64_t seed) {
   sim::FaultPlan plan;
-  plan.default_corruption_rate = corruption_rate;
+  plan.rates.corruption = corruption_rate;
   plan.arq.enabled = true;
   plan.arq.max_retransmissions = 6;
   plan.seed = seed;

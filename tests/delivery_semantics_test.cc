@@ -97,7 +97,7 @@ TEST(DeliverySemanticsTest, DuplicatedDeliveriesAreIdempotent) {
   ASSERT_TRUE(clean.ok()) << clean.status();
 
   sim::FaultPlan plan;
-  plan.default_duplication_rate = 1.0;
+  plan.rates.duplication = 1.0;
   auto doubled = RunWithPlan(101, &plan);
   ASSERT_TRUE(doubled.ok()) << doubled.status();
 
@@ -179,9 +179,7 @@ TEST(DeliverySemanticsTest, ComposedFaultsReorderObservably) {
   testbed::ApplyChaos(**tb, schedule);
 
   join::ProtocolConfig config;
-  config.enable_tree_repair = true;
-  config.enable_graceful_degradation = true;
-  config.enable_phase_watchdog = true;
+  config.self_healing = true;
   auto report = (*tb)->MakeSensJoin(config).Execute(*q, 0);
   ASSERT_TRUE(report.ok()) << report.status();
 
@@ -242,7 +240,7 @@ TEST(DeliverySemanticsTest, FivePercentDuplicationPlusJitterAcceptance) {
     ASSERT_TRUE(clean.ok()) << "seed " << seed << ": " << clean.status();
 
     sim::FaultPlan plan;
-    plan.default_duplication_rate = 0.05;
+    plan.rates.duplication = 0.05;
     plan.delay.max_jitter_s = 0.01;
     auto faulted = RunWithPlan(seed, &plan);
     ASSERT_TRUE(faulted.ok()) << "seed " << seed << ": " << faulted.status();

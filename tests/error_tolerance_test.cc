@@ -212,7 +212,7 @@ join::ProtocolConfig FaultyConfig() {
 
 sim::FaultPlan LossyPlan(double loss_rate, uint64_t seed) {
   sim::FaultPlan plan;
-  plan.default_loss_rate = loss_rate;
+  plan.rates.loss = loss_rate;
   plan.arq.enabled = true;
   plan.arq.max_retransmissions = 6;
   plan.seed = seed;

@@ -32,7 +32,7 @@ Message UnicastMsg(NodeId src, NodeId dst, size_t bytes,
 
 TEST(FaultInjectionTest, CertainLossWithoutArqDropsEveryMessage) {
   Simulator sim = MakeChain();
-  sim.radio().set_default_loss_rate(1.0);
+  sim.radio().set_default_rates({.loss = 1.0});
   EXPECT_FALSE(sim.SendUnicast(UnicastMsg(0, 1, 10)));
   // The sender still paid for the transmission; nothing arrived.
   EXPECT_EQ(sim.stats(0).packets_sent, 1u);
@@ -53,7 +53,7 @@ TEST(FaultInjectionTest, ZeroLossBehavesExactlyLikeTheSeed) {
 
 TEST(FaultInjectionTest, ArqRecoversLossAndItemizesRetransmissions) {
   Simulator sim = MakeChain();
-  sim.radio().set_default_loss_rate(0.4);
+  sim.radio().set_default_rates({.loss = 0.4});
   ArqParams arq;
   arq.enabled = true;
   arq.max_retransmissions = 6;
@@ -84,7 +84,7 @@ TEST(FaultInjectionTest, ArqRecoversLossAndItemizesRetransmissions) {
 
 TEST(FaultInjectionTest, ArqGivesUpAfterBoundedRetransmissions) {
   Simulator sim = MakeChain();
-  sim.radio().set_default_loss_rate(1.0);
+  sim.radio().set_default_rates({.loss = 1.0});
   ArqParams arq;
   arq.enabled = true;
   arq.max_retransmissions = 3;
@@ -98,7 +98,7 @@ TEST(FaultInjectionTest, ArqGivesUpAfterBoundedRetransmissions) {
 
 TEST(FaultInjectionTest, TreeMaintenanceAndQueryFloodsAreExemptFromLoss) {
   Simulator sim = MakeChain();
-  sim.radio().set_default_loss_rate(1.0);
+  sim.radio().set_default_rates({.loss = 1.0});
   EXPECT_TRUE(sim.SendUnicast(UnicastMsg(0, 1, 10, MessageKind::kBeacon)));
   EXPECT_TRUE(sim.SendUnicast(UnicastMsg(0, 1, 10, MessageKind::kQuery)));
   EXPECT_FALSE(sim.SendUnicast(UnicastMsg(0, 1, 10, MessageKind::kFinal)));
@@ -114,7 +114,7 @@ TEST(FaultInjectionTest, TreeMaintenanceAndQueryFloodsAreExemptFromLoss) {
 TEST(FaultInjectionTest, BroadcastRollsLossPerReceiver) {
   Simulator sim = MakeChain();
   // Only the 1-2 link is lossy: node 0 always receives, node 2 never.
-  sim.radio().SetLinkLossRate(1, 2, 1.0);
+  sim.radio().SetLinkRates(1, 2, {.loss = 1.0});
   std::vector<NodeId> reached;
   Message msg;
   msg.src = 1;
@@ -145,8 +145,8 @@ TEST(FaultInjectionTest, CrashAndRecoveryFireThroughTheEventQueue) {
 TEST(FaultInjectionTest, ApplyFaultPlanInstallsEverything) {
   Simulator sim = MakeChain();
   FaultPlan plan;
-  plan.default_loss_rate = 0.25;
-  plan.link_overrides.push_back({0, 1, 0.75});
+  plan.rates.loss = 0.25;
+  plan.link_overrides.push_back({0, 1, {.loss = 0.75}});
   plan.crash_events.push_back({2, 1.0, /*recover=*/false});
   plan.crash_events.push_back({2, 3.0, /*recover=*/true});
   plan.arq.enabled = true;
@@ -154,8 +154,8 @@ TEST(FaultInjectionTest, ApplyFaultPlanInstallsEverything) {
   plan.seed = 99;
   ApplyFaultPlan(sim, plan);
 
-  EXPECT_DOUBLE_EQ(sim.radio().LossRate(0, 1), 0.75);
-  EXPECT_DOUBLE_EQ(sim.radio().LossRate(1, 2), 0.25);
+  EXPECT_DOUBLE_EQ(sim.radio().Rates(0, 1).loss, 0.75);
+  EXPECT_DOUBLE_EQ(sim.radio().Rates(1, 2).loss, 0.25);
   EXPECT_TRUE(sim.arq_params().enabled);
   EXPECT_EQ(sim.arq_params().max_retransmissions, 5);
   sim.events().RunUntil(2.0);
@@ -167,7 +167,7 @@ TEST(FaultInjectionTest, ApplyFaultPlanInstallsEverything) {
 TEST(FaultInjectionTest, DropDecisionsAreDeterministicUnderASeed) {
   auto run = [](uint64_t seed) {
     Simulator sim = MakeChain();
-    sim.radio().set_default_loss_rate(0.3);
+    sim.radio().set_default_rates({.loss = 0.3});
     ArqParams arq;
     arq.enabled = true;
     sim.set_arq_params(arq);
@@ -185,7 +185,7 @@ TEST(FaultInjectionTest, DropDecisionsAreDeterministicUnderASeed) {
 TEST(FaultInjectionTest, LatencyIncludesBackoffForRetransmissions) {
   Simulator sim = MakeChain();
   sim.set_per_packet_latency_s(0.004);
-  sim.radio().set_default_loss_rate(0.6);
+  sim.radio().set_default_rates({.loss = 0.6});
   ArqParams arq;
   arq.enabled = true;
   arq.max_retransmissions = 8;

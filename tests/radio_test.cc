@@ -103,24 +103,42 @@ TEST(RadioTest, InvalidIdsAndSelfLinksAreIgnoredByFailAndRestore) {
   EXPECT_FALSE(radio.LinkUp(0, 1));
 }
 
-TEST(RadioTest, LossRatesDefaultOverrideAndClamp) {
+void ExpectRates(const LinkRates& got, double loss, double corruption,
+                 double duplication) {
+  EXPECT_DOUBLE_EQ(got.loss, loss);
+  EXPECT_DOUBLE_EQ(got.corruption, corruption);
+  EXPECT_DOUBLE_EQ(got.duplication, duplication);
+}
+
+TEST(RadioTest, LinkRatesDefaultOverrideAndClamp) {
   std::vector<Point> pos = {{0, 0}, {30, 0}, {60, 0}};
   Radio radio(pos, 50.0);
-  EXPECT_DOUBLE_EQ(radio.LossRate(0, 1), 0.0);
-  radio.set_default_loss_rate(0.1);
-  EXPECT_DOUBLE_EQ(radio.LossRate(0, 1), 0.1);
-  radio.SetLinkLossRate(1, 2, 0.5);
-  EXPECT_DOUBLE_EQ(radio.LossRate(1, 2), 0.5);
-  EXPECT_DOUBLE_EQ(radio.LossRate(2, 1), 0.5);  // symmetric
-  EXPECT_DOUBLE_EQ(radio.LossRate(0, 1), 0.1);  // others keep the default
-  radio.set_default_loss_rate(3.0);  // clamped to [0, 1]
-  EXPECT_DOUBLE_EQ(radio.LossRate(0, 1), 1.0);
-  radio.SetLinkLossRate(0, 1, -2.0);
-  EXPECT_DOUBLE_EQ(radio.LossRate(0, 1), 0.0);
-  // Invalid endpoints: setters ignored, getter reports no loss.
-  radio.SetLinkLossRate(-1, 5, 0.9);
-  EXPECT_DOUBLE_EQ(radio.LossRate(-1, 5), 0.0);
-  EXPECT_DOUBLE_EQ(radio.LossRate(1, 1), 0.0);
+  ExpectRates(radio.Rates(0, 1), 0.0, 0.0, 0.0);
+  radio.set_default_rates({.loss = 0.1, .corruption = 0.2, .duplication = 0.3});
+  ExpectRates(radio.Rates(0, 1), 0.1, 0.2, 0.3);
+  // An override replaces all three rates of its link, the ones it leaves at
+  // zero included.
+  radio.SetLinkRates(1, 2, {.loss = 0.5});
+  ExpectRates(radio.Rates(1, 2), 0.5, 0.0, 0.0);
+  ExpectRates(radio.Rates(2, 1), 0.5, 0.0, 0.0);  // symmetric
+  ExpectRates(radio.Rates(0, 1), 0.1, 0.2, 0.3);  // others keep the default
+  radio.SetLinkRates(2, 1, {.corruption = 0.4, .duplication = 0.6});
+  ExpectRates(radio.Rates(1, 2), 0.0, 0.4, 0.6);  // the later entry wins
+  // Each rate is clamped to [0, 1], in the default and in an override.
+  radio.set_default_rates(
+      {.loss = 3.0, .corruption = -1.0, .duplication = 2.0});
+  ExpectRates(radio.Rates(0, 2), 1.0, 0.0, 1.0);
+  radio.SetLinkRates(0, 1,
+                     {.loss = -2.0, .corruption = 7.0, .duplication = -0.5});
+  ExpectRates(radio.Rates(0, 1), 0.0, 1.0, 0.0);
+  // Invalid endpoints and self-links: setters ignored, getter reports all
+  // zero (not the default).
+  const LinkRates high{.loss = 0.9, .corruption = 0.9, .duplication = 0.9};
+  radio.SetLinkRates(-1, 5, high);
+  radio.SetLinkRates(1, 1, high);
+  ExpectRates(radio.Rates(-1, 5), 0.0, 0.0, 0.0);
+  ExpectRates(radio.Rates(1, 1), 0.0, 0.0, 0.0);
+  ExpectRates(radio.Rates(1, 3), 0.0, 0.0, 0.0);
 }
 
 TEST(RadioTest, ConnectivityDetection) {

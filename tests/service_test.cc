@@ -325,7 +325,7 @@ TEST(ServiceTest, OnlyNodesThatReceivedTheFilterShipTuples) {
   auto tb = testbed::Testbed::Create(SmallParams(5));
   ASSERT_TRUE(tb.ok());
   sim::FaultPlan plan;
-  plan.default_loss_rate = 0.3;
+  plan.rates.loss = 0.3;
   plan.arq.enabled = true;
   sim::ApplyFaultPlan((*tb)->simulator(), plan);
   obs::Tracer tracer;

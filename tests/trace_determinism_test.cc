@@ -31,7 +31,7 @@ constexpr const char* kQuery =
 
 sim::FaultPlan LossyPlan() {
   sim::FaultPlan plan;
-  plan.default_loss_rate = 0.05;
+  plan.rates.loss = 0.05;
   plan.arq.enabled = true;
   return plan;
 }

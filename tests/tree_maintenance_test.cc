@@ -208,7 +208,7 @@ TEST(TreeMaintenanceTest, RepairSurvivesTotalPacketLoss) {
   // loss-eligible kind would be dropped, and draws no fault randomness.
   sim::Simulator sim = MakeDiamond();
   RoutingTree tree = RoutingTree::Build(sim, 0);
-  sim.radio().set_default_loss_rate(1.0);
+  sim.radio().set_default_rates({.loss = 1.0});
   sim.ScheduleCrash(1, 0.5);
   sim.events().Run();
 
@@ -262,10 +262,7 @@ TEST(TreeMaintenanceTest, LaterRoundSucceedsAfterScheduledRecovery) {
   // Round 1 finds nobody (2 is down too); 2 reboots during the inter-round
   // wait and adopts the orphan in round 2.
   sim.ScheduleRecovery(2, sim.now() + 0.1);
-  TreeMaintenanceConfig config;
-  config.max_repair_rounds = 2;
-  config.round_wait_s = 0.2;
-  TreeMaintenance maintenance(sim, tree, config);
+  TreeMaintenance maintenance(sim, tree);
   EXPECT_TRUE(maintenance.Repair(3));
   EXPECT_EQ(tree.parent(3), 2);
   EXPECT_EQ(maintenance.stats().requests_broadcast, 2);
