@@ -66,8 +66,9 @@ bool SemiJoinAttempt(const data::NetworkData& data,
 
   // ---- Phase 2: broadcast A's join-attribute values over the network
   // (with arbitrary placements, relation B's nodes are everywhere).
-  net::FloodPayload(sim, tree.root(), a_values.size() * a_attr_bytes,
-                    sim::MessageKind::kFilter);
+  const std::vector<char> heard =
+      net::Flood(sim, tree.root(), a_values.size() * a_attr_bytes,
+                 sim::MessageKind::kFilter);
 
   // ---- Phase 3: B nodes with a partner ship complete tuples; A nodes
   // ship theirs unconditionally (the base needs them to build the result).
@@ -96,6 +97,17 @@ bool SemiJoinAttempt(const data::NetworkData& data,
   std::vector<char> b_has_partner(sim.num_nodes(), 0);
   for (size_t i = 0; i < b_side.size(); ++i) {
     b_has_partner[b_side[i]->node] = partnered[i];
+  }
+  // A B-only node the flood missed cannot test for a partner: it ships
+  // nothing, and its tuple is certified lost.
+  for (sim::NodeId u : tree.collection_order()) {
+    const ExecutorContext::NodeInfo& info = ctx.info(u);
+    if (heard[u] || !info.has_tuple || ctx.PassesTable(info.tuple, 0) ||
+        !ctx.PassesTable(info.tuple, 1)) {
+      continue;
+    }
+    b_has_partner[u] = 0;
+    if (!ladder.Degrade(u, {u})) return false;
   }
 
   ladder.ArmWatchdog();

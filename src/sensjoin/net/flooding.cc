@@ -9,63 +9,39 @@
 
 namespace sensjoin::net {
 
-Flooder::Flooder(sim::Simulator& sim)
-    : sim_(sim), suppressed_(sim.num_nodes(), 0) {}
-
-void Flooder::ResetSuppression() {
-  suppressed_.assign(sim_.num_nodes(), 0);
-}
-
-int Flooder::Flood(sim::NodeId root, size_t payload_bytes,
-                   sim::MessageKind kind) {
-  const int n = sim_.num_nodes();
+std::vector<char> Flood(sim::Simulator& sim, sim::NodeId root,
+                        size_t payload_bytes, sim::MessageKind kind) {
+  const int n = sim.num_nodes();
   SENSJOIN_CHECK(root >= 0 && root < n);
-  SENSJOIN_CHECK_EQ(suppressed_.size(), static_cast<size_t>(n));
   // Query floods are a protocol phase of their own on the trace timeline;
   // other flood kinds (app-level data) stay unattributed.
   std::optional<obs::ScopedPhase> span;
   if (kind == sim::MessageKind::kQuery) {
-    span.emplace(sim_.tracer(), sim_.events(), obs::Phase::kQueryDissemination);
+    span.emplace(sim.tracer(), sim.events(), obs::Phase::kQueryDissemination);
   }
-  // Reach is per call; suppression is the persistent per-node state.
+  // A node that heard the payload has also forwarded it.
   std::vector<char> reached(n, 0);
   reached[root] = 1;
-  suppressed_[root] = 1;
 
-  auto rebroadcast = [this, payload_bytes, kind](sim::NodeId who) {
+  auto rebroadcast = [&sim, payload_bytes, kind](sim::NodeId who) {
     sim::Message msg;
     msg.src = who;
     msg.kind = kind;
     msg.payload_bytes = payload_bytes;
-    sim_.Broadcast(std::move(msg));
+    sim.Broadcast(std::move(msg));
   };
 
-  auto previous = sim_.SetReceiveHandler(
+  auto previous = sim.SetReceiveHandler(
       [&](sim::NodeId receiver, const sim::Message& msg) {
-        if (msg.kind != kind) return;
+        if (msg.kind != kind || reached[receiver]) return;
         reached[receiver] = 1;
-        if (suppressed_[receiver]) return;
-        suppressed_[receiver] = 1;
         rebroadcast(receiver);
       });
 
   rebroadcast(root);
-  sim_.events().Run();
-  sim_.SetReceiveHandler(std::move(previous));
-
-  int count = 0;
-  for (char c : reached) count += c;
-  return count;
-}
-
-int FloodPayload(sim::Simulator& sim, sim::NodeId root, size_t payload_bytes,
-                 sim::MessageKind kind) {
-  Flooder flooder(sim);
-  return flooder.Flood(root, payload_bytes, kind);
-}
-
-int FloodQuery(sim::Simulator& sim, sim::NodeId root, size_t query_bytes) {
-  return FloodPayload(sim, root, query_bytes, sim::MessageKind::kQuery);
+  sim.events().Run();
+  sim.SetReceiveHandler(std::move(previous));
+  return reached;
 }
 
 }  // namespace sensjoin::net

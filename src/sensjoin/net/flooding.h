@@ -9,49 +9,15 @@
 
 namespace sensjoin::net {
 
-/// Broadcast flooding with persistent re-broadcast suppression, the way a
-/// deployed node would implement it: each node remembers that it already
-/// forwarded the current flood and stays quiet on further receipts.
-///
-/// The suppression memory deliberately outlives a single Flood call — that
-/// is the node-resident state — so a driver that re-floods (a query
-/// re-execution after an aborted attempt) MUST call ResetSuppression()
-/// first, exactly like a new query epoch resets the duplicate caches of
-/// real dissemination protocols (Trickle versions, Drip keys). Without the
-/// reset, a second flood dies at the first hop: every node still remembers
-/// the first flood, nobody rebroadcasts, and only the root's direct
-/// neighbors hear the payload.
-class Flooder {
- public:
-  /// `sim` must outlive the Flooder.
-  explicit Flooder(sim::Simulator& sim);
-
-  /// Disseminates a payload of `payload_bytes` from `root`: every
-  /// not-yet-suppressed node rebroadcasts once on first receipt, then
-  /// suppresses itself. Transmissions are accounted under `kind`. Returns
-  /// the number of nodes the payload reached in THIS call (including
-  /// `root`); suppressed nodes still count when a broadcast reaches them,
-  /// they just stay quiet.
-  int Flood(sim::NodeId root, size_t payload_bytes, sim::MessageKind kind);
-
-  /// Clears every node's suppression memory. Call between protocol
-  /// attempts: suppression exists to stop one flood from echoing forever,
-  /// not to mute the re-flood of a re-executed query.
-  void ResetSuppression();
-
- private:
-  sim::Simulator& sim_;
-  std::vector<char> suppressed_;  ///< per-node "already forwarded" memory
-};
-
-/// One-shot convenience wrapper: floods through a fresh Flooder (fresh
-/// suppression state), preserving the historical free-function behavior.
-int FloodPayload(sim::Simulator& sim, sim::NodeId root, size_t payload_bytes,
-                 sim::MessageKind kind);
-
-/// Query dissemination (Sec. III "Query Processing"): FloodPayload under
-/// MessageKind::kQuery.
-int FloodQuery(sim::Simulator& sim, sim::NodeId root, size_t query_bytes);
+/// Simple flooding of a payload of `payload_bytes` from `root`, accounted
+/// under `kind`: every node rebroadcasts once on its first receipt and
+/// stays quiet on further ones. Each call is a flood of its own; no
+/// suppression memory carries over from an earlier call. Returns one flag
+/// per node, 1 where the payload arrived (`root` included). Query floods
+/// (kQuery) are the protocol's dissemination phase (Sec. III "Query
+/// Processing") and get a trace span of their own.
+std::vector<char> Flood(sim::Simulator& sim, sim::NodeId root,
+                        size_t payload_bytes, sim::MessageKind kind);
 
 }  // namespace sensjoin::net
 

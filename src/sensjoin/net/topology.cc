@@ -5,25 +5,20 @@
 #include <utility>
 
 #include "sensjoin/common/logging.h"
-#include "sensjoin/sim/radio.h"
 
 namespace sensjoin::net {
 namespace {
 
-/// Marks every node reachable from `root` over the unit-disk graph. Uses
-/// the scratch-buffer neighbor API so connectivity checks work in on-demand
-/// (100k+ node) radio mode too.
+/// Marks every node reachable from `root` over the unit-disk graph.
 std::vector<char> ReachableFrom(const sim::Radio& radio, sim::NodeId root) {
   std::vector<char> seen(radio.num_nodes(), 0);
   std::queue<sim::NodeId> frontier;
-  std::vector<sim::NodeId> nbrs;
   frontier.push(root);
   seen[root] = 1;
   while (!frontier.empty()) {
     const sim::NodeId u = frontier.front();
     frontier.pop();
-    radio.Neighbors(u, nbrs);
-    for (sim::NodeId v : nbrs) {
+    for (sim::NodeId v : radio.Neighbors(u)) {
       if (!seen[v]) {
         seen[v] = 1;
         frontier.push(v);
@@ -35,8 +30,8 @@ std::vector<char> ReachableFrom(const sim::Radio& radio, sim::NodeId root) {
 
 }  // namespace
 
-StatusOr<Placement> GenerateConnectedPlacement(const PlacementParams& params,
-                                               Rng& rng) {
+StatusOr<ConnectedPlacement> GenerateConnectedPlacement(
+    const PlacementParams& params, Rng& rng) {
   if (params.num_nodes < 2) {
     return Status::InvalidArgument("placement needs at least two nodes");
   }
@@ -68,11 +63,7 @@ StatusOr<Placement> GenerateConnectedPlacement(const PlacementParams& params,
   // Iteratively resample nodes that cannot reach the base station; this
   // converges much faster than regenerating whole placements.
   for (int attempt = 0; attempt < params.max_attempts; ++attempt) {
-    // Materialization is skipped: the connectivity check only needs one
-    // BFS pass, so the grid-backed on-demand mode is both faster to build
-    // and far smaller at 100k+ nodes.
-    sim::Radio radio(placement.positions, params.range_m,
-                     sim::RadioOptions{.materialize_threshold = 0});
+    sim::Radio radio(placement.positions, params.range_m);
     std::vector<char> seen = ReachableFrom(radio, 0);
     int unreachable = 0;
     for (int i = 0; i < params.num_nodes; ++i) {
@@ -82,7 +73,9 @@ StatusOr<Placement> GenerateConnectedPlacement(const PlacementParams& params,
                                   rng.UniformDouble(0, params.area_height_m)};
       }
     }
-    if (unreachable == 0) return placement;
+    if (unreachable == 0) {
+      return ConnectedPlacement{std::move(placement), std::move(radio)};
+    }
   }
   return Status::ResourceExhausted(
       "could not generate a connected placement in " +

@@ -6,6 +6,7 @@
 #include "sensjoin/common/geometry.h"
 #include "sensjoin/common/rng.h"
 #include "sensjoin/common/statusor.h"
+#include "sensjoin/sim/radio.h"
 #include "sensjoin/sim/time.h"
 
 namespace sensjoin::net {
@@ -41,12 +42,21 @@ struct Placement {
   sim::NodeId base_station_id() const { return 0; }
 };
 
+/// A connected placement with the radio its connectivity check ran on: the
+/// deployment's one neighbor table, ready to move into a sim::Simulator.
+struct ConnectedPlacement {
+  Placement placement;
+  sim::Radio radio;
+};
+
 /// Generates a uniformly random placement whose unit-disk graph (at
-/// params.range_m) is connected to the base station. Returns an error if a
-/// connected placement cannot be found within params.max_attempts (e.g., the
-/// density is far too low).
-StatusOr<Placement> GenerateConnectedPlacement(const PlacementParams& params,
-                                               Rng& rng);
+/// params.range_m) is connected to the base station. Each attempt builds a
+/// radio over the current positions and resamples the nodes it cannot
+/// reach; the radio of the connected attempt is returned. Returns an error
+/// if a connected placement cannot be found within params.max_attempts
+/// (e.g., the density is far too low).
+StatusOr<ConnectedPlacement> GenerateConnectedPlacement(
+    const PlacementParams& params, Rng& rng);
 
 }  // namespace sensjoin::net
 

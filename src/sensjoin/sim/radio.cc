@@ -1,9 +1,8 @@
 #include "sensjoin/sim/radio.h"
 
 #include <algorithm>
-#include <cmath>
+#include <cstdint>
 #include <queue>
-#include <unordered_map>
 #include <utility>
 
 #include "sensjoin/common/logging.h"
@@ -11,70 +10,100 @@
 namespace sensjoin::sim {
 
 namespace {
-constexpr int64_t kCellHash = 1'000'003;
 
 LinkRates Clamped(const LinkRates& rates) {
   return LinkRates{std::clamp(rates.loss, 0.0, 1.0),
                    std::clamp(rates.corruption, 0.0, 1.0),
                    std::clamp(rates.duplication, 0.0, 1.0)};
 }
+
 }  // namespace
 
-Radio::Radio(std::vector<Point> positions, double range_m,
-             RadioOptions options)
+Radio::Radio(std::vector<Point> positions, double range_m)
     : positions_(std::move(positions)), range_m_(range_m) {
   SENSJOIN_CHECK_GT(range_m_, 0.0);
   const int n = num_nodes();
-  materialized_ = options.materialize_threshold < 0 ||
-                  n <= options.materialize_threshold;
-  // Grid-bucketed neighbor search: O(n) buckets of side `range_m`.
+  offsets_.assign(static_cast<size_t>(n) + 1, 0);
   if (n == 0) return;
-  grid_min_x_ = positions_[0].x;
-  grid_min_y_ = positions_[0].y;
+
+  // Grid cells of side range_m, numbered row by row. Columns start at 1 and
+  // a row holds one spare column on each side, so the three cells of a row
+  // around any occupied cell are one contiguous key range.
+  double min_x = positions_[0].x;
+  double min_y = positions_[0].y;
   for (const Point& p : positions_) {
-    grid_min_x_ = std::min(grid_min_x_, p.x);
-    grid_min_y_ = std::min(grid_min_y_, p.y);
+    min_x = std::min(min_x, p.x);
+    min_y = std::min(min_y, p.y);
   }
-  grid_.reserve(static_cast<size_t>(n));
+  auto column = [&](const Point& p) {
+    return 1 + static_cast<int64_t>((p.x - min_x) / range_m_);
+  };
+  int64_t max_column = 0;
+  for (const Point& p : positions_) {
+    max_column = std::max(max_column, column(p));
+  }
+  const int64_t row_width = max_column + 2;
+  // (cell key, node id), sorted: every cell is one run, rows in order.
+  std::vector<std::pair<int64_t, NodeId>> sorted(n);
   for (NodeId i = 0; i < n; ++i) {
-    grid_[CellKey(positions_[i])].push_back(i);
+    const Point& p = positions_[i];
+    const int64_t row = static_cast<int64_t>((p.y - min_y) / range_m_);
+    sorted[i] = {row * row_width + column(p), i};
   }
-  if (!materialized_) return;  // on-demand mode keeps the grid instead
-  neighbors_.resize(n);
-  for (NodeId i = 0; i < n; ++i) {
-    Neighbors(i, neighbors_[i]);
-  }
-  grid_.clear();
-}
+  std::sort(sorted.begin(), sorted.end());
 
-int64_t Radio::CellKey(const Point& p) const {
-  const int64_t cx = static_cast<int64_t>((p.x - grid_min_x_) / range_m_);
-  const int64_t cy = static_cast<int64_t>((p.y - grid_min_y_) / range_m_);
-  return cx * kCellHash + cy;
-}
-
-void Radio::Neighbors(NodeId id, std::vector<NodeId>& out) const {
-  out.clear();
-  if (materialized_ && grid_.empty()) {
-    const std::vector<NodeId>& list = neighbors_[id];
-    out.assign(list.begin(), list.end());
-    return;
-  }
-  const Point& p = positions_[id];
-  const int64_t cx = static_cast<int64_t>((p.x - grid_min_x_) / range_m_);
-  const int64_t cy = static_cast<int64_t>((p.y - grid_min_y_) / range_m_);
-  for (int64_t dx = -1; dx <= 1; ++dx) {
-    for (int64_t dy = -1; dy <= 1; ++dy) {
-      auto it = grid_.find((cx + dx) * kCellHash + (cy + dy));
-      if (it == grid_.end()) continue;
-      for (NodeId j : it->second) {
-        if (j != id && Distance(p, positions_[j]) <= range_m_) {
-          out.push_back(j);
-        }
+  // Fill cell by cell: the candidates of a cell are the three key ranges
+  // of the rows below, at and above it. Cells come in ascending key order,
+  // so each row's range only moves forward. Lists land in sorted order
+  // first and are scattered to node order below.
+  std::vector<NodeId> found;
+  found.reserve(static_cast<size_t>(n) * 16);
+  std::vector<uint32_t> found_start(static_cast<size_t>(n) + 1, 0);
+  size_t row_lo[3] = {0, 0, 0};
+  size_t row_hi[3] = {0, 0, 0};
+  for (size_t cs = 0; cs < sorted.size();) {
+    const int64_t key = sorted[cs].first;
+    size_t ce = cs;
+    while (ce < sorted.size() && sorted[ce].first == key) ++ce;
+    for (int r = 0; r < 3; ++r) {
+      const int64_t lo_key = key + (r - 1) * row_width - 1;
+      while (row_lo[r] < sorted.size() && sorted[row_lo[r]].first < lo_key) {
+        ++row_lo[r];
+      }
+      row_hi[r] = std::max(row_hi[r], row_lo[r]);
+      while (row_hi[r] < sorted.size() &&
+             sorted[row_hi[r]].first <= lo_key + 2) {
+        ++row_hi[r];
       }
     }
+    for (size_t s = cs; s < ce; ++s) {
+      const NodeId i = sorted[s].second;
+      const Point& p = positions_[i];
+      found_start[s] = static_cast<uint32_t>(found.size());
+      for (int r = 0; r < 3; ++r) {
+        for (size_t t = row_lo[r]; t < row_hi[r]; ++t) {
+          const NodeId j = sorted[t].second;
+          if (j != i && Distance(p, positions_[j]) <= range_m_) {
+            found.push_back(j);
+          }
+        }
+      }
+      offsets_[i + 1] = static_cast<uint32_t>(found.size() - found_start[s]);
+    }
+    cs = ce;
   }
-  std::sort(out.begin(), out.end());
+  found_start[n] = static_cast<uint32_t>(found.size());
+  SENSJOIN_CHECK_LE(found.size(), size_t{UINT32_MAX});
+
+  for (NodeId i = 0; i < n; ++i) offsets_[i + 1] += offsets_[i];
+  neighbor_ids_.resize(found.size());
+  for (size_t s = 0; s < sorted.size(); ++s) {
+    const NodeId i = sorted[s].second;
+    auto out = neighbor_ids_.begin() + offsets_[i];
+    std::copy(found.begin() + found_start[s],
+              found.begin() + found_start[s + 1], out);
+    std::sort(out, neighbor_ids_.begin() + offsets_[i + 1]);
+  }
 }
 
 uint64_t Radio::LinkKey(NodeId a, NodeId b) const {
@@ -84,14 +113,8 @@ uint64_t Radio::LinkKey(NodeId a, NodeId b) const {
 }
 
 bool Radio::InRange(NodeId a, NodeId b) const {
-  if (a == b) return false;
-  if (materialized_) {
-    // The neighbor list of `a` is exactly the sorted set of in-range nodes:
-    // a binary search replaces the sqrt of the distance computation.
-    const std::vector<NodeId>& list = neighbors_[a];
-    return std::binary_search(list.begin(), list.end(), b);
-  }
-  return Distance(positions_[a], positions_[b]) <= range_m_;
+  const std::span<const NodeId> list = Neighbors(a);
+  return std::binary_search(list.begin(), list.end(), b);
 }
 
 bool Radio::LinkUp(NodeId a, NodeId b) const {
@@ -143,21 +166,13 @@ bool Radio::IsConnected(NodeId root) const {
   if (n == 0) return true;
   std::vector<char> seen(n, 0);
   std::queue<NodeId> frontier;
-  std::vector<NodeId> scratch;
   frontier.push(root);
   seen[root] = 1;
   int count = 1;
   while (!frontier.empty()) {
     const NodeId u = frontier.front();
     frontier.pop();
-    const std::vector<NodeId>* nbrs;
-    if (materialized_) {
-      nbrs = &neighbors_[u];
-    } else {
-      Neighbors(u, scratch);
-      nbrs = &scratch;
-    }
-    for (NodeId v : *nbrs) {
+    for (NodeId v : Neighbors(u)) {
       if (!seen[v] && LinkUp(u, v)) {
         seen[v] = 1;
         ++count;

@@ -3,12 +3,12 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
 #include "sensjoin/common/geometry.h"
-#include "sensjoin/common/logging.h"
 #include "sensjoin/sim/time.h"
 
 namespace sensjoin::sim {
@@ -26,57 +26,39 @@ struct LinkRates {
   double duplication = 0.0;
 };
 
-/// Memory-layout knobs for the radio.
-struct RadioOptions {
-  /// Up to this many nodes the radio materializes per-node sorted adjacency
-  /// lists (fast repeated iteration, O(avg_degree * n) memory). Above it the
-  /// radio keeps only the spatial grid and answers neighbor queries on
-  /// demand — at 100k+ nodes the adjacency lists would dominate the
-  /// footprint. Negative means "always materialize".
-  int materialize_threshold = 32768;
-};
-
 /// The wireless medium: unit-disk connectivity with bidirectional links
 /// (the common setting the paper adopts, Sec. VI "General setting") plus
 /// dynamic per-link failures for error-tolerance experiments.
+///
+/// The static unit-disk graph is one CSR table (compressed sparse row),
+/// built once at construction: per-node offsets into one array of neighbor
+/// ids, each node's run ascending. It costs 4 B per node plus 4 B per
+/// directed link, so it serves every network size.
 class Radio {
  public:
-  /// Builds the adjacency from node `positions` and a fixed communication
-  /// `range_m` (paper default: 50 m).
-  Radio(std::vector<Point> positions, double range_m,
-        RadioOptions options = RadioOptions{});
+  /// Builds the neighbor table from node `positions` and a fixed
+  /// communication `range_m` (paper default: 50 m).
+  Radio(std::vector<Point> positions, double range_m);
 
   int num_nodes() const { return static_cast<int>(positions_.size()); }
   double range_m() const { return range_m_; }
   const Point& position(NodeId id) const { return positions_[id]; }
   const std::vector<Point>& positions() const { return positions_; }
 
-  /// True when per-node adjacency lists are materialized (node count at or
-  /// below RadioOptions::materialize_threshold).
-  bool materialized() const { return materialized_; }
-
-  /// Nodes within communication range of `id` (excluding failed links is the
-  /// caller's concern; this is the static neighborhood). Only valid in
-  /// materialized mode — callers that must work at any scale use the
-  /// scratch-buffer overload below.
-  const std::vector<NodeId>& Neighbors(NodeId id) const {
-    SENSJOIN_DCHECK(materialized_);
-    return neighbors_[id];
+  /// Nodes within communication range of `id`, ascending (excluding failed
+  /// links is the caller's concern; this is the static neighborhood). The
+  /// span stays valid for the radio's lifetime.
+  std::span<const NodeId> Neighbors(NodeId id) const {
+    return {neighbor_ids_.data() + offsets_[id],
+            neighbor_ids_.data() + offsets_[id + 1]};
   }
-
-  /// Fills `out` with the static neighborhood of `id`, ascending. Works in
-  /// both modes: materialized mode copies the precomputed list, on-demand
-  /// mode scans the 3x3 grid cells around the node. The two modes produce
-  /// identical output (regression-tested).
-  void Neighbors(NodeId id, std::vector<NodeId>& out) const;
 
   /// True if a and b are within range of each other and the link is not
   /// currently failed.
   bool LinkUp(NodeId a, NodeId b) const;
 
-  /// True if a and b are within range (ignoring failures). Materialized
-  /// mode binary-searches the sorted neighbor list (no sqrt); on-demand
-  /// mode falls back to the distance computation.
+  /// True if a and b are within range (ignoring failures): a binary search
+  /// in the neighbor list of `a`.
   bool InRange(NodeId a, NodeId b) const;
 
   /// Marks the (bidirectional) link between a and b as down / up again.
@@ -138,16 +120,13 @@ class Radio {
   bool ValidLink(NodeId a, NodeId b) const {
     return a != b && a >= 0 && b >= 0 && a < num_nodes() && b < num_nodes();
   }
-  int64_t CellKey(const Point& p) const;
 
   std::vector<Point> positions_;
   double range_m_;
-  bool materialized_ = true;
-  std::vector<std::vector<NodeId>> neighbors_;  ///< materialized mode only
-  /// On-demand mode: grid cells of side range_m, kept for neighbor scans.
-  std::unordered_map<int64_t, std::vector<NodeId>> grid_;
-  double grid_min_x_ = 0.0;
-  double grid_min_y_ = 0.0;
+  /// CSR adjacency: node i's neighbors are neighbor_ids_[offsets_[i] ..
+  /// offsets_[i + 1]), ascending; offsets_ has num_nodes() + 1 entries.
+  std::vector<uint32_t> offsets_;
+  std::vector<NodeId> neighbor_ids_;
   std::unordered_set<uint64_t> failed_links_;
   std::unordered_set<uint64_t> outage_links_;
   LinkObserver link_observer_;

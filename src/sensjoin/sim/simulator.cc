@@ -468,16 +468,7 @@ int Simulator::Broadcast(Message msg, std::vector<NodeId>* delivered,
   int trace_corrupted = 0;
   const SimTime delay = fragments * per_packet_latency_s_;
   int receivers = 0;
-  // Neighbor iteration works at any scale: materialized radios hand out the
-  // precomputed list, on-demand radios fill a scratch list from the grid.
-  const std::vector<NodeId>* nbrs;
-  if (radio_.materialized()) {
-    nbrs = &radio_.Neighbors(bmsg.src);
-  } else {
-    radio_.Neighbors(bmsg.src, nb_scratch_);
-    nbrs = &nb_scratch_;
-  }
-  for (NodeId nb : *nbrs) {
+  for (NodeId nb : radio_.Neighbors(bmsg.src)) {
     if (!alive(nb) || !radio_.LinkUp(bmsg.src, nb)) continue;
     if (LossApplies(bmsg.kind) && radio_.OutageActive(bmsg.src, nb)) continue;
     // Per-receiver loss and corruption rolls; broadcasts carry no acks, so

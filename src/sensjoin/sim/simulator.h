@@ -53,6 +53,8 @@ class Simulator {
   /// Called synchronously for every transmission (unicast or broadcast).
   using TraceSink = std::function<void(const TraceRecord&)>;
 
+  /// Takes over `radio` and its neighbor table: a deployment builds the
+  /// radio once (net::GenerateConnectedPlacement) and moves it in.
   Simulator(Radio radio, PacketizationParams packets = PacketizationParams{},
             EnergyModel energy = EnergyModel{});
 
@@ -230,8 +232,6 @@ class Simulator {
   ReceiveHandler receive_handler_;
   TraceSink trace_sink_;
   obs::Tracer* tracer_ = nullptr;
-  /// Neighbor scratch for broadcasts on an on-demand (grid-backed) radio.
-  std::vector<NodeId> nb_scratch_;
   double per_packet_latency_s_ = 0.004;
   ArqParams arq_params_;
   IntegrityParams integrity_params_{.crc_enabled = false};

@@ -1,6 +1,8 @@
 #include "sensjoin/testbed/testbed.h"
 
+#include <algorithm>
 #include <utility>
+#include <vector>
 
 #include "sensjoin/net/flooding.h"
 
@@ -10,12 +12,14 @@ StatusOr<std::unique_ptr<Testbed>> Testbed::Create(
     const TestbedParams& params) {
   Rng rng(params.seed);
   SENSJOIN_ASSIGN_OR_RETURN(
-      net::Placement placement,
+      net::ConnectedPlacement connected,
       net::GenerateConnectedPlacement(params.placement, rng));
+  net::Placement& placement = connected.placement;
 
+  // The simulator takes over the placement's radio: one neighbor table per
+  // deployment.
   auto simulator = std::make_unique<sim::Simulator>(
-      sim::Radio(placement.positions, params.placement.range_m),
-      params.packets, params.energy);
+      std::move(connected.radio), params.packets, params.energy);
 
   auto env = std::make_unique<data::NetworkData>(
       placement.positions, params.placement.area_width_m,
@@ -77,7 +81,6 @@ Testbed::Testbed(TestbedParams params, net::Placement placement,
       data_(std::move(data)),
       tree_(std::move(tree)),
       rng_(rng) {
-  flooder_.emplace(*sim_);
   // Environment quantization (Sec. V-B: 0.1 degC temperature steps, 1 m
   // coordinate steps; other sensors at sensible environment resolutions).
   quantization_.by_attr["x"] = {0.0, params_.placement.area_width_m, 1.0};
@@ -94,11 +97,9 @@ StatusOr<query::AnalyzedQuery> Testbed::ParseQuery(
 }
 
 int Testbed::DisseminateQuery(const query::AnalyzedQuery& q) {
-  // A re-disseminated query is a new epoch: suppression memory from the
-  // previous flood must not mute the re-flood.
-  flooder_->ResetSuppression();
-  return flooder_->Flood(tree_.root(), q.QueryWireBytes(),
-                         sim::MessageKind::kQuery);
+  const std::vector<char> reached = net::Flood(
+      *sim_, tree_.root(), q.QueryWireBytes(), sim::MessageKind::kQuery);
+  return static_cast<int>(std::count(reached.begin(), reached.end(), 1));
 }
 
 join::SensJoinExecutor Testbed::MakeSensJoin(join::ProtocolConfig config) {

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 
 #include "sensjoin/common/rng.h"
@@ -12,7 +11,6 @@
 #include "sensjoin/join/external_join.h"
 #include "sensjoin/join/quantizer.h"
 #include "sensjoin/join/sens_join.h"
-#include "sensjoin/net/flooding.h"
 #include "sensjoin/net/routing_tree.h"
 #include "sensjoin/net/topology.h"
 #include "sensjoin/query/query.h"
@@ -37,8 +35,10 @@ struct TestbedParams {
 /// data and the routing tree; hands out executors bound to them.
 class Testbed {
  public:
-  /// Builds the deployment: places nodes (retrying until connected), runs a
-  /// beaconing round to establish the routing tree, creates the fields.
+  /// Builds the deployment: places nodes (retrying until connected), moves
+  /// the placement's radio into the simulator (one neighbor table per
+  /// deployment), runs a beaconing round to establish the routing tree,
+  /// creates the fields.
   static StatusOr<std::unique_ptr<Testbed>> Create(const TestbedParams& params);
 
   sim::Simulator& simulator() { return *sim_; }
@@ -60,10 +60,9 @@ class Testbed {
   StatusOr<query::AnalyzedQuery> ParseQuery(const std::string& sql) const;
 
   /// Floods `q` from the base station (accounted under kQuery) as the real
-  /// system would before executing, through the deployment's persistent
-  /// Flooder. Each call starts a new dissemination epoch (the per-node
-  /// re-broadcast suppression is reset first), so a query re-flood after a
-  /// re-execution reaches the whole field again. Returns nodes reached.
+  /// system would before executing. Each call is a new dissemination epoch,
+  /// so a query re-flood after a re-execution reaches the whole field
+  /// again. Returns the number of nodes reached.
   int DisseminateQuery(const query::AnalyzedQuery& q);
 
   /// Executors bound to this deployment. The returned object references the
@@ -99,9 +98,6 @@ class Testbed {
   std::unique_ptr<data::NetworkData> data_;
   net::RoutingTree tree_;
   join::QuantizationConfig quantization_;
-  /// Node-resident flood-suppression state (see net::Flooder); engaged in
-  /// the constructor body once the simulator is in place.
-  std::optional<net::Flooder> flooder_;
   Rng rng_;
 };
 

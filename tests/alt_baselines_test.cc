@@ -1,6 +1,9 @@
 #include "sensjoin/join/alt_baselines.h"
 
 #include <algorithm>
+#include <set>
+#include <span>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -100,6 +103,80 @@ TEST(BaselineTest, SemiJoinRejectsThreeWayJoins) {
   auto report = semi.Execute(*q, 0);
   EXPECT_FALSE(report.ok());
   EXPECT_EQ(report.status().code(), StatusCode::kUnimplemented);
+}
+
+// With a selection on each side, a B-only node learns whether it has a
+// partner only from the flood of A's keys. A partnered B-only leaf whose
+// links drop every key broadcast until all its neighbors have rebroadcast
+// never hears the keys: it ships nothing and is certified lost, and without
+// self-healing the attempt aborts and the re-execution's flood reaches it.
+TEST(BaselineTest, SemiJoinCertifiesBNodesTheKeyFloodMissed) {
+  const char* split_query =
+      "SELECT A.hum, B.hum FROM sensors A, sensors B "
+      "WHERE A.x < 200 AND B.x >= 200 AND |A.temp - B.temp| < 0.5 ONCE";
+  for (const bool self_healing : {true, false}) {
+    SCOPED_TRACE(self_healing ? "self-healing" : "no self-healing");
+    auto tb = testbed::Testbed::Create(MediumParams(2));
+    ASSERT_TRUE(tb.ok());
+    auto q = (*tb)->ParseQuery(split_query);
+    ASSERT_TRUE(q.ok()) << q.status();
+    auto reference = (*tb)->MakeExternalJoin().Execute(*q, 0);
+    ASSERT_TRUE(reference.ok());
+    sim::Simulator& sim = (*tb)->simulator();
+    sim::Radio& radio = sim.radio();
+    const net::RoutingTree& tree = (*tb)->tree();
+
+    // A B-only leaf (x >= 200) in the result, out of the root's range.
+    sim::NodeId leaf = sim::kInvalidNode;
+    for (sim::NodeId u : reference->result.contributing_nodes) {
+      if (tree.IsLeaf(u) && (*tb)->placement().positions[u].x >= 200 &&
+          !radio.InRange(tree.root(), u)) {
+        leaf = u;
+        break;
+      }
+    }
+    ASSERT_NE(leaf, sim::kInvalidNode);
+
+    const std::span<const sim::NodeId> nbrs = radio.Neighbors(leaf);
+    std::set<sim::NodeId> yet_to_flood(nbrs.begin(), nbrs.end());
+    auto set_leaf_loss = [&](double loss) {
+      for (sim::NodeId nb : nbrs) radio.SetLinkRates(leaf, nb, {.loss = loss});
+    };
+    // The sink runs after a broadcast has rolled its receivers: the lossy
+    // window opens at the root's key broadcast (not a neighbor of the leaf)
+    // and closes after the last neighbor's.
+    sim.SetTraceSink([&](const sim::TraceRecord& rec) {
+      if (rec.kind != sim::MessageKind::kFilter || yet_to_flood.empty()) {
+        return;
+      }
+      set_leaf_loss(1.0);
+      yet_to_flood.erase(rec.src);
+      if (yet_to_flood.empty()) set_leaf_loss(0.0);
+    });
+
+    ProtocolConfig config;
+    config.self_healing = self_healing;
+    SemiJoinExecutor semi(sim, tree, (*tb)->data(), config);
+    auto report = semi.Execute(*q, 0);
+    ASSERT_TRUE(report.ok()) << report.status();
+    EXPECT_TRUE(yet_to_flood.empty());
+    const std::vector<sim::NodeId>& contributors =
+        report->result.contributing_nodes;
+    const bool leaf_in_result =
+        std::binary_search(contributors.begin(), contributors.end(), leaf);
+    if (self_healing) {
+      EXPECT_EQ(report->attempts, 1);
+      EXPECT_TRUE(report->certificate.degraded);
+      EXPECT_TRUE(report->certificate.IsExcluded(leaf));
+      EXPECT_FALSE(leaf_in_result);
+    } else {
+      EXPECT_EQ(report->attempts, 2);
+      EXPECT_FALSE(report->certificate.degraded);
+      EXPECT_TRUE(leaf_in_result);
+      EXPECT_EQ(report->result.matched_combinations,
+                reference->result.matched_combinations);
+    }
+  }
 }
 
 }  // namespace

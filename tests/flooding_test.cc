@@ -1,5 +1,7 @@
 #include "sensjoin/net/flooding.h"
 
+#include <algorithm>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -12,17 +14,28 @@
 namespace sensjoin::net {
 namespace {
 
-TEST(FloodingTest, ReachesAllConnectedNodesWithOneBroadcastEach) {
+int Reached(const std::vector<char>& reached) {
+  return static_cast<int>(std::count(reached.begin(), reached.end(), 1));
+}
+
+int QueryFloodReach(sim::Simulator& sim, size_t query_bytes) {
+  return Reached(Flood(sim, 0, query_bytes, sim::MessageKind::kQuery));
+}
+
+sim::Simulator RandomField(int num_nodes, double side_m) {
   Rng rng(4);
   PlacementParams params;
-  params.num_nodes = 200;
-  params.area_width_m = 400;
-  params.area_height_m = 400;
-  auto placement = GenerateConnectedPlacement(params, rng);
-  ASSERT_TRUE(placement.ok());
-  sim::Simulator sim{sim::Radio(placement->positions, params.range_m)};
-  const int reached = FloodQuery(sim, 0, 20);
-  EXPECT_EQ(reached, 200);
+  params.num_nodes = num_nodes;
+  params.area_width_m = side_m;
+  params.area_height_m = side_m;
+  auto connected = GenerateConnectedPlacement(params, rng);
+  EXPECT_TRUE(connected.ok()) << connected.status();
+  return sim::Simulator(std::move(connected->radio));
+}
+
+TEST(FloodingTest, ReachesAllConnectedNodesWithOneBroadcastEach) {
+  sim::Simulator sim = RandomField(200, 400);
+  EXPECT_EQ(QueryFloodReach(sim, 20), 200);
   // Simple flooding: every node rebroadcasts exactly once.
   EXPECT_EQ(sim.totals().packets(sim::MessageKind::kQuery), 200u);
   for (int i = 0; i < sim.num_nodes(); ++i) {
@@ -35,61 +48,24 @@ TEST(FloodingTest, ReachesAllConnectedNodesWithOneBroadcastEach) {
 TEST(FloodingTest, DisconnectedNodesAreNotReached) {
   std::vector<Point> pos = {{0, 0}, {40, 0}, {1000, 1000}};
   sim::Simulator sim{sim::Radio(pos, 50.0)};
-  EXPECT_EQ(FloodQuery(sim, 0, 10), 2);
+  EXPECT_EQ(Flood(sim, 0, 10, sim::MessageKind::kQuery),
+            (std::vector<char>{1, 1, 0}));
 }
 
 TEST(FloodingTest, LargeQueriesCostMultiplePacketsPerHop) {
   std::vector<Point> pos = {{0, 0}, {40, 0}};
   sim::Simulator sim{sim::Radio(pos, 50.0)};
-  FloodQuery(sim, 0, 100);  // 3 fragments at 40-byte capacity
+  QueryFloodReach(sim, 100);  // 3 fragments at 40-byte capacity
   EXPECT_EQ(sim.stats(0).packets_sent, 3u);
 }
 
-/// Regression for the re-flood bug: suppression state is node-resident, so
-/// a second flood through the same Flooder is smothered — only the root
-/// broadcasts (every other node believes it already forwarded this query)
-/// and just the root's direct neighbors hear anything. ResetSuppression is
-/// what arms the network for a fresh epoch.
-TEST(FloodingTest, RefloodWithoutResetIsSuppressed) {
-  Rng rng(4);
-  PlacementParams params;
-  params.num_nodes = 200;
-  params.area_width_m = 400;
-  params.area_height_m = 400;
-  auto placement = GenerateConnectedPlacement(params, rng);
-  ASSERT_TRUE(placement.ok());
-  sim::Simulator sim{sim::Radio(placement->positions, params.range_m)};
-  Flooder flooder(sim);
-
-  const int first = flooder.Flood(0, 20, sim::MessageKind::kQuery);
-  EXPECT_EQ(first, 200);
-
-  // No reset: nodes still remember forwarding, so the flood dies at the
-  // first hop — the root plus its direct neighbors.
-  const int stale = flooder.Flood(0, 20, sim::MessageKind::kQuery);
-  const int direct_neighbors =
-      static_cast<int>(sim.radio().Neighbors(0).size());
-  EXPECT_EQ(stale, 1 + direct_neighbors);
-  EXPECT_LT(stale, first);
-
-  // Reset re-arms every node; the same flooder reaches everyone again.
-  flooder.ResetSuppression();
-  EXPECT_EQ(flooder.Flood(0, 20, sim::MessageKind::kQuery), 200);
-}
-
-/// A fresh Flooder (what FloodPayload/FloodQuery construct per call) is
-/// never suppressed by earlier floods: historical free-function behavior.
-TEST(FloodingTest, FreshFlooderIsUnaffectedByEarlierFloods) {
-  Rng rng(4);
-  PlacementParams params;
-  params.num_nodes = 120;
-  params.area_width_m = 320;
-  params.area_height_m = 320;
-  auto placement = GenerateConnectedPlacement(params, rng);
-  ASSERT_TRUE(placement.ok());
-  sim::Simulator sim{sim::Radio(placement->positions, params.range_m)};
-  EXPECT_EQ(FloodQuery(sim, 0, 20), 120);
-  EXPECT_EQ(FloodQuery(sim, 0, 20), 120);
+/// Every call is a flood of its own: no suppression memory from an earlier
+/// flood mutes a re-flood (a query re-executed after an aborted attempt).
+TEST(FloodingTest, RefloodReachesEveryNodeAgain) {
+  sim::Simulator sim = RandomField(120, 320);
+  EXPECT_EQ(QueryFloodReach(sim, 20), 120);
+  EXPECT_EQ(QueryFloodReach(sim, 20), 120);
+  EXPECT_EQ(sim.totals().packets(sim::MessageKind::kQuery), 240u);
 }
 
 }  // namespace

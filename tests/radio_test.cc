@@ -1,6 +1,8 @@
 #include "sensjoin/sim/radio.h"
 
 #include <algorithm>
+#include <cmath>
+#include <span>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -11,14 +13,38 @@
 namespace sensjoin::sim {
 namespace {
 
+std::vector<NodeId> List(std::span<const NodeId> neighbors) {
+  return {neighbors.begin(), neighbors.end()};
+}
+
+std::vector<Point> RandomPositions(int n, double side, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<Point> pos;
+  pos.reserve(n);
+  for (int i = 0; i < n; ++i) {
+    pos.push_back({rng.UniformDouble(0, side), rng.UniformDouble(0, side)});
+  }
+  return pos;
+}
+
+/// The in-range nodes of `id`, ascending, by distance alone.
+std::vector<NodeId> BruteForceNeighbors(const std::vector<Point>& pos,
+                                        NodeId id, double range) {
+  std::vector<NodeId> out;
+  for (NodeId j = 0; j < static_cast<NodeId>(pos.size()); ++j) {
+    if (j != id && Distance(pos[id], pos[j]) <= range) out.push_back(j);
+  }
+  return out;
+}
+
 TEST(RadioTest, LineTopologyNeighbors) {
   // Nodes at x = 0, 40, 80, 120 with range 50: chain adjacency.
   std::vector<Point> pos = {{0, 0}, {40, 0}, {80, 0}, {120, 0}};
   Radio radio(pos, 50.0);
-  EXPECT_EQ(radio.Neighbors(0), (std::vector<NodeId>{1}));
-  EXPECT_EQ(radio.Neighbors(1), (std::vector<NodeId>{0, 2}));
-  EXPECT_EQ(radio.Neighbors(2), (std::vector<NodeId>{1, 3}));
-  EXPECT_EQ(radio.Neighbors(3), (std::vector<NodeId>{2}));
+  EXPECT_EQ(List(radio.Neighbors(0)), (std::vector<NodeId>{1}));
+  EXPECT_EQ(List(radio.Neighbors(1)), (std::vector<NodeId>{0, 2}));
+  EXPECT_EQ(List(radio.Neighbors(2)), (std::vector<NodeId>{1, 3}));
+  EXPECT_EQ(List(radio.Neighbors(3)), (std::vector<NodeId>{2}));
 }
 
 TEST(RadioTest, RangeBoundaryIsInclusive) {
@@ -29,21 +55,23 @@ TEST(RadioTest, RangeBoundaryIsInclusive) {
   EXPECT_FALSE(radio.InRange(0, 0));  // never own neighbor
 }
 
-TEST(RadioTest, AdjacencyMatchesBruteForce) {
-  Rng rng(17);
-  std::vector<Point> pos;
-  for (int i = 0; i < 300; ++i) {
-    pos.push_back({rng.UniformDouble(0, 500), rng.UniformDouble(0, 500)});
-  }
+TEST(RadioTest, NeighborsAndInRangeMatchBruteForceForEveryPair) {
+  std::vector<Point> pos = RandomPositions(300, 500.0, 17);
+  pos.push_back({0, 0});
+  pos.push_back({60, 0});  // exactly at range: the boundary is inclusive
   const double range = 60.0;
   Radio radio(pos, range);
-  for (int i = 0; i < 300; ++i) {
-    std::vector<NodeId> expected;
-    for (int j = 0; j < 300; ++j) {
-      if (i != j && Distance(pos[i], pos[j]) <= range) expected.push_back(j);
+  const NodeId n = radio.num_nodes();
+  for (NodeId a = 0; a < n; ++a) {
+    ASSERT_EQ(List(radio.Neighbors(a)), BruteForceNeighbors(pos, a, range))
+        << "node " << a;
+    for (NodeId b = 0; b < n; ++b) {
+      ASSERT_EQ(radio.InRange(a, b),
+                a != b && Distance(pos[a], pos[b]) <= range)
+          << "pair (" << a << ", " << b << ")";
     }
-    ASSERT_EQ(radio.Neighbors(i), expected) << "node " << i;
   }
+  EXPECT_TRUE(radio.InRange(n - 2, n - 1));
 }
 
 TEST(RadioTest, AdjacencyIsSymmetric) {
@@ -55,7 +83,7 @@ TEST(RadioTest, AdjacencyIsSymmetric) {
   Radio radio(pos, 50.0);
   for (int i = 0; i < 200; ++i) {
     for (NodeId j : radio.Neighbors(i)) {
-      const auto& back = radio.Neighbors(j);
+      const std::span<const NodeId> back = radio.Neighbors(j);
       EXPECT_TRUE(std::find(back.begin(), back.end(), i) != back.end());
     }
   }
@@ -153,80 +181,32 @@ TEST(RadioTest, ConnectivityDetection) {
   EXPECT_FALSE(radio2.IsConnected(0));
 }
 
-// --- Materialized vs on-demand mode agreement -----------------------------
-//
-// Above RadioOptions::materialize_threshold the radio stops building
-// adjacency lists and answers neighbor queries from the spatial grid. The
-// two modes must be observationally identical: same neighbor sets (same
-// ascending order) and same InRange answers for every pair — the
-// materialized mode's binary search and the on-demand mode's distance
-// computation are different code paths over the same geometry.
+// --- The CSR neighbor table ------------------------------------------------
 
-std::vector<Point> RandomPositions(int n, double side, uint64_t seed) {
-  Rng rng(seed);
-  std::vector<Point> pos;
-  pos.reserve(n);
-  for (int i = 0; i < n; ++i) {
-    pos.push_back({rng.UniformDouble(0, side), rng.UniformDouble(0, side)});
+// One table serves every size: a field above 32 768 nodes at the paper's
+// density (1500 nodes per 1050 m x 1050 m) gets the same lists as brute
+// force, laid out as one array in node order.
+TEST(RadioTest, LargeFieldTableMatchesBruteForce) {
+  const int n = 40000;
+  const double side = 1050.0 * std::sqrt(n / 1500.0);
+  const std::vector<Point> pos = RandomPositions(n, side, 91);
+  Radio radio(pos, 50.0);
+  ASSERT_EQ(radio.num_nodes(), n);
+  size_t entries = radio.Neighbors(0).size();
+  for (NodeId i = 1; i < n; ++i) {
+    // Offsets are monotone: each node's run starts where the previous ends.
+    const std::span<const NodeId> prev = radio.Neighbors(i - 1);
+    ASSERT_EQ(radio.Neighbors(i).data(), prev.data() + prev.size())
+        << "node " << i;
+    entries += radio.Neighbors(i).size();
   }
-  return pos;
-}
-
-TEST(RadioTest, MaterializedAndOnDemandNeighborsAgree) {
-  const std::vector<Point> pos = RandomPositions(300, 500.0, 77);
-  RadioOptions always;
-  always.materialize_threshold = -1;  // force adjacency lists
-  RadioOptions never;
-  never.materialize_threshold = 0;  // force grid-backed on-demand
-  Radio mat(pos, 50.0, always);
-  Radio grid(pos, 50.0, never);
-  ASSERT_TRUE(mat.materialized());
-  ASSERT_FALSE(grid.materialized());
-
-  std::vector<NodeId> from_mat, from_grid;
-  for (NodeId i = 0; i < mat.num_nodes(); ++i) {
-    mat.Neighbors(i, from_mat);
-    grid.Neighbors(i, from_grid);
-    ASSERT_EQ(from_mat, from_grid) << "node " << i;
-    // The scratch overload must also match the materialized reference list.
-    ASSERT_EQ(from_mat, mat.Neighbors(i)) << "node " << i;
+  // Average degree near the paper's pi * 50^2 * 1500 / 1050^2 ~ 10.7.
+  EXPECT_GT(entries, static_cast<size_t>(n) * 9);
+  EXPECT_LT(entries, static_cast<size_t>(n) * 12);
+  for (NodeId i = 0; i < n; i += 397) {
+    ASSERT_EQ(List(radio.Neighbors(i)), BruteForceNeighbors(pos, i, 50.0))
+        << "node " << i;
   }
-}
-
-TEST(RadioTest, MaterializedAndOnDemandInRangeAgree) {
-  // Includes exact-boundary pairs (distance == range) so the binary-search
-  // path and the distance path are tested on the inclusive edge too.
-  std::vector<Point> pos = RandomPositions(120, 300.0, 78);
-  pos.push_back({0, 0});
-  pos.push_back({50, 0});  // exactly at range
-  RadioOptions always;
-  always.materialize_threshold = -1;
-  RadioOptions never;
-  never.materialize_threshold = 0;
-  Radio mat(pos, 50.0, always);
-  Radio grid(pos, 50.0, never);
-  for (NodeId a = 0; a < mat.num_nodes(); ++a) {
-    for (NodeId b = 0; b < mat.num_nodes(); ++b) {
-      ASSERT_EQ(mat.InRange(a, b), grid.InRange(a, b))
-          << "pair (" << a << ", " << b << ")";
-    }
-  }
-  const NodeId x = static_cast<NodeId>(pos.size()) - 2;
-  EXPECT_TRUE(mat.InRange(x, x + 1));
-  EXPECT_TRUE(grid.InRange(x, x + 1));
-}
-
-TEST(RadioTest, OnDemandModeSupportsLinkFaults) {
-  std::vector<Point> pos = {{0, 0}, {40, 0}, {80, 0}};
-  RadioOptions never;
-  never.materialize_threshold = 0;
-  Radio radio(pos, 50.0, never);
-  EXPECT_TRUE(radio.LinkUp(0, 1));
-  radio.FailLink(0, 1);
-  EXPECT_FALSE(radio.LinkUp(0, 1));
-  EXPECT_TRUE(radio.InRange(0, 1));  // range ignores failures
-  radio.RestoreLink(0, 1);
-  EXPECT_TRUE(radio.LinkUp(0, 1));
 }
 
 }  // namespace

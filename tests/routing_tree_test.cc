@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <queue>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -39,8 +40,8 @@ sim::Simulator MakeRandomSim(uint64_t seed, int n = 300) {
   params.num_nodes = n;
   params.area_width_m = 500;
   params.area_height_m = 500;
-  auto placement = GenerateConnectedPlacement(params, rng);
-  return sim::Simulator(sim::Radio(placement->positions, params.range_m));
+  auto connected = GenerateConnectedPlacement(params, rng);
+  return sim::Simulator(std::move(connected->radio));
 }
 
 class RoutingTreeSeedTest : public ::testing::TestWithParam<uint64_t> {};

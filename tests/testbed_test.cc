@@ -1,5 +1,8 @@
 #include "sensjoin/testbed/testbed.h"
 
+#include <algorithm>
+#include <span>
+
 #include <gtest/gtest.h>
 
 namespace sensjoin::testbed {
@@ -38,6 +41,28 @@ TEST(TestbedTest, SameSeedIsFullyReproducible) {
     EXPECT_EQ((*tb1)->placement().positions[i], (*tb2)->placement().positions[i]);
     EXPECT_EQ((*tb1)->data().Sense(i, 0), (*tb2)->data().Sense(i, 0));
     EXPECT_EQ((*tb1)->tree().parent(i), (*tb2)->tree().parent(i));
+  }
+}
+
+// The simulator runs on the radio the placement's connectivity check built:
+// its neighbor table equals one built afresh from the final positions.
+TEST(TestbedTest, SimulatorRadioMatchesAFreshRadioOfThePlacement) {
+  TestbedParams params;
+  params.placement.num_nodes = 250;
+  params.placement.area_width_m = 430;
+  params.placement.area_height_m = 430;
+  auto tb = Testbed::Create(params);
+  ASSERT_TRUE(tb.ok()) << tb.status();
+  const sim::Radio& radio = (*tb)->simulator().radio();
+  const sim::Radio fresh((*tb)->placement().positions,
+                         params.placement.range_m);
+  ASSERT_EQ(radio.num_nodes(), fresh.num_nodes());
+  EXPECT_EQ(radio.positions(), (*tb)->placement().positions);
+  for (sim::NodeId u = 0; u < fresh.num_nodes(); ++u) {
+    const std::span<const sim::NodeId> got = radio.Neighbors(u);
+    const std::span<const sim::NodeId> want = fresh.Neighbors(u);
+    EXPECT_TRUE(std::equal(got.begin(), got.end(), want.begin(), want.end()))
+        << "node " << u;
   }
 }
 

@@ -14,11 +14,15 @@ TEST(TopologyTest, GeneratesConnectedPlacement) {
   params.num_nodes = 500;
   params.area_width_m = 600;
   params.area_height_m = 600;
-  auto placement = GenerateConnectedPlacement(params, rng);
-  ASSERT_TRUE(placement.ok()) << placement.status();
-  EXPECT_EQ(placement->positions.size(), 500u);
-  sim::Radio radio(placement->positions, params.range_m);
-  EXPECT_TRUE(radio.IsConnected(placement->base_station_id()));
+  auto connected = GenerateConnectedPlacement(params, rng);
+  ASSERT_TRUE(connected.ok()) << connected.status();
+  EXPECT_EQ(connected->placement.positions.size(), 500u);
+  // The returned radio is built over the final positions.
+  EXPECT_EQ(connected->radio.positions(), connected->placement.positions);
+  EXPECT_TRUE(connected->radio.IsConnected(
+      connected->placement.base_station_id()));
+  sim::Radio fresh(connected->placement.positions, params.range_m);
+  EXPECT_TRUE(fresh.IsConnected(connected->placement.base_station_id()));
 }
 
 TEST(TopologyTest, AllPositionsInsideArea) {
@@ -27,9 +31,9 @@ TEST(TopologyTest, AllPositionsInsideArea) {
   params.num_nodes = 300;
   params.area_width_m = 400;
   params.area_height_m = 250;
-  auto placement = GenerateConnectedPlacement(params, rng);
-  ASSERT_TRUE(placement.ok());
-  for (const Point& p : placement->positions) {
+  auto connected = GenerateConnectedPlacement(params, rng);
+  ASSERT_TRUE(connected.ok());
+  for (const Point& p : connected->placement.positions) {
     EXPECT_GE(p.x, 0.0);
     EXPECT_LE(p.x, params.area_width_m);
     EXPECT_GE(p.y, 0.0);
@@ -46,15 +50,15 @@ TEST(TopologyTest, BaseStationPlacementModes) {
   corner.base_station = BaseStationPlacement::kCorner;
   auto p1 = GenerateConnectedPlacement(corner, rng);
   ASSERT_TRUE(p1.ok());
-  EXPECT_EQ(p1->positions[0].x, 0.0);
-  EXPECT_EQ(p1->positions[0].y, 0.0);
+  EXPECT_EQ(p1->placement.positions[0].x, 0.0);
+  EXPECT_EQ(p1->placement.positions[0].y, 0.0);
 
   PlacementParams center = corner;
   center.base_station = BaseStationPlacement::kCenter;
   auto p2 = GenerateConnectedPlacement(center, rng);
   ASSERT_TRUE(p2.ok());
-  EXPECT_EQ(p2->positions[0].x, 150.0);
-  EXPECT_EQ(p2->positions[0].y, 150.0);
+  EXPECT_EQ(p2->placement.positions[0].x, 150.0);
+  EXPECT_EQ(p2->placement.positions[0].y, 150.0);
 }
 
 TEST(TopologyTest, SameSeedSamePlacement) {
@@ -67,7 +71,7 @@ TEST(TopologyTest, SameSeedSamePlacement) {
   auto p1 = GenerateConnectedPlacement(params, rng1);
   auto p2 = GenerateConnectedPlacement(params, rng2);
   ASSERT_TRUE(p1.ok() && p2.ok());
-  EXPECT_EQ(p1->positions, p2->positions);
+  EXPECT_EQ(p1->placement.positions, p2->placement.positions);
 }
 
 TEST(TopologyTest, RejectsInvalidParams) {
