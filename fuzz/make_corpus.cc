@@ -143,22 +143,23 @@ int main(int argc, char** argv) {
     const std::filesystem::path dir = root / "sequence_tag_fuzz";
     std::filesystem::create_directories(dir);
     int n = 0;
-    // Op-stream seeds in the fuzzer's framing: window byte, then op codes
-    // (op % 5: 0 attempt-bump, 1 stamp, 2 retract, 3 deliver-stamped,
-    // 4 forge). Each seed reaches a distinct verdict.
+    // Op-stream seeds in the fuzzer's framing: op codes (op % 5:
+    // 0 attempt-bump, 1 stamp, 2 retract, 3 deliver-stamped, 4 forge)
+    // and their operand bytes. Each seed reaches a distinct verdict.
     const std::vector<std::vector<uint8_t>> seeds = {
         // stamp two on one link, deliver both in order
-        {4, 1, 1, 2, 7, 1, 1, 2, 9, 3, 0, 3, 1},
+        {1, 1, 2, 7, 1, 1, 2, 9, 3, 0, 3, 1},
         // stamp two, deliver the later first (reordered), then replay both
-        {4, 1, 1, 2, 7, 1, 1, 2, 9, 3, 1, 3, 0, 3, 1, 3, 0},
-        // stamp, bump attempt, deliver the old stamp (stale via forge path)
-        {4, 1, 1, 2, 7, 0, 4, 1, 2, 3},
-        // tiny window: stamp enough to evict, then deliver an evictee
-        {1, 1, 1, 2, 0, 1, 1, 2, 1, 1, 1, 2, 2, 1, 1, 2, 3, 3, 0},
-        // retract then deliver (phantom on a link that stamped later seqs)
-        {4, 1, 1, 2, 7, 2, 0, 3, 0},
+        {1, 1, 2, 7, 1, 1, 2, 9, 3, 1, 3, 0, 3, 1, 3, 0},
+        // stamp, bump attempt, forge the old attempt id (stale)
+        {1, 1, 2, 7, 0, 4, 1, 2, 2},
+        // stamp three on one link, deliver the oldest (first delivery),
+        // the newest (reordered), then the middle one
+        {1, 1, 2, 0, 1, 1, 2, 1, 1, 1, 2, 2, 3, 0, 3, 2, 3, 1},
+        // retract then deliver (duplicate)
+        {1, 1, 2, 7, 2, 0, 3, 0},
         // forged tags: current attempt on a virgin link, wrong receiver
-        {4, 4, 1, 2, 1, 5, 4, 2, 3, 3, 5},
+        {4, 1, 2, 1, 5, 4, 2, 3, 3, 5},
     };
     for (const auto& s : seeds) {
       WriteSeed(dir, "seed" + std::to_string(n++), s);

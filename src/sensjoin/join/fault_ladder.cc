@@ -10,21 +10,6 @@
 namespace sensjoin::join {
 namespace {
 
-/// In-network repair for one attempt (config.self_healing); repair
-/// unicasts take part in the attempt's exactly-once validation.
-std::optional<net::TreeMaintenance> MakeMaintenance(
-    sim::Simulator& sim, net::RoutingTree& tree, const ProtocolConfig& config,
-    DeliveryGuard& guard) {
-  std::optional<net::TreeMaintenance> maintenance;
-  if (config.self_healing) {
-    net::TreeMaintenanceConfig mc;
-    mc.stamp = [&guard](sim::Message& m) { guard.Stamp(m); };
-    mc.retract = [&guard](const sim::Message& m) { guard.Retract(m); };
-    maintenance.emplace(sim, tree, mc);
-  }
-  return maintenance;
-}
-
 /// Installs a receive handler for its lifetime, then restores the previous
 /// one.
 class ScopedReceiveHandler {
@@ -55,15 +40,19 @@ std::vector<sim::NodeId> SortedUnique(std::vector<sim::NodeId> nodes) {
 }  // namespace
 
 FaultLadder::FaultLadder(sim::Simulator& sim, net::RoutingTree& tree,
-                         const ProtocolConfig& config, DeliveryGuard& guard,
-                         ExecutionReport& report, int recovery_budget)
+                         const ProtocolConfig& config,
+                         sim::DeliveryGuard& guard, ExecutionReport& report,
+                         int recovery_budget)
     : sim_(sim),
       tree_(tree),
       config_(config),
       guard_(guard),
       report_(report),
-      recovery_budget_(recovery_budget),
-      maintenance_(MakeMaintenance(sim, tree, config, guard)) {}
+      recovery_budget_(recovery_budget) {
+  // Rung 3; repair unicasts take part in the attempt's exactly-once
+  // validation.
+  if (config.self_healing) maintenance_.emplace(sim, tree, &guard);
+}
 
 bool FaultLadder::Send(sim::Message msg, bool* corrupted) {
   guard_.Stamp(msg);
@@ -214,12 +203,13 @@ StatusOr<ExecutionReport> RunAttempts(
   // at send time (the omniscient-driver model), so the handler's verdicts
   // drive counters and trace events, never protocol state — which is what
   // keeps fault-free runs bit-identical to the seed.
-  DeliveryGuard guard;
+  sim::DeliveryGuard guard;
   const ScopedReceiveHandler handler(
       sim, [&sim, &guard](sim::NodeId receiver, const sim::Message& msg) {
-        const DeliveryVerdict verdict = guard.Classify(receiver, msg);
-        if (verdict == DeliveryVerdict::kStale && obs::kTracingCompiledIn &&
-            sim.tracer() != nullptr && sim.tracer()->enabled()) {
+        const sim::DeliveryVerdict verdict = guard.Classify(receiver, msg);
+        if (verdict == sim::DeliveryVerdict::kStale &&
+            obs::kTracingCompiledIn && sim.tracer() != nullptr &&
+            sim.tracer()->enabled()) {
           sim.tracer()->Record(obs::EventKind::kStaleDrop, sim.now(),
                                receiver, msg.src, msg.kind, /*count=*/1,
                                /*bytes=*/0, /*energy_mj=*/0.0,
@@ -282,6 +272,8 @@ StatusOr<ExecutionReport> RunAttempts(
     }
     tree = net::RoutingTree::Build(sim, tree.root());
   }
+  SENSJOIN_CHECK_EQ(guard.phantom_deliveries(), 0u)
+      << "delivery validator saw a tag that was never stamped";
   return Status::ResourceExhausted(exhausted_message);
 }
 

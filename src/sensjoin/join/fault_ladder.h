@@ -9,12 +9,12 @@
 
 #include "sensjoin/common/statusor.h"
 #include "sensjoin/data/tuple.h"
-#include "sensjoin/join/delivery_guard.h"
 #include "sensjoin/join/execution_report.h"
 #include "sensjoin/join/protocol.h"
 #include "sensjoin/net/routing_tree.h"
 #include "sensjoin/net/tree_maintenance.h"
 #include "sensjoin/obs/trace.h"
+#include "sensjoin/sim/delivery_guard.h"
 #include "sensjoin/sim/simulator.h"
 
 namespace sensjoin::join {
@@ -50,12 +50,12 @@ class FaultLadder {
   /// repairs mutate it in place. `recovery_budget` bounds the recovery
   /// re-requests per failed hop (0 = none).
   FaultLadder(sim::Simulator& sim, net::RoutingTree& tree,
-              const ProtocolConfig& config, DeliveryGuard& guard,
+              const ProtocolConfig& config, sim::DeliveryGuard& guard,
               ExecutionReport& report, int recovery_budget);
 
   /// Stamped unicast with phase-level recovery. The message is stamped once
   /// before the first send; recovery resends keep the tag (the receiver's
-  /// dedup window makes a resend of a message that did arrive safe). A
+  /// guard drops a resend of a message that did arrive as a duplicate). A
   /// permanently failed send retracts its tag so the ordering check never
   /// waits on a delivery that cannot come. False = persistent failure.
   bool Send(sim::Message msg, bool* corrupted);
@@ -108,7 +108,7 @@ class FaultLadder {
   sim::Simulator& sim_;
   net::RoutingTree& tree_;
   const ProtocolConfig& config_;
-  DeliveryGuard& guard_;
+  sim::DeliveryGuard& guard_;
   ExecutionReport& report_;
   const int recovery_budget_;
   std::optional<net::TreeMaintenance> maintenance_;
@@ -125,10 +125,12 @@ using AttemptBody =
     std::function<StatusOr<bool>(FaultLadder& ladder, ExecutionReport* report)>;
 
 /// The attempt driver of every executor in join/ and of each continuous
-/// service epoch. Installs the exactly-once DeliveryGuard as the
+/// service epoch. Installs the exactly-once sim::DeliveryGuard as the
 /// simulator's receive handler for the whole call and runs `body` on a
-/// fresh FaultLadder per attempt. After each attempt it
-/// drains the event queue (capturing an aborted attempt's in-flight
+/// fresh FaultLadder per attempt. The guard only detects: its verdicts feed
+/// the report's counters and the trace, and a phantom tag (one never
+/// stamped) is a CHECK failure on success and exhaustion alike. After each
+/// attempt it drains the event queue (capturing an aborted attempt's in-flight
 /// deliveries for replay first); a successful attempt is certified and
 /// returned with the counters of the failed attempts folded in, `cost`
 /// covering it alone and `total_cost` the whole call. A failed attempt

@@ -106,8 +106,8 @@ Status DecodeRepairRequest(const uint8_t* bytes, size_t size_bits,
 }
 
 TreeMaintenance::TreeMaintenance(sim::Simulator& sim, RoutingTree& tree,
-                                 TreeMaintenanceConfig config)
-    : sim_(sim), tree_(tree), config_(std::move(config)) {}
+                                 sim::DeliveryGuard* guard)
+    : sim_(sim), tree_(tree), guard_(guard) {}
 
 bool TreeMaintenance::HasLiveRootPath(sim::NodeId id) const {
   if (!tree_.InTree(id)) return false;
@@ -207,9 +207,9 @@ bool TreeMaintenance::Repair(sim::NodeId orphan,
       reply.kind = sim::MessageKind::kRepair;
       reply.payload_bytes = kRepairReplyBytes;
       reply.content = RepairReply{nb, tree_.hop_count(nb)};
-      if (config_.stamp) config_.stamp(reply);
+      if (guard_ != nullptr) guard_->Stamp(reply);
       if (!sim_.SendUnicast(reply)) {
-        if (config_.retract) config_.retract(reply);
+        if (guard_ != nullptr) guard_->Retract(reply);
         continue;
       }
       ++stats_.candidate_replies;
@@ -237,9 +237,9 @@ bool TreeMaintenance::Repair(sim::NodeId orphan,
       notice.kind = sim::MessageKind::kRepair;
       notice.payload_bytes = kRepairRequestBytes;
       notice.content = req;
-      if (config_.stamp) config_.stamp(notice);
+      if (guard_ != nullptr) guard_->Stamp(notice);
       if (!sim_.SendUnicast(notice)) {
-        if (config_.retract) config_.retract(notice);
+        if (guard_ != nullptr) guard_->Retract(notice);
       }
 
       tree_.Reparent(orphan, best);

@@ -8,47 +8,11 @@
 #include "sensjoin/common/bit_stream.h"
 #include "sensjoin/common/status.h"
 #include "sensjoin/net/routing_tree.h"
+#include "sensjoin/sim/delivery_guard.h"
 #include "sensjoin/sim/simulator.h"
 #include "sensjoin/sim/time.h"
 
 namespace sensjoin::net {
-
-/// In-network repair of the collection tree, in the spirit of CTP route
-/// repair: when a node's parent dies (or the link to it stays dark past the
-/// ARQ budget), the orphan broadcasts a repair request, live neighbors with
-/// a working route to the root reply, and the orphan re-attaches its whole
-/// subtree under the best candidate — without the O(network) cost of a full
-/// beaconing round plus query re-execution.
-///
-/// Loop freedom: a candidate is admitted only if it lies outside the
-/// orphan's subtree and every node on its own path to the root is alive
-/// with up links. Outside-the-subtree means the candidate's root path
-/// cannot pass through the orphan (tree property), so adopting it can
-/// never close a cycle — two siblings orphaned by the same crashed parent
-/// in particular can never adopt each other, because each other's root
-/// paths run through the dead parent and fail the liveness check.
-///
-/// All repair traffic goes over the simulator as MessageKind::kRepair, so
-/// it is charged in the energy model and itemized in CostReport. Like
-/// beacons, kRepair is exempt from loss/corruption/outage (see
-/// Simulator::LossApplies): repair outcomes are deterministic and a run
-/// that never repairs draws zero fault randomness, keeping fault-free
-/// executions bit-identical.
-///
-/// An orphan broadcasts up to kMaxRepairRounds repair requests before
-/// giving up; between rounds it waits kRepairRoundWaitS of simulation time,
-/// letting scheduled recoveries (reboots, outage ends) change the
-/// neighborhood (both constants live in net/tree_maintenance.cc).
-struct TreeMaintenanceConfig {
-  /// Delivery-tag hooks (join/delivery_guard.h): when set, every repair
-  /// unicast (candidate reply, re-attach notice) is stamped with the
-  /// caller's (attempt, per-link sequence) tag before its first send and
-  /// retracted when the send permanently fails, so repair traffic
-  /// participates in the exactly-once validation without a net -> join
-  /// dependency. Unset hooks leave repair unicasts untagged (exempt).
-  std::function<void(sim::Message&)> stamp;
-  std::function<void(const sim::Message&)> retract;
-};
 
 /// Wire payload of the repair-request beacon an orphan broadcasts. The
 /// encoded form really crosses the (simulated) wire and is decoded by a
@@ -85,9 +49,42 @@ struct RepairStats {
   int candidate_replies = 0;
 };
 
-/// Drives repairs against one simulator + tree pair. The tree is mutated in
-/// place on success (RoutingTree::Reparent), so executor traversal state
-/// keyed by node id stays valid while orders and subtree sizes re-derive.
+/// In-network repair of the collection tree, in the spirit of CTP route
+/// repair: when a node's parent dies (or the link to it stays dark past the
+/// ARQ budget), the orphan broadcasts a repair request, live neighbors with
+/// a working route to the root reply, and the orphan re-attaches its whole
+/// subtree under the best candidate — without the O(network) cost of a full
+/// beaconing round plus query re-execution.
+///
+/// Loop freedom: a candidate is admitted only if it lies outside the
+/// orphan's subtree and every node on its own path to the root is alive
+/// with up links. Outside-the-subtree means the candidate's root path
+/// cannot pass through the orphan (tree property), so adopting it can
+/// never close a cycle — two siblings orphaned by the same crashed parent
+/// in particular can never adopt each other, because each other's root
+/// paths run through the dead parent and fail the liveness check.
+///
+/// All repair traffic goes over the simulator as MessageKind::kRepair, so
+/// it is charged in the energy model and itemized in CostReport. Like
+/// beacons, kRepair is exempt from loss/corruption/outage (see
+/// Simulator::LossApplies): repair outcomes are deterministic and a run
+/// that never repairs draws zero fault randomness, keeping fault-free
+/// executions bit-identical.
+///
+/// An orphan broadcasts up to kMaxRepairRounds repair requests before
+/// giving up; between rounds it waits kRepairRoundWaitS of simulation time,
+/// letting scheduled recoveries (reboots, outage ends) change the
+/// neighborhood (both constants live in net/tree_maintenance.cc).
+///
+/// Repair unicasts (candidate replies, re-attach notices) are stamped by
+/// the caller's sim::DeliveryGuard before their first send and retracted
+/// when the send permanently fails, so they take part in the attempt's
+/// exactly-once validation.
+///
+/// One instance drives repairs against one simulator + tree pair. The tree
+/// is mutated in place on success (RoutingTree::Reparent), so executor
+/// traversal state keyed by node id stays valid while orders and subtree
+/// sizes re-derive.
 class TreeMaintenance {
  public:
   /// Extra admission predicate on candidate parents; the join executor uses
@@ -95,8 +92,10 @@ class TreeMaintenance {
   /// An empty function admits every structurally valid candidate.
   using ParentAcceptable = std::function<bool(sim::NodeId)>;
 
+  /// `guard` must outlive the object; null leaves repair unicasts untagged
+  /// (exempt from the exactly-once validation).
   TreeMaintenance(sim::Simulator& sim, RoutingTree& tree,
-                  TreeMaintenanceConfig config = TreeMaintenanceConfig{});
+                  sim::DeliveryGuard* guard = nullptr);
 
   /// Attempts to re-attach `orphan` (and its whole subtree) under a live
   /// neighbor with a working route to the root. Runs up to
@@ -121,7 +120,7 @@ class TreeMaintenance {
 
   sim::Simulator& sim_;
   RoutingTree& tree_;
-  TreeMaintenanceConfig config_;
+  sim::DeliveryGuard* guard_;
   RepairStats stats_;
 };
 

@@ -1,46 +1,33 @@
-#include "sensjoin/join/delivery_guard.h"
+#include "sensjoin/sim/delivery_guard.h"
 
 #include <algorithm>
 
 #include "sensjoin/common/logging.h"
 
-namespace sensjoin::join {
-
-DeliveryGuard::DeliveryGuard(int dedup_window)
-    : dedup_window_(std::max(1, dedup_window)) {}
+namespace sensjoin::sim {
 
 void DeliveryGuard::BeginAttempt(uint32_t attempt_id) {
   attempt_id_ = attempt_id;
   links_.clear();
 }
 
-void DeliveryGuard::Stamp(sim::Message& msg) {
-  SENSJOIN_CHECK(msg.dst != sim::kInvalidNode)
+void DeliveryGuard::Stamp(Message& msg) {
+  SENSJOIN_CHECK(msg.dst != kInvalidNode)
       << "only unicasts carry delivery tags";
-  LinkState& link = links_[LinkKey(msg.src, msg.dst)];
+  std::vector<StampState>& stamps = links_[LinkKey(msg.src, msg.dst)];
   msg.tag.attempt_id = attempt_id_;
-  msg.tag.seq = link.next_seq++;
-  link.window.push_back(Entry{msg.tag.seq, false});
-  while (link.window.size() > static_cast<size_t>(dedup_window_)) {
-    link.window.pop_front();
-  }
+  msg.tag.seq = static_cast<uint32_t>(stamps.size());
+  stamps.push_back(StampState::kOutstanding);
 }
 
-void DeliveryGuard::Retract(const sim::Message& msg) {
+void DeliveryGuard::Retract(const Message& msg) {
   if (!msg.tag.tagged() || msg.tag.attempt_id != attempt_id_) return;
   auto it = links_.find(LinkKey(msg.src, msg.dst));
-  if (it == links_.end()) return;
-  std::deque<Entry>& window = it->second.window;
-  for (auto e = window.begin(); e != window.end(); ++e) {
-    if (e->seq == msg.tag.seq) {
-      window.erase(e);
-      return;
-    }
-  }
+  if (it == links_.end() || msg.tag.seq >= it->second.size()) return;
+  it->second[msg.tag.seq] = StampState::kRetracted;
 }
 
-DeliveryVerdict DeliveryGuard::Classify(sim::NodeId receiver,
-                                        const sim::Message& msg) {
+DeliveryVerdict DeliveryGuard::Classify(NodeId receiver, const Message& msg) {
   // Broadcast deliveries (msg.dst stays kInvalidNode) and untagged traffic
   // are outside the exactly-once contract: floods suppress duplicates by
   // their own state, beacons and repair requests are idempotent by
@@ -56,37 +43,21 @@ DeliveryVerdict DeliveryGuard::Classify(sim::NodeId receiver,
     return DeliveryVerdict::kStale;
   }
   auto it = links_.find(LinkKey(msg.src, msg.dst));
-  LinkState* link = it == links_.end() ? nullptr : &it->second;
-  Entry* entry = nullptr;
-  bool earlier_outstanding = false;
-  if (link != nullptr) {
-    for (Entry& e : link->window) {
-      if (e.seq == msg.tag.seq) {
-        entry = &e;
-        break;
-      }
-      if (e.seq < msg.tag.seq && !e.delivered) earlier_outstanding = true;
-    }
-  }
-  if (entry == nullptr) {
-    if (link != nullptr && msg.tag.seq < link->next_seq) {
-      // Stamped once, but evicted from the window (or retracted): the
-      // conservative idempotent answer is to drop it as a duplicate.
-      ++duplicates_;
-      return DeliveryVerdict::kDuplicate;
-    }
+  if (it == links_.end() || msg.tag.seq >= it->second.size()) {
     // A current-attempt tag that was never issued on this link: the medium
     // duplicates and delays, but never fabricates. Callers treat a nonzero
     // phantom count as a protocol bug.
     ++phantoms_;
     return DeliveryVerdict::kPhantom;
   }
-  if (entry->delivered) {
+  std::vector<StampState>& stamps = it->second;
+  const auto self = stamps.begin() + msg.tag.seq;
+  if (*self != StampState::kOutstanding) {
     ++duplicates_;
     return DeliveryVerdict::kDuplicate;
   }
-  entry->delivered = true;
-  if (earlier_outstanding) {
+  *self = StampState::kDelivered;
+  if (std::find(stamps.begin(), self, StampState::kOutstanding) != self) {
     // This arrival overtook an earlier stamped-but-undelivered sequence on
     // the same link (delay jitter): buffer it logically — the phase's
     // contribution state is keyed by sender, so holding it until the gap
@@ -97,4 +68,4 @@ DeliveryVerdict DeliveryGuard::Classify(sim::NodeId receiver,
   return DeliveryVerdict::kFirstDelivery;
 }
 
-}  // namespace sensjoin::join
+}  // namespace sensjoin::sim

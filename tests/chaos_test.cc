@@ -576,17 +576,32 @@ TEST(ChaosSoakTest, LeftoverReplaysOfExhaustedCallsAreStale) {
 // schedules with the default config, a call either gives up with
 // ResourceExhausted or returns a certified result that matches the ground
 // truth, a lost hop is survived by a tree rebuild and re-execution, and
-// the aborted attempt's replays are rejected as stale.
+// the aborted attempt's replays are rejected as stale. kQuery has no
+// B-only node, so the semi-join also runs a query whose B side (x >= 130)
+// is disjoint from its A side: a B-only node the flood missed must be
+// certified lost, or the certificate is not exact.
 TEST(ChaosSoakTest, SecIIBaselinesRetryOrFailCleanly) {
+  constexpr const char* kSplitQuery =
+      "SELECT A.hum, B.hum FROM sensors A, sensors B "
+      "WHERE A.x < 130 AND B.x >= 130 AND |A.temp - B.temp| < 0.5 ONCE";
+  struct Baseline {
+    const char* name;
+    bool mediated;
+    const char* query;
+  };
   const LivenessBounds liveness = SwarmLiveness();
-  for (const bool mediated : {false, true}) {
-    const char* name = mediated ? "mediated" : "semi-join";
+  for (const Baseline& baseline :
+       {Baseline{"semi-join", false, kQuery},
+        Baseline{"mediated", true, kQuery},
+        Baseline{"semi-join split", false, kSplitQuery}}) {
+    const char* name = baseline.name;
+    const bool mediated = baseline.mediated;
     size_t retried_successes = 0;
     size_t stale_messages_dropped = 0;
     for (uint64_t seed = 1; seed <= 30; ++seed) {
       auto tb = Testbed::Create(SmallDeployment(seed));
       ASSERT_TRUE(tb.ok()) << tb.status();
-      auto q = (*tb)->ParseQuery(kQuery);
+      auto q = (*tb)->ParseQuery(baseline.query);
       ASSERT_TRUE(q.ok()) << q.status();
       (*tb)->DisseminateQuery(*q);
       ApplyChaos(**tb, MakeChaosSchedule(**tb, SwarmParams(seed)));

@@ -10,13 +10,14 @@
 #include <cstring>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
-#include "sensjoin/join/delivery_guard.h"
 #include "sensjoin/join/protocol.h"
 #include "sensjoin/obs/trace.h"
 #include "sensjoin/sensjoin.h"
+#include "sensjoin/sim/delivery_guard.h"
 #include "sensjoin/testbed/chaos.h"
 
 namespace sensjoin {
@@ -113,9 +114,10 @@ TEST(DeliverySemanticsTest, DuplicatedDeliveriesAreIdempotent) {
 /// The reorder verdicts themselves, pinned at the validator level: a later
 /// sequence arriving while an earlier one is still in flight is flagged
 /// (and tolerated), the straggler then lands as a normal first delivery,
-/// and every re-delivery after that is a duplicate.
+/// and every re-delivery after that is a duplicate — on a link with two
+/// stamps in flight and on one with seventy.
 TEST(DeliverySemanticsTest, ReorderVerdictsFollowLinkSequence) {
-  join::DeliveryGuard guard;
+  sim::DeliveryGuard guard;
   guard.BeginAttempt(0);
   sim::Message first;
   first.src = 1;
@@ -127,18 +129,36 @@ TEST(DeliverySemanticsTest, ReorderVerdictsFollowLinkSequence) {
   guard.Stamp(second);
 
   // The later send overtakes the earlier one.
-  EXPECT_EQ(guard.Classify(2, second), join::DeliveryVerdict::kReordered);
-  EXPECT_EQ(guard.Classify(2, first), join::DeliveryVerdict::kFirstDelivery);
+  EXPECT_EQ(guard.Classify(2, second), sim::DeliveryVerdict::kReordered);
+  EXPECT_EQ(guard.Classify(2, first), sim::DeliveryVerdict::kFirstDelivery);
   // Any further copy of either is absorbed.
-  EXPECT_EQ(guard.Classify(2, second), join::DeliveryVerdict::kDuplicate);
-  EXPECT_EQ(guard.Classify(2, first), join::DeliveryVerdict::kDuplicate);
+  EXPECT_EQ(guard.Classify(2, second), sim::DeliveryVerdict::kDuplicate);
+  EXPECT_EQ(guard.Classify(2, first), sim::DeliveryVerdict::kDuplicate);
   EXPECT_EQ(guard.reordered_deliveries(), 1u);
   EXPECT_EQ(guard.duplicate_deliveries(), 2u);
 
   // A new attempt invalidates the old tags entirely.
   guard.BeginAttempt(1);
-  EXPECT_EQ(guard.Classify(2, first), join::DeliveryVerdict::kStale);
+  EXPECT_EQ(guard.Classify(2, first), sim::DeliveryVerdict::kStale);
   EXPECT_EQ(guard.stale_drops(), 1u);
+
+  // One link with 70 outstanding stamps: the verdicts follow the link's
+  // own stamp states however many are in flight.
+  std::vector<sim::Message> burst(70);
+  for (sim::Message& m : burst) {
+    m.src = 3;
+    m.dst = 4;
+    guard.Stamp(m);
+  }
+  EXPECT_EQ(guard.Classify(4, burst.back()), sim::DeliveryVerdict::kReordered);
+  EXPECT_EQ(guard.Classify(4, burst.front()),
+            sim::DeliveryVerdict::kFirstDelivery);
+  // A retracted stamp that arrives after all is absorbed.
+  guard.Retract(burst[1]);
+  EXPECT_EQ(guard.Classify(4, burst[1]), sim::DeliveryVerdict::kDuplicate);
+  EXPECT_EQ(guard.reordered_deliveries(), 2u);
+  EXPECT_EQ(guard.duplicate_deliveries(), 3u);
+  EXPECT_EQ(guard.phantom_deliveries(), 0u);
 }
 
 /// Reordering tolerance, delivery-level: jitter wide enough to let later
