@@ -1,7 +1,8 @@
 // Microbenchmarks (google-benchmark) for the simulator hot paths and the
 // parallel experiment engine: event-queue throughput (events/sec), radio
-// fragmentation throughput (fragments/sec), and whole experiment trials
-// per second at 1..N worker threads. The trials series feeds the tracked
+// fragmentation throughput (fragments/sec), the exactly-once guard's
+// stamp-and-classify rate (pairs/sec), and whole experiment trials per
+// second at 1..N worker threads. The trials series feeds the tracked
 // BENCH_runtime.json baseline; scripts/check_bench_speedup.py compares
 // the 1-thread and 4-thread rates on multi-core runners.
 
@@ -13,6 +14,7 @@
 
 #include "sensjoin/sensjoin.h"
 #include "sensjoin/sim/arena.h"
+#include "sensjoin/sim/delivery_guard.h"
 #include "sensjoin/sim/node.h"
 
 namespace sensjoin {
@@ -128,6 +130,34 @@ void BM_SimulatorUnicastFragments(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * fragments);
 }
 BENCHMARK(BM_SimulatorUnicastFragments);
+
+/// The exactly-once guard alone: per attempt, one stamp on each of the 50k
+/// child-to-parent links of a random tree, then one classification of
+/// each, as in a collection phase of a 50 000-node network. One guard per
+/// iteration serves several attempts, as it does per Execute. Reported rate
+/// is stamp-and-classify pairs per second.
+void BM_DeliveryGuard(benchmark::State& state) {
+  constexpr int kNodes = 50001;
+  constexpr uint32_t kAttempts = 4;
+  Rng rng(5);
+  std::vector<sim::Message> links(kNodes - 1);
+  for (int i = 1; i < kNodes; ++i) {
+    links[i - 1].src = i;
+    links[i - 1].dst = static_cast<sim::NodeId>(rng.UniformInt(0, i - 1));
+  }
+  for (auto _ : state) {
+    sim::DeliveryGuard guard(kNodes);
+    for (uint32_t attempt = 0; attempt < kAttempts; ++attempt) {
+      guard.BeginAttempt(attempt);
+      for (sim::Message& msg : links) guard.Stamp(msg);
+      for (const sim::Message& msg : links) {
+        benchmark::DoNotOptimize(guard.Classify(msg.dst, msg));
+      }
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * kAttempts * links.size());
+}
+BENCHMARK(BM_DeliveryGuard);
 
 /// Whole experiment trials (testbed build + SENS-Join execution) per
 /// second through the ParallelRunner at a fixed thread count. Real time,

@@ -144,23 +144,43 @@ int main(int argc, char** argv) {
     std::filesystem::create_directories(dir);
     int n = 0;
     // Op-stream seeds in the fuzzer's framing: op codes (op % 5:
-    // 0 attempt-bump, 1 stamp, 2 retract, 3 deliver-stamped, 4 forge)
-    // and their operand bytes. Each seed reaches a distinct verdict.
-    const std::vector<std::vector<uint8_t>> seeds = {
+    // 0 attempt-bump by op >> 4, 1 stamp, 2 retract, 3 deliver-stamped,
+    // 4 forge) and their operand bytes; node ids and stamped-message
+    // indices take two bytes, low byte first. Each seed reaches a distinct
+    // verdict.
+    std::vector<std::vector<uint8_t>> seeds = {
         // stamp two on one link, deliver both in order
-        {1, 1, 2, 7, 1, 1, 2, 9, 3, 0, 3, 1},
+        {1, 1, 0, 2, 0, 1, 1, 0, 2, 0, 3, 0, 0, 3, 1, 0},
         // stamp two, deliver the later first (reordered), then replay both
-        {1, 1, 2, 7, 1, 1, 2, 9, 3, 1, 3, 0, 3, 1, 3, 0},
-        // stamp, bump attempt, forge the old attempt id (stale)
-        {1, 1, 2, 7, 0, 4, 1, 2, 2},
+        {1, 1, 0, 2, 0, 1, 1, 0, 2, 0, 3, 1, 0, 3, 0, 0, 3, 1, 0, 3, 0, 0},
+        // stamp, bump the attempt, deliver the old stamp (stale)
+        {1, 1, 0, 2, 0, 20, 3, 0, 0},
         // stamp three on one link, deliver the oldest (first delivery),
         // the newest (reordered), then the middle one
-        {1, 1, 2, 0, 1, 1, 2, 1, 1, 1, 2, 2, 3, 0, 3, 2, 3, 1},
+        {1, 1, 0, 2, 0, 1, 1, 0, 2, 0, 1, 1, 0, 2, 0, 3, 0, 0, 3, 2, 0, 3,
+         1, 0},
         // retract then deliver (duplicate)
-        {1, 1, 2, 7, 2, 0, 3, 0},
-        // forged tags: current attempt on a virgin link, wrong receiver
-        {4, 1, 2, 1, 5, 4, 2, 3, 3, 5},
+        {1, 1, 0, 2, 0, 2, 0, 0, 3, 0, 0},
+        // forged tags: current attempt on a virgin link (phantom), then
+        // one heard by a node it was not sent to (untagged)
+        {4, 3, 1, 0, 5, 0, 4, 4, 1, 1, 0, 2, 0, 3, 3, 0},
+        // a stamp delivered to the wrong receiver, then a forged seq past
+        // the end of its link (phantom)
+        {1, 1, 0, 2, 0, 128, 0, 0, 9, 0, 4, 7, 0, 0, 5},
     };
+    // seventy stamps on one link, the last delivered first (reordered)
+    std::vector<uint8_t> burst;
+    for (int i = 0; i < 70; ++i) burst.insert(burst.end(), {1, 7, 0, 8, 0});
+    burst.insert(burst.end(), {3, 69, 0, 3, 0, 0});
+    seeds.push_back(burst);
+    // two stamps on one link, then enough other links that the table
+    // grows; the later stamp arrives first (reordered), then the earlier
+    std::vector<uint8_t> growth = {1, 1, 0, 2, 0, 1, 1, 0, 2, 0};
+    for (uint8_t i = 0; i < 24; ++i) {
+      growth.insert(growth.end(), {1, i, 1, static_cast<uint8_t>(i + 1), 1});
+    }
+    growth.insert(growth.end(), {3, 1, 0, 3, 0, 0});
+    seeds.push_back(growth);
     for (const auto& s : seeds) {
       WriteSeed(dir, "seed" + std::to_string(n++), s);
     }

@@ -203,7 +203,7 @@ StatusOr<ExecutionReport> RunAttempts(
   // at send time (the omniscient-driver model), so the handler's verdicts
   // drive counters and trace events, never protocol state — which is what
   // keeps fault-free runs bit-identical to the seed.
-  sim::DeliveryGuard guard;
+  sim::DeliveryGuard guard(sim.num_nodes());
   const ScopedReceiveHandler handler(
       sim, [&sim, &guard](sim::NodeId receiver, const sim::Message& msg) {
         const sim::DeliveryVerdict verdict = guard.Classify(receiver, msg);

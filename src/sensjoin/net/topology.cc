@@ -1,29 +1,33 @@
 #include "sensjoin/net/topology.h"
 
-#include <queue>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "sensjoin/common/logging.h"
 
 namespace sensjoin::net {
 namespace {
 
-/// Marks every node reachable from `root` over the unit-disk graph.
-std::vector<char> ReachableFrom(const sim::Radio& radio, sim::NodeId root) {
-  std::vector<char> seen(radio.num_nodes(), 0);
-  std::queue<sim::NodeId> frontier;
-  frontier.push(root);
+/// Marks every node reachable from `root` over the unit-disk graph of
+/// `positions` at `range_m` — the graph sim::Radio builds, with the same
+/// grid and distance test — without building the neighbor table.
+std::vector<char> ReachableFrom(const std::vector<Point>& positions,
+                                double range_m, sim::NodeId root) {
+  const sim::CellGrid grid(positions, range_m);
+  std::vector<char> seen(positions.size(), 0);
+  std::vector<sim::NodeId> frontier;
+  frontier.reserve(positions.size());
+  frontier.push_back(root);
   seen[root] = 1;
-  while (!frontier.empty()) {
-    const sim::NodeId u = frontier.front();
-    frontier.pop();
-    for (sim::NodeId v : radio.Neighbors(u)) {
-      if (!seen[v]) {
+  for (size_t head = 0; head < frontier.size(); ++head) {
+    const Point& p = positions[frontier[head]];
+    grid.ForEachNear(p, [&](sim::NodeId v, const Point& q) {
+      if (!seen[v] && Distance(p, q) <= range_m) {
         seen[v] = 1;
-        frontier.push(v);
+        frontier.push_back(v);
       }
-    }
+    });
   }
   return seen;
 }
@@ -63,8 +67,8 @@ StatusOr<ConnectedPlacement> GenerateConnectedPlacement(
   // Iteratively resample nodes that cannot reach the base station; this
   // converges much faster than regenerating whole placements.
   for (int attempt = 0; attempt < params.max_attempts; ++attempt) {
-    sim::Radio radio(placement.positions, params.range_m);
-    std::vector<char> seen = ReachableFrom(radio, 0);
+    const std::vector<char> seen =
+        ReachableFrom(placement.positions, params.range_m, 0);
     int unreachable = 0;
     for (int i = 0; i < params.num_nodes; ++i) {
       if (!seen[i]) {
@@ -74,6 +78,7 @@ StatusOr<ConnectedPlacement> GenerateConnectedPlacement(
       }
     }
     if (unreachable == 0) {
+      sim::Radio radio(placement.positions, params.range_m);
       return ConnectedPlacement{std::move(placement), std::move(radio)};
     }
   }

@@ -42,17 +42,18 @@ struct Placement {
   sim::NodeId base_station_id() const { return 0; }
 };
 
-/// A connected placement with the radio its connectivity check ran on: the
-/// deployment's one neighbor table, ready to move into a sim::Simulator.
+/// A connected placement with its radio, built over the final positions:
+/// the deployment's one neighbor table, ready to move into a sim::Simulator.
 struct ConnectedPlacement {
   Placement placement;
   sim::Radio radio;
 };
 
 /// Generates a uniformly random placement whose unit-disk graph (at
-/// params.range_m) is connected to the base station. Each attempt builds a
-/// radio over the current positions and resamples the nodes it cannot
-/// reach; the radio of the connected attempt is returned. Returns an error
+/// params.range_m) is connected to the base station. Each attempt searches
+/// the graph from the base station over a cell grid of the current
+/// positions and resamples the nodes it cannot reach; the radio is built
+/// once, over the connected positions, and returned. Returns an error
 /// if a connected placement cannot be found within params.max_attempts
 /// (e.g., the density is far too low).
 StatusOr<ConnectedPlacement> GenerateConnectedPlacement(

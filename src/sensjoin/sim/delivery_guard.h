@@ -2,7 +2,6 @@
 #define SENSJOIN_SIM_DELIVERY_GUARD_H_
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "sensjoin/sim/packet.h"
@@ -37,11 +36,21 @@ enum class DeliveryVerdict {
 /// of the phase has been resolved.
 ///
 /// Each link remembers the state of every sequence it stamped in the
-/// current attempt, indexed by seq, so a verdict never depends on how many
-/// stamps are outstanding. The guard draws no randomness and adds no wire
-/// bytes — stamping alone leaves fault-free runs bit-identical to the seed.
+/// current attempt, so a verdict never depends on how many stamps are
+/// outstanding. The guard draws no randomness and adds no wire bytes —
+/// stamping alone leaves fault-free runs bit-identical to the seed.
+///
+/// Storage is flat: one open-addressed table keyed by (src, dst) link over
+/// one arena of stamp records, each chained to its link's previous stamp.
+/// A slot belongs to the current attempt only if it carries the current
+/// generation, so BeginAttempt forgets every link by bumping a counter.
 class DeliveryGuard {
  public:
+  /// Sizes the link table for a network of `num_nodes` nodes, so that an
+  /// attempt stamping at most one link per node never regrows it. Any size
+  /// works; the table grows when it fills.
+  explicit DeliveryGuard(int num_nodes = 0);
+
   /// Starts (or restarts) an attempt: bumps the current attempt id and
   /// forgets every link's stamps — a new attempt re-sends everything under
   /// fresh sequences, and everything still flying from before is stale.
@@ -75,14 +84,41 @@ class DeliveryGuard {
  private:
   enum class StampState : uint8_t { kOutstanding, kDelivered, kRetracted };
 
+  static constexpr uint32_t kNoStamp = UINT32_MAX;
+
+  /// One stamp of the current attempt, in the arena.
+  struct StampRecord {
+    uint32_t prev;  ///< the link's previous stamp, or kNoStamp
+    uint32_t seq;
+    StampState state;
+  };
+
+  /// One link of the table; live only while generation == generation_.
+  struct LinkSlot {
+    uint64_t key = 0;
+    uint32_t generation = 0;
+    uint32_t last = kNoStamp;  ///< the link's newest stamp in the arena
+  };
+
   static uint64_t LinkKey(NodeId src, NodeId dst) {
     return (static_cast<uint64_t>(static_cast<uint32_t>(src)) << 32) |
            static_cast<uint32_t>(dst);
   }
 
+  /// The live slot of `key`, or the empty slot where it would go.
+  LinkSlot& Probe(uint64_t key);
+  /// The arena record of `tag.seq` on the link of `msg`, or nullptr if that
+  /// seq was never stamped there in the current attempt.
+  StampRecord* Find(const Message& msg);
+  /// Doubles the table, keeping the live slots.
+  void Grow();
+
   uint32_t attempt_id_ = 0;
-  /// Per link, the state of each stamp of the current attempt, by seq.
-  std::unordered_map<uint64_t, std::vector<StampState>> links_;
+  uint32_t generation_ = 1;
+  std::vector<LinkSlot> slots_;  ///< size is a power of two
+  uint32_t shift_ = 0;           ///< 64 - log2(slots_.size())
+  size_t live_links_ = 0;
+  std::vector<StampRecord> stamps_;
   uint64_t duplicates_ = 0;
   uint64_t stale_drops_ = 0;
   uint64_t reordered_ = 0;

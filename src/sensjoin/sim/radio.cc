@@ -19,106 +19,68 @@ LinkRates Clamped(const LinkRates& rates) {
 
 }  // namespace
 
+CellGrid::CellGrid(const std::vector<Point>& positions, double range_m) {
+  const size_t n = positions.size();
+  if (n == 0) return;
+  min_x_ = positions[0].x;
+  min_y_ = positions[0].y;
+  double max_x = min_x_;
+  double max_y = min_y_;
+  for (const Point& p : positions) {
+    min_x_ = std::min(min_x_, p.x);
+    min_y_ = std::min(min_y_, p.y);
+    max_x = std::max(max_x, p.x);
+    max_y = std::max(max_y, p.y);
+  }
+  // Wider cells only add candidates; the bound keeps start_ small. The
+  // side starts a hair over range_m so that rounding in the cell arithmetic
+  // cannot put two nodes within range_m two cells apart.
+  const double max_cells = 4.0 * static_cast<double>(n) + 16.0;
+  for (side_ = range_m * (1.0 + 1e-6);; side_ *= 2) {
+    columns_ = 1 + Column({max_x, min_y_});
+    rows_ = 1 + Row({min_x_, max_y});
+    if (static_cast<double>(columns_) * static_cast<double>(rows_) <=
+        max_cells) {
+      break;
+    }
+  }
+
+  // Counting sort by cell, stable, so each cell's ids stay ascending.
+  start_.assign(static_cast<size_t>(columns_ * rows_) + 1, 0);
+  std::vector<uint32_t> cell(n);
+  for (size_t i = 0; i < n; ++i) {
+    cell[i] = static_cast<uint32_t>(Row(positions[i]) * columns_ +
+                                    Column(positions[i]));
+    ++start_[cell[i] + 1];
+  }
+  for (size_t c = 1; c < start_.size(); ++c) start_[c] += start_[c - 1];
+  ids_.resize(n);
+  points_.resize(n);
+  std::vector<uint32_t> next(start_.begin(), start_.end() - 1);
+  for (size_t i = 0; i < n; ++i) {
+    const uint32_t at = next[cell[i]]++;
+    ids_[at] = static_cast<NodeId>(i);
+    points_[at] = positions[i];
+  }
+}
+
 Radio::Radio(std::vector<Point> positions, double range_m)
     : positions_(std::move(positions)), range_m_(range_m) {
   SENSJOIN_CHECK_GT(range_m_, 0.0);
   const int n = num_nodes();
   offsets_.assign(static_cast<size_t>(n) + 1, 0);
-  if (n == 0) return;
-
-  // Grid cells of side range_m, numbered row by row. Columns start at 1 and
-  // a row holds one spare column on each side, so the three cells of a row
-  // around any occupied cell are one contiguous key range.
-  double min_x = positions_[0].x;
-  double min_y = positions_[0].y;
-  for (const Point& p : positions_) {
-    min_x = std::min(min_x, p.x);
-    min_y = std::min(min_y, p.y);
-  }
-  auto column = [&](const Point& p) {
-    return 1 + static_cast<int64_t>((p.x - min_x) / range_m_);
-  };
-  int64_t max_column = 0;
-  for (const Point& p : positions_) {
-    max_column = std::max(max_column, column(p));
-  }
-  const int64_t row_width = max_column + 2;
-  // (cell key, node id), sorted: every cell is one run, rows in order.
-  std::vector<std::pair<int64_t, NodeId>> sorted(n);
+  const CellGrid grid(positions_, range_m_);
   for (NodeId i = 0; i < n; ++i) {
     const Point& p = positions_[i];
-    const int64_t row = static_cast<int64_t>((p.y - min_y) / range_m_);
-    sorted[i] = {row * row_width + column(p), i};
+    const size_t first = neighbor_ids_.size();
+    grid.ForEachNear(p, [&](NodeId j, const Point& q) {
+      if (j != i && Distance(p, q) <= range_m_) neighbor_ids_.push_back(j);
+    });
+    std::sort(neighbor_ids_.begin() + first, neighbor_ids_.end());
+    SENSJOIN_CHECK_LE(neighbor_ids_.size(), size_t{UINT32_MAX});
+    offsets_[i + 1] = static_cast<uint32_t>(neighbor_ids_.size());
   }
-  std::sort(sorted.begin(), sorted.end());
-
-  // Fill cell by cell: the candidates of a cell are the three key ranges
-  // of the rows below, at and above it. Cells come in ascending key order,
-  // so each row's range only moves forward. Lists land in sorted order
-  // first and are scattered to node order below.
-  std::vector<NodeId> found;
-  found.reserve(static_cast<size_t>(n) * 16);
-  std::vector<uint32_t> found_start(static_cast<size_t>(n) + 1, 0);
-  size_t row_lo[3] = {0, 0, 0};
-  size_t row_hi[3] = {0, 0, 0};
-  for (size_t cs = 0; cs < sorted.size();) {
-    const int64_t key = sorted[cs].first;
-    size_t ce = cs;
-    while (ce < sorted.size() && sorted[ce].first == key) ++ce;
-    for (int r = 0; r < 3; ++r) {
-      const int64_t lo_key = key + (r - 1) * row_width - 1;
-      while (row_lo[r] < sorted.size() && sorted[row_lo[r]].first < lo_key) {
-        ++row_lo[r];
-      }
-      row_hi[r] = std::max(row_hi[r], row_lo[r]);
-      while (row_hi[r] < sorted.size() &&
-             sorted[row_hi[r]].first <= lo_key + 2) {
-        ++row_hi[r];
-      }
-    }
-    for (size_t s = cs; s < ce; ++s) {
-      const NodeId i = sorted[s].second;
-      const Point& p = positions_[i];
-      found_start[s] = static_cast<uint32_t>(found.size());
-      for (int r = 0; r < 3; ++r) {
-        for (size_t t = row_lo[r]; t < row_hi[r]; ++t) {
-          const NodeId j = sorted[t].second;
-          if (j != i && Distance(p, positions_[j]) <= range_m_) {
-            found.push_back(j);
-          }
-        }
-      }
-      offsets_[i + 1] = static_cast<uint32_t>(found.size() - found_start[s]);
-    }
-    cs = ce;
-  }
-  found_start[n] = static_cast<uint32_t>(found.size());
-  SENSJOIN_CHECK_LE(found.size(), size_t{UINT32_MAX});
-
-  for (NodeId i = 0; i < n; ++i) offsets_[i + 1] += offsets_[i];
-  neighbor_ids_.resize(found.size());
-  for (size_t s = 0; s < sorted.size(); ++s) {
-    const NodeId i = sorted[s].second;
-    auto out = neighbor_ids_.begin() + offsets_[i];
-    std::copy(found.begin() + found_start[s],
-              found.begin() + found_start[s + 1], out);
-    std::sort(out, neighbor_ids_.begin() + offsets_[i + 1]);
-  }
-}
-
-uint64_t Radio::LinkKey(NodeId a, NodeId b) const {
-  if (a > b) std::swap(a, b);
-  return (static_cast<uint64_t>(static_cast<uint32_t>(a)) << 32) |
-         static_cast<uint32_t>(b);
-}
-
-bool Radio::InRange(NodeId a, NodeId b) const {
-  const std::span<const NodeId> list = Neighbors(a);
-  return std::binary_search(list.begin(), list.end(), b);
-}
-
-bool Radio::LinkUp(NodeId a, NodeId b) const {
-  return InRange(a, b) && failed_links_.find(LinkKey(a, b)) == failed_links_.end();
+  neighbor_ids_.shrink_to_fit();
 }
 
 void Radio::FailLink(NodeId a, NodeId b) {
@@ -173,7 +135,7 @@ bool Radio::IsConnected(NodeId root) const {
     const NodeId u = frontier.front();
     frontier.pop();
     for (NodeId v : Neighbors(u)) {
-      if (!seen[v] && LinkUp(u, v)) {
+      if (!seen[v] && !LinkFailed(u, v)) {
         seen[v] = 1;
         ++count;
         frontier.push(v);

@@ -1,11 +1,13 @@
 #ifndef SENSJOIN_SIM_RADIO_H_
 #define SENSJOIN_SIM_RADIO_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <span>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "sensjoin/common/geometry.h"
@@ -26,14 +28,61 @@ struct LinkRates {
   double duplication = 0.0;
 };
 
+/// Node positions bucketed by a grid of square cells, numbered row by row,
+/// whose side is at least `range_m`: every pair of nodes within range_m of
+/// each other lies in the same or adjacent cells. Cells widen past range_m
+/// only to keep the grid within a few cells per node, however far apart
+/// the positions lie. It finds the unit-disk graph's candidate pairs for
+/// the neighbor table and for placement connectivity checks.
+class CellGrid {
+ public:
+  CellGrid(const std::vector<Point>& positions, double range_m);
+
+  /// Calls f(id, position) for every node in the 3 x 3 cells around `p`,
+  /// which must lie within the positions' bounding box.
+  template <typename F>
+  void ForEachNear(const Point& p, F&& f) const {
+    const int64_t col = Column(p);
+    const int64_t row = Row(p);
+    const int64_t first_col = std::max<int64_t>(col - 1, 0);
+    const int64_t last_col = std::min(col + 1, columns_ - 1);
+    const int64_t last_row = std::min(row + 1, rows_ - 1);
+    for (int64_t r = std::max<int64_t>(row - 1, 0); r <= last_row; ++r) {
+      const uint32_t end = start_[r * columns_ + last_col + 1];
+      for (uint32_t t = start_[r * columns_ + first_col]; t < end; ++t) {
+        f(ids_[t], points_[t]);
+      }
+    }
+  }
+
+ private:
+  int64_t Column(const Point& p) const {
+    return static_cast<int64_t>((p.x - min_x_) / side_);
+  }
+  int64_t Row(const Point& p) const {
+    return static_cast<int64_t>((p.y - min_y_) / side_);
+  }
+
+  double min_x_ = 0.0;
+  double min_y_ = 0.0;
+  double side_ = 0.0;
+  int64_t columns_ = 0;
+  int64_t rows_ = 0;
+  /// Cell c holds ids_[start_[c] .. start_[c + 1]), ascending, with their
+  /// positions at the same indices of points_.
+  std::vector<uint32_t> start_;
+  std::vector<NodeId> ids_;
+  std::vector<Point> points_;
+};
+
 /// The wireless medium: unit-disk connectivity with bidirectional links
 /// (the common setting the paper adopts, Sec. VI "General setting") plus
 /// dynamic per-link failures for error-tolerance experiments.
 ///
 /// The static unit-disk graph is one CSR table (compressed sparse row),
-/// built once at construction: per-node offsets into one array of neighbor
-/// ids, each node's run ascending. It costs 4 B per node plus 4 B per
-/// directed link, so it serves every network size.
+/// built once at construction from a CellGrid: per-node offsets into one
+/// array of neighbor ids, each node's run ascending. It costs 4 B per node
+/// plus 4 B per directed link, so it serves every network size.
 class Radio {
  public:
   /// Builds the neighbor table from node `positions` and a fixed
@@ -55,11 +104,22 @@ class Radio {
 
   /// True if a and b are within range of each other and the link is not
   /// currently failed.
-  bool LinkUp(NodeId a, NodeId b) const;
+  bool LinkUp(NodeId a, NodeId b) const {
+    return InRange(a, b) && !LinkFailed(a, b);
+  }
 
-  /// True if a and b are within range (ignoring failures): a binary search
-  /// in the neighbor list of `a`.
-  bool InRange(NodeId a, NodeId b) const;
+  /// True if the link a-b is marked down by FailLink; a constant-time test
+  /// while no link has failed.
+  bool LinkFailed(NodeId a, NodeId b) const {
+    return !failed_links_.empty() && failed_links_.contains(LinkKey(a, b));
+  }
+
+  /// True if a and b are within range (ignoring failures): the predicate
+  /// the neighbor table is built from, so b is in Neighbors(a) exactly when
+  /// this holds.
+  bool InRange(NodeId a, NodeId b) const {
+    return a != b && Distance(positions_[a], positions_[b]) <= range_m_;
+  }
 
   /// Marks the (bidirectional) link between a and b as down / up again.
   /// Out-of-range node ids and self-links (a == b) are ignored.
@@ -116,7 +176,12 @@ class Radio {
   bool IsConnected(NodeId root) const;
 
  private:
-  uint64_t LinkKey(NodeId a, NodeId b) const;
+  /// One key per unordered pair: the smaller id in the high half.
+  static uint64_t LinkKey(NodeId a, NodeId b) {
+    if (a > b) std::swap(a, b);
+    return (static_cast<uint64_t>(static_cast<uint32_t>(a)) << 32) |
+           static_cast<uint32_t>(b);
+  }
   bool ValidLink(NodeId a, NodeId b) const {
     return a != b && a >= 0 && b >= 0 && a < num_nodes() && b < num_nodes();
   }

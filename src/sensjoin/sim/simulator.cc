@@ -469,7 +469,7 @@ int Simulator::Broadcast(Message msg, std::vector<NodeId>* delivered,
   const SimTime delay = fragments * per_packet_latency_s_;
   int receivers = 0;
   for (NodeId nb : radio_.Neighbors(bmsg.src)) {
-    if (!alive(nb) || !radio_.LinkUp(bmsg.src, nb)) continue;
+    if (!alive(nb) || radio_.LinkFailed(bmsg.src, nb)) continue;
     if (LossApplies(bmsg.kind) && radio_.OutageActive(bmsg.src, nb)) continue;
     // Per-receiver loss and corruption rolls; broadcasts carry no acks, so
     // a receiver missing any fragment — including one its CRC check

@@ -6,19 +6,24 @@
 // Also pins the bit-identity contract: with every delivery knob at its
 // default, installing an empty fault plan changes nothing at all.
 
+#include <array>
 #include <cstdint>
 #include <cstring>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "sensjoin/common/rng.h"
 #include "sensjoin/join/protocol.h"
 #include "sensjoin/obs/trace.h"
 #include "sensjoin/sensjoin.h"
 #include "sensjoin/sim/delivery_guard.h"
 #include "sensjoin/testbed/chaos.h"
+
+#include "delivery_guard_reference.h"
 
 namespace sensjoin {
 namespace {
@@ -159,6 +164,108 @@ TEST(DeliverySemanticsTest, ReorderVerdictsFollowLinkSequence) {
   EXPECT_EQ(guard.reordered_deliveries(), 2u);
   EXPECT_EQ(guard.duplicate_deliveries(), 3u);
   EXPECT_EQ(guard.phantom_deliveries(), 0u);
+}
+
+/// Seeded random streams of BeginAttempt / Stamp / Retract / Classify over
+/// thousands of links, so the flat table grows and its probes collide, with
+/// duplicates, stale and repeated attempt ids, forged tags, deliveries to
+/// the wrong receiver and a link holding more than 65 outstanding stamps:
+/// every tag, verdict and counter equals the reference model's.
+TEST(DeliverySemanticsTest, GuardMatchesReferenceModelOnRandomStreams) {
+  constexpr int kNodes = 4000;
+  constexpr int kOpsPerAttempt = 40000;
+  std::array<int, 6> verdicts{};
+  size_t most_links = 0;
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    Rng rng(seed);
+    // Half the streams start from the smallest table, half sized up front.
+    sim::DeliveryGuard guard(seed % 2 == 0 ? 0 : kNodes);
+    sim::ReferenceGuard reference;
+    std::vector<sim::Message> current;  // stamped in the current attempt
+    std::vector<sim::Message> earlier;  // stamped in earlier attempts
+    uint32_t attempt_id = 0;
+    auto node = [&rng] {
+      return static_cast<sim::NodeId>(rng.UniformInt(0, kNodes - 1));
+    };
+    auto classify = [&](sim::NodeId receiver, const sim::Message& msg) {
+      const sim::DeliveryVerdict expected =
+          reference.Classify(receiver, msg);
+      ASSERT_EQ(guard.Classify(receiver, msg), expected)
+          << "seed " << seed << " link " << msg.src << "->" << msg.dst
+          << " tag (" << msg.tag.attempt_id << ", " << msg.tag.seq << ")";
+      ++verdicts[static_cast<int>(expected)];
+      ASSERT_EQ(sim::CountersOf(guard), reference.counters);
+    };
+    auto stamp = [&](sim::NodeId src, sim::NodeId dst) {
+      sim::Message msg;
+      msg.src = src;
+      msg.dst = dst;
+      const sim::DeliveryTag expected = reference.Stamp(msg);
+      guard.Stamp(msg);
+      ASSERT_EQ(msg.tag.attempt_id, expected.attempt_id);
+      ASSERT_EQ(msg.tag.seq, expected.seq);
+      current.push_back(msg);
+    };
+    for (int attempt = 0; attempt < 4; ++attempt) {
+      // A repeated id forgets the links all the same: the previous
+      // attempt's tags then look current but name forgotten stamps.
+      if (attempt > 0) {
+        attempt_id += static_cast<uint32_t>(rng.UniformInt(0, 2));
+      }
+      guard.BeginAttempt(attempt_id);
+      reference.BeginAttempt(attempt_id);
+      earlier.insert(earlier.end(), current.begin(), current.end());
+      current.clear();
+      // One hot link with 70 stamps outstanding at once.
+      for (int i = 0; i < 70; ++i) stamp(7, 8);
+      if (HasFatalFailure()) return;
+      for (int op = 0; op < kOpsPerAttempt; ++op) {
+        const int64_t pick = rng.UniformInt(0, 99);
+        if (pick < 35) {
+          stamp(node(), node());
+        } else if (pick < 65) {  // deliver, possibly again
+          const sim::Message& msg =
+              current[rng.UniformInt(0, current.size() - 1)];
+          classify(msg.dst, msg);
+        } else if (pick < 72) {  // replay to the wrong receiver
+          const sim::Message& msg =
+              current[rng.UniformInt(0, current.size() - 1)];
+          classify(node(), msg);
+        } else if (pick < 80) {  // retract, now and then a stale tag
+          const bool stale = !earlier.empty() && rng.NextBool(0.2);
+          const std::vector<sim::Message>& from = stale ? earlier : current;
+          const sim::Message& msg = from[rng.UniformInt(0, from.size() - 1)];
+          guard.Retract(msg);
+          reference.Retract(msg);
+        } else if (pick < 86) {  // a straggler of an earlier attempt
+          if (earlier.empty()) continue;
+          const sim::Message& msg =
+              earlier[rng.UniformInt(0, earlier.size() - 1)];
+          classify(msg.dst, msg);
+        } else if (pick < 96) {  // a forged tag, often on a real link
+          sim::Message msg = current[rng.UniformInt(0, current.size() - 1)];
+          if (rng.NextBool(0.3)) msg.src = node();
+          msg.tag.attempt_id = rng.NextBool(0.8)
+                                   ? attempt_id
+                                   : static_cast<uint32_t>(rng.UniformInt(
+                                         0, attempt_id + 2));
+          msg.tag.seq = static_cast<uint32_t>(rng.UniformInt(0, 80));
+          classify(msg.dst, msg);
+        } else {  // untagged traffic passes through
+          sim::Message msg;
+          msg.src = node();
+          msg.dst = node();
+          classify(msg.dst, msg);
+        }
+        if (HasFatalFailure()) return;
+      }
+      most_links = std::max(most_links, reference.num_links());
+    }
+  }
+  EXPECT_GE(most_links, 5000u);
+  for (int kind = 0; kind < 6; ++kind) {
+    EXPECT_GT(verdicts[kind], 0) << "verdict " << kind << " never reached";
+  }
 }
 
 /// Reordering tolerance, delivery-level: jitter wide enough to let later

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -72,6 +73,64 @@ TEST(RadioTest, NeighborsAndInRangeMatchBruteForceForEveryPair) {
     }
   }
   EXPECT_TRUE(radio.InRange(n - 2, n - 1));
+}
+
+/// InRange tests the distance alone, standing in for a lookup in the
+/// neighbor table, so the grid the table is filled from must not miss an
+/// in-range pair — not even one exactly range_m apart whose coordinates sit
+/// a few ulps either side of a cell boundary.
+TEST(RadioTest, PairAtRangeAcrossCellBoundaryIsListed) {
+  int pairs = 0;
+  for (double range : {50.0, 60.0, 0.1, 7.3}) {
+    for (int cell : {1, 2, 3, 7, 40}) {
+      for (int ulps = -4; ulps <= 4; ++ulps) {
+        double near = cell * range;
+        for (int i = 0; i < std::abs(ulps); ++i) {
+          near = std::nextafter(near, ulps > 0 ? 1e300 : -1e300);
+        }
+        const double far = near + range;
+        for (bool vertical : {false, true}) {
+          // Node 0 pins the grid's origin at (0, 0).
+          std::vector<Point> pos = {{0, 0}, {near, 1.0}, {far, 1.0}};
+          if (vertical) {
+            for (Point& p : pos) std::swap(p.x, p.y);
+          }
+          if (Distance(pos[1], pos[2]) != range) continue;
+          ++pairs;
+          Radio radio(pos, range);
+          EXPECT_EQ(List(radio.Neighbors(1)),
+                    BruteForceNeighbors(pos, 1, range))
+              << "range " << range << " near " << near;
+          EXPECT_EQ(List(radio.Neighbors(2)),
+                    BruteForceNeighbors(pos, 2, range))
+              << "range " << range << " far " << far;
+          EXPECT_TRUE(radio.InRange(1, 2));
+          EXPECT_TRUE(radio.InRange(2, 1));
+        }
+      }
+    }
+  }
+  EXPECT_GT(pairs, 100);
+}
+
+/// A few clusters kilometres apart with a short range: the grid widens its
+/// cells far past the range to stay small, and the lists stay exact.
+TEST(RadioTest, FarApartClustersMatchBruteForce) {
+  std::vector<Point> pos;
+  for (const Point& center : {Point{0, 0}, Point{3e5, 10}, Point{3e5, 4e5}}) {
+    for (const Point& p : RandomPositions(40, 12.0, pos.size() + 3)) {
+      pos.push_back({center.x + p.x, center.y + p.y});
+    }
+  }
+  const double range = 2.5;
+  Radio radio(pos, range);
+  size_t entries = 0;
+  for (NodeId a = 0; a < radio.num_nodes(); ++a) {
+    ASSERT_EQ(List(radio.Neighbors(a)), BruteForceNeighbors(pos, a, range))
+        << "node " << a;
+    entries += radio.Neighbors(a).size();
+  }
+  EXPECT_GT(entries, pos.size());
 }
 
 TEST(RadioTest, AdjacencyIsSymmetric) {
